@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, LambdaOnSpectrum, LambdaOnSpectrumOfC
 from .linalg import (
     TOL_SPEC,
+    EigDecomposition,
+    as_eig,
     as_matrix,
     hermitian_eig,
     operator_norm,
@@ -30,9 +33,21 @@ def _readonly(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _readonly_eig(M: np.ndarray) -> EigDecomposition:
+    # M is exactly Hermitian already, so this equals hermitian_eig(M) bit for bit
+    w, v = np.linalg.eigh(M)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return EigDecomposition(values=w, vectors=v)
+
+
 @dataclass(frozen=True)
 class BlockProblem:
-    """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC)."""
+    """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
+
+    The spectra of A and C are computed on first use and cached, so every
+    consumer of one problem shares a single eigendecomposition of each.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -51,6 +66,14 @@ class BlockProblem:
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", _readonly(B))
         object.__setattr__(self, "C", _readonly(C))
+
+    @cached_property
+    def eig_A(self) -> EigDecomposition:
+        return _readonly_eig(self.A)
+
+    @cached_property
+    def eig_C(self) -> EigDecomposition:
+        return _readonly_eig(self.C)
 
     @property
     def n_A(self) -> int:
@@ -103,12 +126,13 @@ def assemble_H(p: BlockProblem) -> np.ndarray:
 def find_gaps(C) -> list[SpectralGap]:
     """All maximal open intervals in the complement of sigma(C).
 
-    Eigenvalues closer than tol_spec are merged into one cluster (their
-    mean represents them), so fake hairline gaps never appear.  The two
-    infinite rays come first and last; the finite gaps tile the convex
-    hull of the spectrum in between.
+    C is a Hermitian matrix or its EigDecomposition.  Eigenvalues closer
+    than tol_spec are merged into one cluster (their mean represents
+    them), so fake hairline gaps never appear.  The two infinite rays come
+    first and last; the finite gaps tile the convex hull of the spectrum
+    in between.
     """
-    w = hermitian_eig(C).values
+    w = as_eig(C).values
     reps: list[float] = []
     cluster = [float(w[0])]
     for x in w[1:]:
@@ -126,9 +150,9 @@ def find_gaps(C) -> list[SpectralGap]:
 
 
 def dist_spectra(A, C) -> float:
-    """dist(sigma(A), sigma(C)) for Hermitian A and C."""
-    a = hermitian_eig(A).values
-    c = hermitian_eig(C).values
+    """dist(sigma(A), sigma(C)) for Hermitian A and C, or their EigDecompositions."""
+    a = as_eig(A).values
+    c = as_eig(C).values
     return float(np.min(np.abs(a[:, None] - c[None, :])))
 
 
@@ -139,11 +163,11 @@ def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
     is the natural choice when sigma(A) is expected to sit inside one gap.
     """
     if point is None:
-        a = hermitian_eig(p.A).values
+        a = p.eig_A.values
         point = float(a[0] + a[-1]) / 2.0
-    for gap in find_gaps(p.C):
+    for gap in find_gaps(p.eig_C):
         if gap.alpha < point < gap.beta:
-            return replace(gap, d=dist_spectra(p.A, p.C))
+            return replace(gap, d=dist_spectra(p.eig_A, p.eig_C))
     raise LambdaOnSpectrumOfC(f"point {point} is not interior to any gap of C")
 
 
@@ -175,7 +199,7 @@ def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
 def herglotz_M(p: BlockProblem, lam: complex) -> HerglotzSample:
     """One sample of the gap function M(lambda) = lambda - A + B (C-lambda)^{-1} B*."""
     lam = complex(lam)
-    c = hermitian_eig(p.C).values
+    c = p.eig_C.values
     if _dist_to_spectrum(lam, c) <= TOL_SPEC:
         raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
     return HerglotzSample(lam=lam, M=herglotz_batch(p, np.array([lam]))[0])
@@ -188,7 +212,7 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
     C - lambda; it is exact wherever lambda avoids both spectra.
     """
     lam = complex(lam)
-    c = hermitian_eig(p.C).values
+    c = p.eig_C.values
     if _dist_to_spectrum(lam, c) <= TOL_SPEC:
         raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
     h = hermitian_eig(assemble_H(p)).values
@@ -229,7 +253,7 @@ def spectrum_identity_check(
     """
     H = assemble_H(p)
     h = hermitian_eig(H).values
-    c = hermitian_eig(p.C).values
+    c = p.eig_C.values
     tol_near = TOL_SPEC * (1.0 + operator_norm(H))
 
     pts = [complex(x) for x in np.asarray(grid, dtype=complex).ravel()]

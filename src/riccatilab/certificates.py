@@ -21,7 +21,7 @@ import numpy as np
 from .block import BlockProblem, SpectralGap, dist_spectra, find_gaps
 from .errors import ComplexSpectrum, DeltaNonpositive, HypothesisViolated, NotSubordinated
 from .factorization import enclosure_bounds
-from .linalg import TOL_SPEC, as_matrix, hermitian_eig, operator_norm
+from .linalg import TOL_SPEC, as_matrix, operator_norm
 from .solvers import RiccatiSolution, residual_scale, solve_spectral, uniqueness_class_check
 
 TOL_CERT = 1e-9
@@ -39,11 +39,11 @@ class Certificate:
 
 
 def _gap_d(p: BlockProblem, gap: SpectralGap) -> float:
-    return gap.d if not math.isnan(gap.d) else dist_spectra(p.A, p.C)
+    return gap.d if not math.isnan(gap.d) else dist_spectra(p.eig_A, p.eig_C)
 
 
 def _sigma_a_interior(p: BlockProblem, gap: SpectralGap) -> bool:
-    a = hermitian_eig(p.A).values
+    a = p.eig_A.values
     return bool(a[0] > gap.alpha + TOL_SPEC and a[-1] < gap.beta - TOL_SPEC)
 
 
@@ -154,12 +154,12 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     and the bound is undefined.
     """
     z = real_eigenvalues(sol.Z)
-    c = hermitian_eig(p.C).values
+    c = p.eig_C.values
     delta = float(np.min(np.abs(z[:, None] - c[None, :])))
     if delta <= TOL_SPEC:
         raise DeltaNonpositive(f"dist(sigma(Z), sigma(C)) = {delta:.3e}")
     in_one_gap = any(
-        g.alpha < z[0] and z[-1] < g.beta for g in find_gaps(p.C)
+        g.alpha < z[0] and z[-1] < g.beta for g in find_gaps(p.eig_C)
     )
     res_ok = sol.residual <= 1e-6 * residual_scale(p, sol.X)
     b = operator_norm(p.B)
@@ -188,7 +188,7 @@ def certify_apriori(
     HypothesisViolated (from the enclosure) when ||B||^2 >= d |gap|.
     """
     bounds = enclosure_bounds(p, gap)
-    a = hermitian_eig(p.A).values
+    a = p.eig_A.values
     delta_tilde = min(
         float(a[0]) - gap.alpha - bounds.delta_minus,
         gap.beta - float(a[-1]) - bounds.delta_plus,
@@ -222,8 +222,8 @@ def certify_tan2theta(p: BlockProblem) -> Certificate:
     sigma(H) into n_A eigenvalues below and n_C above, and X is recovered
     from that splitting directly.
     """
-    a = hermitian_eig(p.A).values
-    c = hermitian_eig(p.C).values
+    a = p.eig_A.values
+    c = p.eig_C.values
     if not float(a[-1]) < float(c[0]) - TOL_SPEC:
         raise NotSubordinated(
             f"sup sigma(A) = {a[-1]:.6g} not below inf sigma(C) = {c[0]:.6g}"
@@ -272,9 +272,9 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     Bhat = Ash @ p.B + p.B @ Csh
     sq = BlockProblem(A=Ahat, B=Bhat, C=Chat)
     floor = d * (gap.length - d) - b * b
-    achieved = dist_spectra(Ahat, Chat)
-    ahat = hermitian_eig(Ahat).values
-    chat = hermitian_eig(Chat).values
+    achieved = dist_spectra(sq.eig_A, sq.eig_C)
+    ahat = sq.eig_A.values
+    chat = sq.eig_C.values
     subordinated = bool(float(ahat[-1]) < float(chat[0]))
     top = (gap.length / 2.0 - d) ** 2 + b * b
     contained = bool(float(ahat[0]) >= -TOL_CERT and float(ahat[-1]) <= top + TOL_CERT)

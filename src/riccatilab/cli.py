@@ -107,7 +107,7 @@ def _solve_payload(p: BlockProblem, gap: SpectralGap, method: str) -> dict:
         # route provides it, after which the integral recovers X on its own
         Z = solve_spectral(p, gap).Z
         z = np.sort(np.linalg.eigvals(Z).real)
-        c = np.linalg.eigvalsh(p.C)
+        c = p.eig_C.values
         sol = solve_contour(p, Z, build_contour(z, c))
     out = solution_to_dict(sol)
     out["gap"] = [clean_number(gap.alpha), clean_number(gap.beta)]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .block import BlockProblem, SpectralGap, dist_spectra, herglotz_batch
 from .errors import HypothesisViolated, LambdaOnSpectrumOfC
-from .linalg import TOL_SPEC, as_matrix, hermitian_eig, operator_norm
+from .linalg import TOL_SPEC, as_matrix, operator_norm
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +37,7 @@ def compute_W(p: BlockProblem, X, lam: complex) -> np.ndarray:
     """The factor W(lambda) = I - B (C - lambda)^{-1} X."""
     X = as_matrix(X)
     lam = complex(lam)
-    c = hermitian_eig(p.C).values
+    c = p.eig_C.values
     if float(np.min(np.abs(c - lam))) <= TOL_SPEC:
         raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
     Y = np.linalg.solve(p.C - lam * np.eye(p.n_C), X)
@@ -65,7 +65,7 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np
     real_pts = np.linspace(gap.alpha + inset, gap.beta - inset, half)
     angles = 2.0 * np.pi * (np.arange(count - half) + 0.5) / (count - half)
     circle = gap.midpoint + gap.length * np.exp(1j * angles)
-    c = hermitian_eig(p.C).values
+    c = p.eig_C.values
     keep = [z for z in circle if float(np.min(np.abs(c - z))) > 2 * TOL_SPEC]
     return np.concatenate([real_pts.astype(complex), np.array(keep, dtype=complex)])
 
@@ -73,19 +73,21 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np
 def verify_factorization(p: BlockProblem, sol, grid) -> float:
     """Max normalized defect ||M(lam) - W(lam)(lam - Z)|| / (1 + ||M(lam)||) on the grid."""
     lams = np.asarray(grid, dtype=complex).ravel()
-    c = hermitian_eig(p.C).values
-    for lam in lams:
-        if float(np.min(np.abs(c - lam))) <= TOL_SPEC:
-            raise LambdaOnSpectrumOfC(f"grid point {lam} is within tol of sigma(C)")
+    c = p.eig_C.values
+    near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
+    if near.size:
+        raise LambdaOnSpectrumOfC(f"grid point {lams[near[0]]} is within tol of sigma(C)")
+    if lams.size == 0:
+        return 0.0
     M = herglotz_batch(p, lams)
     W = _w_batch(p, sol.X, lams)
     eyeA = np.eye(p.n_A, dtype=complex)
     pencil = lams[:, None, None] * eyeA - sol.Z[None, :, :]
-    defect = 0.0
-    for Mk, Wk, Pk in zip(M, W, pencil):
-        d = operator_norm(Mk - Wk @ Pk) / (1.0 + operator_norm(Mk))
-        defect = max(defect, d)
-    return defect
+    diff = M - np.matmul(W, pencil)
+    if not (np.all(np.isfinite(diff)) and np.all(np.isfinite(M))):
+        raise ValueError("matrix has non-finite entries")
+    ratios = np.linalg.norm(diff, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
+    return float(np.max(ratios))
 
 
 def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
@@ -97,12 +99,12 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     """
     if not gap.is_finite:
         raise HypothesisViolated("enclosure needs a finite gap")
-    a = hermitian_eig(p.A).values
+    a = p.eig_A.values
     if not (a[0] > gap.alpha + TOL_SPEC and a[-1] < gap.beta - TOL_SPEC):
         raise HypothesisViolated("sigma(A) is not interior to the gap")
     d = gap.d
     if math.isnan(d):
-        d = dist_spectra(p.A, p.C)
+        d = dist_spectra(p.eig_A, p.eig_C)
     b = operator_norm(p.B)
     if not b < math.sqrt(d * gap.length):
         raise HypothesisViolated(

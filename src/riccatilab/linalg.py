@@ -73,24 +73,33 @@ def hermitian_eig(M) -> EigDecomposition:
     return EigDecomposition(values=w, vectors=v)
 
 
+def as_eig(M) -> EigDecomposition:
+    """M itself when it already is an EigDecomposition, else hermitian_eig(M).
+
+    Lets spectrum consumers take a problem's cached decomposition in place
+    of the matrix, skipping the validation and eigh it already went through.
+    """
+    return M if isinstance(M, EigDecomposition) else hermitian_eig(M)
+
+
 def solve_sylvester(Z, C, R) -> np.ndarray:
     """Solve X Z - C X = R for X by double diagonalization.
 
     Z is a general square matrix (here always similar to a Hermitian one),
-    C is Hermitian.  Writing Z = P diag(z) P^{-1} and C = U diag(c) U*,
-    the transformed unknown Y = U* X P satisfies Y_ij (z_j - c_i) = (U* R P)_ij,
-    so the solve is an entrywise division in the joint eigenbasis.
+    C is Hermitian, given as a matrix or as its EigDecomposition.  Writing
+    Z = P diag(z) P^{-1} and C = U diag(c) U*, the transformed unknown
+    Y = U* X P satisfies Y_ij (z_j - c_i) = (U* R P)_ij, so the solve is an
+    entrywise division in the joint eigenbasis.
     """
     Z = as_matrix(Z)
-    C = require_hermitian(C, "C")
+    c, U = C if isinstance(C, EigDecomposition) else np.linalg.eigh(require_hermitian(C, "C"))
     R = as_matrix(R)
-    n, m = C.shape[0], Z.shape[0]
+    n, m = c.shape[0], Z.shape[0]
     if Z.shape[0] != Z.shape[1]:
         raise DimensionMismatch(f"Z must be square, got {Z.shape}")
     if R.shape != (n, m):
         raise DimensionMismatch(f"R must be {n}x{m}, got {R.shape}")
     z, P = np.linalg.eig(Z)
-    c, U = np.linalg.eigh(C)
     sep = np.min(np.abs(z[None, :] - c[:, None]))
     if sep <= TOL_SPEC:
         raise SpectraOverlap(f"sigma(Z) and sigma(C) are {sep:.3e} apart")

@@ -11,11 +11,13 @@ a gap of C:
 * fixed point: iterate the Sylvester map X -> solve(X (A+BX_k) - C X = B*).
 
 Cross-checking them against each other is the point of the package, so
-none of them shares intermediate results with another.
+none of them shares intermediate results with another; what they share is
+validated problem data, such as the cached eigendecomposition of C.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,9 @@ TOL_FIX = 1e-12  # relative stop for fixed-point steps
 MAX_NODES = 4096
 MAX_ITER = 500
 DIVERGE_NORM = 1e6
+# relative rounding slack on the Frobenius brackets of a computed 2-norm;
+# far above the O(n eps) error of either norm at any practical size
+FRO_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,54 @@ class Contour:
             raise ValueError("radius must be positive")
         if self.nodes < 16 or self.nodes % 2:
             raise ValueError("nodes must be even and at least 16")
+
+
+class _NormBracket:
+    """operator_norm(M), bracketed by ||M||_F / sqrt(min(m, n)) <= ||M||_2 <= ||M||_F.
+
+    The exact 2-norm (one SVD) is taken only when a comparison falls
+    inside the bracket, so every decision equals the one operator_norm
+    would give.  A non-finite Frobenius norm goes straight to
+    operator_norm, which raises on non-finite entries as before.
+    """
+
+    __slots__ = ("M", "lo", "hi", "exact")
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.exact = False
+        fro = math.sqrt(np.vdot(M, M).real)  # Frobenius norm
+        if math.isfinite(fro):
+            self.lo = fro / math.sqrt(min(M.shape)) * (1.0 - FRO_SLACK)
+            self.hi = fro * (1.0 + FRO_SLACK)
+        else:
+            self.settle()
+
+    def settle(self) -> float:
+        """The exact operator_norm(M), computed once."""
+        if not self.exact:
+            self.lo = self.hi = operator_norm(self.M)
+            self.exact = True
+        return self.hi
+
+    def exceeds(self, bound: float) -> bool:
+        """operator_norm(M) > bound."""
+        if self.lo > bound:
+            return True
+        return self.hi > bound and self.settle() > bound
+
+
+def _step_within(step: _NormBracket, tol: float, ref: _NormBracket) -> bool:
+    """operator_norm(step) <= tol * (1 + operator_norm(ref)), as a stop rule.
+
+    Rounding is monotone, so comparing the outer bracket ends settles the
+    test whenever they agree; otherwise both norms are taken exactly.
+    """
+    if step.hi <= tol * (1.0 + ref.lo):
+        return True
+    if step.lo > tol * (1.0 + ref.hi):
+        return False
+    return step.settle() <= tol * (1.0 + ref.settle())
 
 
 def residual(p: BlockProblem, X) -> float:
@@ -139,11 +192,14 @@ def build_contour(z_spectrum, c_spectrum, nodes: int = 16) -> Contour:
     return Contour(center=float(center), radius=float(radius), nodes=nodes)
 
 
-def _quad_sum(p: BlockProblem, Z: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Sum of (C-lam)^{-1} B* (Z-lam)^{-1} (lam - center-shift) over nodes."""
-    nA, nC = p.n_A, p.n_C
-    shiftC = p.C[None, :, :] - lams[:, None, None] * np.eye(nC, dtype=complex)
-    L = np.linalg.solve(shiftC, np.broadcast_to(p.B.conj().T, (lams.size, nC, nA)))
+def _quad_sum(c: np.ndarray, G: np.ndarray, Z: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Integrand U* (C-lam)^{-1} B* (Z-lam)^{-1} at each node, in C's eigenbasis.
+
+    With C = U diag(c) U* and G = U* B*, the C-side resolvent is a row
+    scaling of G by 1/(c - lam); the Z-side is a batched solve.
+    """
+    nA = Z.shape[0]
+    L = G[None, :, :] / (c[None, :, None] - lams[:, None, None])
     shiftZ = Z[None, :, :] - lams[:, None, None] * np.eye(nA, dtype=complex)
     Y = np.linalg.solve(np.swapaxes(shiftZ, 1, 2), np.swapaxes(L, 1, 2))
     return np.swapaxes(Y, 1, 2)
@@ -156,6 +212,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
     the counterclockwise circle; on N equispaced nodes this collapses to
     an average of integrand samples weighted by (lambda_k - center).  Nodes
     double until successive results agree to TOL_QUAD or MAX_NODES is hit.
+    The sum runs in the eigenbasis of C and is mapped back once per doubling.
     """
     Z = as_matrix(Z)
     if Z.shape != (p.n_A, p.n_A):
@@ -167,20 +224,22 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         k = np.arange(n) + (0.5 if offset else 0.0)
         return contour.center + contour.radius * np.exp(2j * np.pi * k / n)
 
+    c, U = p.eig_C
+    G = U.conj().T @ p.B.conj().T
+
+    def weighted_sum(lams: np.ndarray) -> np.ndarray:
+        return np.add.reduce(_quad_sum(c, G, Z, lams) * (lams - contour.center)[:, None, None])
+
     n = contour.nodes
-    lams = nodes_at(n, offset=False)
-    total = np.add.reduce(_quad_sum(p, Z, lams) * (lams - contour.center)[:, None, None])
-    X_prev = total / n
+    total = weighted_sum(nodes_at(n, offset=False))
+    X_prev = U @ total / n
     while True:
         if 2 * n > MAX_NODES:
             raise QuadratureStall(f"no convergence within {MAX_NODES} nodes")
-        lams = nodes_at(n, offset=True)
-        total = total + np.add.reduce(
-            _quad_sum(p, Z, lams) * (lams - contour.center)[:, None, None]
-        )
+        total = total + weighted_sum(nodes_at(n, offset=True))
         n *= 2
-        X_new = total / n
-        if operator_norm(X_new - X_prev) <= TOL_QUAD * (1.0 + operator_norm(X_new)):
+        X_new = U @ total / n
+        if _step_within(_NormBracket(X_new - X_prev), TOL_QUAD, _NormBracket(X_new)):
             return _solution(p, X_new, "contour")
         X_prev = X_new
 
@@ -190,17 +249,19 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
 
     Contracts when ||B|| is small against the gap; no convergence promise
     otherwise.  Stops on a relative step of TOL_FIX, raises
-    IterationDiverged past MAX_ITER steps or norm 1e6.
+    IterationDiverged past MAX_ITER steps or norm 1e6.  Both tests are
+    decided in the 2-norm; Frobenius brackets only spare the SVDs.
     """
     X = np.zeros((p.n_C, p.n_A), dtype=complex)
     Bstar = p.B.conj().T
     for _ in range(MAX_ITER):
-        X_next = solve_sylvester(p.A + p.B @ X, p.C, Bstar)
-        step = operator_norm(X_next - X)
+        X_next = solve_sylvester(p.A + p.B @ X, p.eig_C, Bstar)
+        step = _NormBracket(X_next - X)
         X = X_next
-        if operator_norm(X) > DIVERGE_NORM:
+        x_norm = _NormBracket(X)
+        if x_norm.exceeds(DIVERGE_NORM):
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
-        if step <= TOL_FIX * (1.0 + operator_norm(X)):
+        if _step_within(step, TOL_FIX, x_norm):
             return _solution(p, X, "fixedpoint")
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
 

@@ -41,6 +41,26 @@ def test_block_problem_arrays_are_frozen():
         p.A[0, 0] = 5.0
 
 
+def test_block_problem_caches_its_spectra():
+    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    assert p.eig_C is p.eig_C
+    assert p.eig_A is p.eig_A
+    for cached, M in ((p.eig_A, p.A), (p.eig_C, p.C)):
+        fresh = rl.hermitian_eig(M)
+        assert np.array_equal(cached.values, fresh.values)
+        assert np.array_equal(cached.vectors, fresh.vectors)
+        with pytest.raises(ValueError):
+            cached.values[0] = 0.0
+        with pytest.raises(ValueError):
+            cached.vectors[0, 0] = 0.0
+
+
+def test_spectrum_helpers_take_the_cached_decomposition():
+    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    assert rl.find_gaps(p.eig_C) == rl.find_gaps(p.C)
+    assert rl.dist_spectra(p.eig_A, p.eig_C) == rl.dist_spectra(p.A, p.C)
+
+
 def test_assemble_H_is_hermitian():
     p = small_problem()
     H = rl.assemble_H(p)

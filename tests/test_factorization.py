@@ -61,6 +61,18 @@ def test_verify_factorization_rejects_grid_on_sigma_C():
         rl.verify_factorization(p, sol, np.array([1.0 + 0j]))
 
 
+def test_verify_factorization_empty_grid_has_no_defect():
+    p, gap, sol = solved_example()
+    assert rl.verify_factorization(p, sol, np.array([], dtype=complex)) == 0.0
+
+
+def test_verify_factorization_names_first_point_on_sigma_C():
+    # sigma(C) = {1, -1}; the clear point 0.3 comes first and must not be named
+    p, gap, sol = solved_example()
+    with pytest.raises(LambdaOnSpectrumOfC, match=r"grid point \(-1\+1e-10j\) "):
+        rl.verify_factorization(p, sol, np.array([0.3, -1.0 + 1e-10j, 1.0]))
+
+
 def test_enclosure_closed_form():
     # 1x2 family, gap (-d, d), sigma(A) = {0}: both deltas reduce to
     # b tan(arctan(2b/d)/2)

@@ -160,6 +160,14 @@ def test_solve_sylvester_matches_kron(n_A, n_C, seed):
     assert operator_norm(X @ Z - C @ X - R) <= 1e-9 * scale
 
 
+def test_solve_sylvester_accepts_eig_decomposition():
+    rng = SplitMix64(5)
+    Z = random_hermitian(rng, 3) + 10.0 * np.eye(3)
+    C = random_hermitian(rng, 4) - 10.0 * np.eye(4)
+    R = rng.complex_normal_matrix(4, 3)
+    assert np.array_equal(solve_sylvester(Z, hermitian_eig(C), R), solve_sylvester(Z, C, R))
+
+
 def test_solve_sylvester_rejects_overlap():
     with pytest.raises(SpectraOverlap):
         solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))

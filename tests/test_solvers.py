@@ -11,8 +11,8 @@ from riccatilab.errors import (
     SpectraTooClose,
     WrongSubspaceDimension,
 )
-from riccatilab.linalg import operator_norm
-from riccatilab.solvers import residual_scale
+from riccatilab.linalg import operator_norm, solve_sylvester
+from riccatilab.solvers import DIVERGE_NORM, MAX_ITER, TOL_FIX, residual_scale
 
 
 @pytest.mark.parametrize("d,b", [(0.5, 0.1), (1.0, 0.5), (2.0, 1.2)])
@@ -146,6 +146,50 @@ def test_fixedpoint_reports_divergence():
     p = rl.BlockProblem(np.array([[0.0]]), np.array([[1.5, 1.0]]), np.diag([1.0, -1.0]))
     with pytest.raises(IterationDiverged):
         rl.solve_fixedpoint(p, rl.SpectralGap(-1.0, 1.0))
+
+
+def _exact_norm_fixedpoint(p):
+    """The fixed point with every stop and divergence test taken in the exact 2-norm."""
+    X = np.zeros((p.n_C, p.n_A), dtype=complex)
+    Bstar = p.B.conj().T
+    for _ in range(MAX_ITER):
+        X_next = solve_sylvester(p.A + p.B @ X, p.C, Bstar)
+        step = operator_norm(X_next - X)
+        X = X_next
+        if operator_norm(X) > DIVERGE_NORM:
+            raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
+        if step <= TOL_FIX * (1.0 + operator_norm(X)):
+            return X
+    raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except IterationDiverged as err:
+        return str(err)
+
+
+def test_fixedpoint_follows_the_exact_norm_rule(battery500):
+    # the Frobenius pre-screen may only skip SVDs, never move a stop: the
+    # iterate sequence, the stopping step and every give-up must match
+    cases = [(p, gap) for _, p, gap, _ in battery500.items[:25]]
+    cases.append(
+        (
+            rl.BlockProblem(np.array([[0.0]]), np.array([[1.5, 1.0]]), np.diag([1.0, -1.0])),
+            rl.SpectralGap(-1.0, 1.0),
+        )
+    )
+    gave_up = 0
+    for p, gap in cases:
+        expected = _outcome(lambda: _exact_norm_fixedpoint(p))
+        got = _outcome(lambda: rl.solve_fixedpoint(p, gap).X)
+        if isinstance(expected, str):
+            gave_up += 1
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+    assert gave_up >= 2
 
 
 def test_solution_fields_consistent():
