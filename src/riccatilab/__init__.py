@@ -21,6 +21,7 @@ from .block import (
 )
 from .certificates import (
     Certificate,
+    certify_all,
     certify_apriori,
     certify_contraction,
     certify_existence,
@@ -97,6 +98,7 @@ __all__ = [
     "assemble_H",
     "block_diagonalize",
     "build_contour",
+    "certify_all",
     "certify_apriori",
     "certify_contraction",
     "certify_existence",

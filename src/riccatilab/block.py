@@ -45,8 +45,8 @@ def _readonly_eig(M: np.ndarray) -> EigDecomposition:
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
-    The spectra of A and C are computed on first use and cached, so every
-    consumer of one problem shares a single eigendecomposition of each.
+    The spectra of A and C and the operator norms of A, B and C are computed
+    on first use and cached, so every consumer of one problem shares them.
     """
 
     A: np.ndarray
@@ -74,6 +74,18 @@ class BlockProblem:
     @cached_property
     def eig_C(self) -> EigDecomposition:
         return _readonly_eig(self.C)
+
+    @cached_property
+    def norm_A(self) -> float:
+        return operator_norm(self.A)
+
+    @cached_property
+    def norm_B(self) -> float:
+        return operator_norm(self.B)
+
+    @cached_property
+    def norm_C(self) -> float:
+        return operator_norm(self.C)
 
     @property
     def n_A(self) -> int:

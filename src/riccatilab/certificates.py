@@ -19,10 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block import BlockProblem, SpectralGap, dist_spectra, find_gaps
-from .errors import ComplexSpectrum, DeltaNonpositive, HypothesisViolated, NotSubordinated
+from .errors import (
+    ComplexSpectrum,
+    DeltaNonpositive,
+    HypothesisViolated,
+    NotSubordinated,
+    RiccatiLabError,
+)
 from .factorization import enclosure_bounds
 from .linalg import TOL_SPEC, as_matrix, operator_norm
-from .solvers import RiccatiSolution, residual_scale, solve_spectral, uniqueness_class_check
+from .solvers import RiccatiSolution, residual_acceptable, solve_spectral, uniqueness_class_check
 
 TOL_CERT = 1e-9
 
@@ -45,6 +51,22 @@ def _gap_d(p: BlockProblem, gap: SpectralGap) -> float:
 def _sigma_a_interior(p: BlockProblem, gap: SpectralGap) -> bool:
     a = p.eig_A.values
     return bool(a[0] > gap.alpha + TOL_SPEC and a[-1] < gap.beta - TOL_SPEC)
+
+
+def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
+    """The gap-midpoint frame of the theorems under ||B|| < sqrt(d (|gap| - d)).
+
+    Returns (gamma, d, threshold, hypothesis, A - gamma, C - gamma,
+    (A - gamma) B + B (C - gamma), d (|gap| - d) - ||B||^2).
+    """
+    gamma = gap.midpoint
+    d = _gap_d(p, gap)
+    b = p.norm_B
+    threshold = math.sqrt(d * (gap.length - d))
+    hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
+    Ash = p.A - gamma * np.eye(p.n_A)
+    Csh = p.C - gamma * np.eye(p.n_C)
+    return gamma, d, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, d * (gap.length - d) - b * b
 
 
 def real_eigenvalues(Z, what: str = "Z") -> np.ndarray:
@@ -73,10 +95,10 @@ def certify_existence(
     if not gap.is_finite:
         raise ValueError("existence certificate needs a finite gap")
     d = _gap_d(p, gap)
-    b = operator_norm(p.B)
+    b = p.norm_B
     threshold = math.sqrt(d * gap.length)
     hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
-    res_ok = sol.residual <= 1e-6 * residual_scale(p, sol.X)
+    res_ok = residual_acceptable(p, sol.X, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
     z = real_eigenvalues(sol.Z)
     proper = bool(
@@ -114,15 +136,8 @@ def certify_contraction(
     """
     if not gap.is_finite:
         raise ValueError("contraction certificate needs a finite gap")
-    gamma = gap.midpoint
-    d = _gap_d(p, gap)
-    b = operator_norm(p.B)
-    threshold = math.sqrt(d * (gap.length - d))
-    hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
-    Ash = p.A - gamma * np.eye(p.n_A)
-    Csh = p.C - gamma * np.eye(p.n_C)
-    coupling = operator_norm(Ash @ p.B + p.B @ Csh)
-    denom = d * (gap.length - d) - b * b
+    gamma, _, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
+    coupling = operator_norm(Bhat)
     if denom > 0:
         bound = math.tan(0.5 * math.atan2(2.0 * coupling, denom))
     else:
@@ -141,7 +156,7 @@ def certify_contraction(
             "coupling_norm": coupling,
             "denominator": denom,
             "hypothesis_threshold": threshold,
-            "b_norm": b,
+            "b_norm": p.norm_B,
         },
     )
 
@@ -161,8 +176,8 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     in_one_gap = any(
         g.alpha < z[0] and z[-1] < g.beta for g in find_gaps(p.eig_C)
     )
-    res_ok = sol.residual <= 1e-6 * residual_scale(p, sol.X)
-    b = operator_norm(p.B)
+    res_ok = residual_acceptable(p, sol.X, sol.residual)
+    b = p.norm_B
     bound = b / delta
     observed = sol.x_norm
     margin = bound - observed
@@ -193,7 +208,7 @@ def certify_apriori(
         float(a[0]) - gap.alpha - bounds.delta_minus,
         gap.beta - float(a[-1]) - bounds.delta_plus,
     )
-    b = operator_norm(p.B)
+    b = p.norm_B
     hyp = delta_tilde > 0
     bound = b / delta_tilde if hyp else math.inf
     observed = sol.x_norm
@@ -231,7 +246,7 @@ def certify_tan2theta(p: BlockProblem) -> Certificate:
     d = float(c[0]) - float(a[-1])
     mid = (float(a[-1]) + float(c[0])) / 2.0
     sol = solve_spectral(p, SpectralGap(-math.inf, mid))
-    b = operator_norm(p.B)
+    b = p.norm_B
     bound = math.tan(0.5 * math.atan2(2.0 * b, d))
     observed = sol.x_norm
     margin = bound - observed
@@ -257,21 +272,15 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     """
     if not gap.is_finite:
         raise HypothesisViolated("squared shift needs a finite gap")
-    d = _gap_d(p, gap)
-    b = operator_norm(p.B)
-    threshold = math.sqrt(d * (gap.length - d))
-    if not (_sigma_a_interior(p, gap) and b < threshold - TOL_CERT):
+    gamma, d, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap)
+    b = p.norm_B
+    if not hyp:
         raise HypothesisViolated(
             f"||B||={b:.6g} not below sqrt(d(|gap|-d))={threshold:.6g}"
         )
-    gamma = gap.midpoint
-    Ash = p.A - gamma * np.eye(p.n_A)
-    Csh = p.C - gamma * np.eye(p.n_C)
     Ahat = Ash @ Ash + p.B @ p.B.conj().T
     Chat = Csh @ Csh + p.B.conj().T @ p.B
-    Bhat = Ash @ p.B + p.B @ Csh
     sq = BlockProblem(A=Ahat, B=Bhat, C=Chat)
-    floor = d * (gap.length - d) - b * b
     achieved = dist_spectra(sq.eig_A, sq.eig_C)
     ahat = sq.eig_A.values
     chat = sq.eig_C.values
@@ -296,3 +305,30 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
         },
     )
     return sq, cert
+
+
+def certify_all(
+    p: BlockProblem, gap: SpectralGap, sol: RiccatiSolution
+) -> list[tuple[str, Certificate | Exception]]:
+    """Every certificate on one solved instance, in report order.
+
+    Each theorem name is paired with its Certificate, or with the
+    exception that made the theorem inapplicable to the instance
+    (infinite gap, hypothesis not evaluable, not subordinated).
+    """
+    # the certifiers are looked up by name when called, so rebinding one
+    # of these module attributes (as a tracer does) is seen here
+    out = []
+    for theorem, attempt in (
+        ("existence_1i", lambda: certify_existence(p, gap, sol)),
+        ("contraction_1ii", lambda: certify_contraction(p, gap, sol)),
+        ("tan_theta_2", lambda: certify_tan_theta(p, sol)),
+        ("apriori_bound", lambda: certify_apriori(p, gap, sol)),
+        ("tan_2theta_dk", lambda: certify_tan2theta(p)),
+        ("squared_subordination", lambda: squared_shift(p, gap)[1]),
+    ):
+        try:
+            out.append((theorem, attempt()))
+        except (RiccatiLabError, ValueError) as err:
+            out.append((theorem, err))
+    return out

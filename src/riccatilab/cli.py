@@ -16,15 +16,7 @@ import sys
 import numpy as np
 
 from .block import BlockProblem, SpectralGap, select_gap
-from .certificates import (
-    certify_apriori,
-    certify_contraction,
-    certify_existence,
-    certify_tan2theta,
-    certify_tan_theta,
-    gamma_center,
-    squared_shift,
-)
+from .certificates import Certificate, certify_all, gamma_center
 from .errors import RiccatiLabError
 from .factorization import (
     compute_W,
@@ -116,22 +108,12 @@ def _solve_payload(p: BlockProblem, gap: SpectralGap, method: str) -> dict:
 
 def _certify_payload(p: BlockProblem, gap: SpectralGap) -> dict:
     sol = solve_spectral(p, gap)
-    certs = []
-
-    def attempt(name, fn):
-        try:
-            certs.append(certificate_to_dict(fn()))
-        except (RiccatiLabError, ValueError) as err:
-            certs.append(
-                {"theorem": name, "applicable": False, "error": type(err).__name__}
-            )
-
-    attempt("existence_1i", lambda: certify_existence(p, gap, sol))
-    attempt("contraction_1ii", lambda: certify_contraction(p, gap, sol))
-    attempt("tan_theta_2", lambda: certify_tan_theta(p, sol))
-    attempt("apriori_bound", lambda: certify_apriori(p, gap, sol))
-    attempt("tan_2theta_dk", lambda: certify_tan2theta(p))
-    attempt("squared_subordination", lambda: squared_shift(p, gap)[1])
+    certs = [
+        certificate_to_dict(cert)
+        if isinstance(cert, Certificate)
+        else {"theorem": theorem, "applicable": False, "error": type(cert).__name__}
+        for theorem, cert in certify_all(p, gap, sol)
+    ]
     return {
         "gap": [clean_number(gap.alpha), clean_number(gap.beta)],
         "gamma": clean_number(gamma_center(sol.Z)),

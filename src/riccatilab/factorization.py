@@ -18,7 +18,7 @@ import numpy as np
 
 from .block import BlockProblem, SpectralGap, dist_spectra, herglotz_batch
 from .errors import HypothesisViolated, LambdaOnSpectrumOfC
-from .linalg import TOL_SPEC, as_matrix, operator_norm
+from .linalg import TOL_SPEC, as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,7 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     d = gap.d
     if math.isnan(d):
         d = dist_spectra(p.eig_A, p.eig_C)
-    b = operator_norm(p.B)
+    b = p.norm_B
     if not b < math.sqrt(d * gap.length):
         raise HypothesisViolated(
             f"||B||={b:.6g} is not below sqrt(d |gap|)={math.sqrt(d * gap.length):.6g}"

@@ -17,7 +17,7 @@ import numpy as np
 from .block import BlockProblem
 from .errors import ResidualTooLarge
 from .linalg import as_matrix, operator_norm
-from .solvers import residual, residual_scale
+from .solvers import residual, residual_acceptable
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,12 @@ def operator_angle(proj: GraphProjection) -> AngleReport:
     )
 
 
+def _sqrt_and_inverse(S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # S2 = I + (positive semidefinite) has eigenvalues >= 1, so no clamping
+    w, u = np.linalg.eigh(S2)
+    return (u * np.sqrt(w)) @ u.conj().T, (u * (1.0 / np.sqrt(w))) @ u.conj().T
+
+
 def block_diagonalize(p: BlockProblem, X) -> Diagonalization:
     """Split H by the graph transform of X and symmetrize both halves.
 
@@ -83,7 +89,7 @@ def block_diagonalize(p: BlockProblem, X) -> Diagonalization:
     """
     X = as_matrix(X)
     res = residual(p, X)
-    if res > 1e-6 * residual_scale(p, X):
+    if not residual_acceptable(p, X, res):
         raise ResidualTooLarge(f"Riccati residual {res:.3e} too large to diagonalize")
     nA, nC = p.n_A, p.n_C
     V = np.zeros((nA + nC, nA + nC), dtype=complex)
@@ -94,15 +100,9 @@ def block_diagonalize(p: BlockProblem, X) -> Diagonalization:
     Z = p.A + p.B @ X
     Zhat = p.C - p.B.conj().T @ X.conj().T
     # S = (I + X*X)^{1/2} symmetrizes Z; T = (I + XX*)^{1/2} symmetrizes Zhat
-    S2 = np.eye(nA, dtype=complex) + X.conj().T @ X
-    w, u = np.linalg.eigh(S2)
-    S = (u * np.sqrt(w)) @ u.conj().T
-    Sinv = (u * (1.0 / np.sqrt(w))) @ u.conj().T
+    S, Sinv = _sqrt_and_inverse(np.eye(nA, dtype=complex) + X.conj().T @ X)
     Lambda = S @ Z @ Sinv
-    T2 = np.eye(nC, dtype=complex) + X @ X.conj().T
-    w, u = np.linalg.eigh(T2)
-    T = (u * np.sqrt(w)) @ u.conj().T
-    Tinv = (u * (1.0 / np.sqrt(w))) @ u.conj().T
+    T, Tinv = _sqrt_and_inverse(np.eye(nC, dtype=complex) + X @ X.conj().T)
     LambdaHat = T @ Zhat @ Tinv
     return Diagonalization(
         V=V,

@@ -16,15 +16,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .block import BlockProblem, SpectralGap, select_gap
-from .certificates import (
-    Certificate,
-    certify_apriori,
-    certify_contraction,
-    certify_existence,
-    certify_tan2theta,
-    certify_tan_theta,
-    squared_shift,
-)
+from .certificates import Certificate, certify_all
 from .errors import InfeasibleSpec, RiccatiLabError
 from .rng import SplitMix64
 from .solvers import solve_spectral
@@ -170,8 +162,6 @@ def realize(spec: SweepSpec) -> tuple[BlockProblem, SpectralGap]:
     return p, select_gap(p, (alpha + beta) / 2.0)
 
 
-THEOREM_COLUMNS = ("existence", "contraction", "tan_theta", "tan2theta", "squared")
-
 CSV_COLUMNS = (
     "seed",
     "n_A",
@@ -197,6 +187,8 @@ CSV_COLUMNS = (
     "squared_margin",
     "status",
 )
+# certificate column prefixes, in certify_all's report order
+_CERT_PREFIXES = tuple(col[: -len("_pass")] for col in CSV_COLUMNS if col.endswith("_pass"))
 
 
 @dataclass(frozen=True)
@@ -223,15 +215,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _record(row: dict, name: str, cert: Certificate | None) -> None:
-    if cert is None:
-        row[f"{name}_pass"] = None
-        row[f"{name}_margin"] = None
-    else:
-        row[f"{name}_pass"] = cert.passed
-        row[f"{name}_margin"] = float(cert.margin)
-
-
 def sweep(spec_grid: Iterable[SweepSpec]) -> SweepResult:
     """Solve and certify every spec; one row per instance, failures tagged.
 
@@ -239,55 +222,32 @@ def sweep(spec_grid: Iterable[SweepSpec]) -> SweepResult:
     fails, the error class name lands in the status column and every
     solution-dependent cell stays empty; certificate cells also stay empty
     whenever their theorem does not apply to the instance (infinite gap,
-    hypothesis not evaluable, not subordinated).
+    hypothesis not evaluable, not subordinated), as certify_all reports.
     """
     rows = []
     for spec in spec_grid:
         p, gap = realize(spec)
         alpha, beta = (spec.gap if isinstance(spec, GenSpec) else (-spec.d, spec.d))
-        row: dict = {
-            "seed": spec.seed if isinstance(spec, GenSpec) else None,
-            "n_A": p.n_A,
-            "n_C": p.n_C,
-            "alpha": float(alpha),
-            "beta": float(beta),
-            "d": float(gap.d),
-            "b": float(np.linalg.norm(p.B, 2)),
-        }
+        row = dict.fromkeys(CSV_COLUMNS)
+        row.update(
+            seed=spec.seed if isinstance(spec, GenSpec) else None,
+            n_A=p.n_A,
+            n_C=p.n_C,
+            alpha=float(alpha),
+            beta=float(beta),
+            d=float(gap.d),
+            b=p.norm_B,
+        )
+        rows.append(row)
         try:
             sol = solve_spectral(p, gap)
-            row["method"] = sol.method
-            row["residual"] = float(sol.residual)
-            row["x_norm"] = float(sol.x_norm)
-            row["status"] = "ok"
         except RiccatiLabError as err:
-            row["method"] = None
-            row["residual"] = None
-            row["x_norm"] = None
             row["status"] = type(err).__name__
-            for name in THEOREM_COLUMNS + ("apriori",):
-                _record(row, name, None)
-            rows.append(row)
             continue
-
-        finite = gap.is_finite
-        _record(row, "existence", certify_existence(p, gap, sol) if finite else None)
-        _record(row, "contraction", certify_contraction(p, gap, sol) if finite else None)
-        try:
-            _record(row, "tan_theta", certify_tan_theta(p, sol))
-        except RiccatiLabError:
-            _record(row, "tan_theta", None)
-        try:
-            _record(row, "apriori", certify_apriori(p, gap, sol) if finite else None)
-        except RiccatiLabError:
-            _record(row, "apriori", None)
-        try:
-            _record(row, "tan2theta", certify_tan2theta(p))
-        except RiccatiLabError:
-            _record(row, "tan2theta", None)
-        try:
-            _record(row, "squared", squared_shift(p, gap)[1] if finite else None)
-        except RiccatiLabError:
-            _record(row, "squared", None)
-        rows.append(row)
+        row.update(method=sol.method, residual=float(sol.residual), x_norm=float(sol.x_norm))
+        row["status"] = "ok"
+        for prefix, (_, cert) in zip(_CERT_PREFIXES, certify_all(p, gap, sol)):
+            if isinstance(cert, Certificate):
+                row[f"{prefix}_pass"] = cert.passed
+                row[f"{prefix}_margin"] = float(cert.margin)
     return SweepResult(rows=rows)

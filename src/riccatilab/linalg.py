@@ -45,10 +45,6 @@ def herm_tol(M: np.ndarray) -> float:
     return HERM_TOL_FACTOR * (1.0 + operator_norm(M))
 
 
-def eig_tol(M: np.ndarray) -> float:
-    return EIG_TOL_FACTOR * (1.0 + operator_norm(M))
-
-
 def require_hermitian(M, what: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry within tolerance, return the symmetrized copy.
 

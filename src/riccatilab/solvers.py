@@ -38,6 +38,7 @@ TOL_FIX = 1e-12  # relative stop for fixed-point steps
 MAX_NODES = 4096
 MAX_ITER = 500
 DIVERGE_NORM = 1e6
+TOL_ACCEPT = 1e-6  # relative residual up to which a solution counts as accurate
 # relative rounding slack on the Frobenius brackets of a computed 2-norm;
 # far above the O(n eps) error of either norm at any practical size
 FRO_SLACK = 1e-8
@@ -129,8 +130,13 @@ def residual(p: BlockProblem, X) -> float:
 
 def residual_scale(p: BlockProblem, X) -> float:
     """Natural size of the Riccati residual: (||A||+||B||+||C||)(1+||X||)^2."""
-    coeff = operator_norm(p.A) + operator_norm(p.B) + operator_norm(p.C)
+    coeff = p.norm_A + p.norm_B + p.norm_C
     return coeff * (1.0 + operator_norm(X)) ** 2
+
+
+def residual_acceptable(p: BlockProblem, X, res: float) -> bool:
+    """True when a residual res of X is at most TOL_ACCEPT times residual_scale."""
+    return res <= TOL_ACCEPT * residual_scale(p, X)
 
 
 def _solution(p: BlockProblem, X: np.ndarray, method: str) -> RiccatiSolution:

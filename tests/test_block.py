@@ -55,6 +55,13 @@ def test_block_problem_caches_its_spectra():
             cached.vectors[0, 0] = 0.0
 
 
+def test_block_problem_caches_its_norms():
+    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    for cached, M in ((p.norm_A, p.A), (p.norm_B, p.B), (p.norm_C, p.C)):
+        assert cached == rl.operator_norm(M)
+    assert "norm_B" in vars(p)
+
+
 def test_spectrum_helpers_take_the_cached_decomposition():
     p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
     assert rl.find_gaps(p.eig_C) == rl.find_gaps(p.C)

@@ -12,6 +12,7 @@ from riccatilab.errors import (
     NotSubordinated,
 )
 from riccatilab.linalg import operator_norm
+from riccatilab.solvers import RiccatiSolution, residual
 
 
 def solved_example(d=1.0, b=0.5):
@@ -215,3 +216,65 @@ def test_certificate_details_are_json_ready():
     payload = certificate_to_dict(cert)
     assert payload["theorem"] == "existence_1i"
     dumps(payload)  # must not raise
+
+
+THEOREMS = [
+    "existence_1i",
+    "contraction_1ii",
+    "tan_theta_2",
+    "apriori_bound",
+    "tan_2theta_dk",
+    "squared_subordination",
+]
+
+
+def test_certify_all_reports_every_theorem_in_order():
+    p, gap, sol = solved_example()
+    pairs = rl.certify_all(p, gap, sol)
+    assert [name for name, _ in pairs] == THEOREMS
+    for name, cert in pairs:
+        if name == "tan_2theta_dk":
+            assert isinstance(cert, NotSubordinated)
+        else:
+            assert cert.theorem == name and cert.passed
+
+
+def test_certify_all_on_a_ray_marks_finite_gap_theorems_inapplicable():
+    p = rl.generate(rl.GenSpec(5, 2, 4, (0.0, 1.0), 0.3, 1.2, "subordinated"))
+    gap = rl.select_gap(p, 0.5)
+    assert not gap.is_finite
+    pairs = dict(rl.certify_all(p, gap, rl.solve_spectral(p, gap)))
+    for name in ("existence_1i", "contraction_1ii", "apriori_bound", "squared_subordination"):
+        assert isinstance(pairs[name], (ValueError, HypothesisViolated))
+    assert pairs["tan_theta_2"].passed and pairs["tan_2theta_dk"].passed
+
+
+def test_certify_all_calls_certifiers_by_name(monkeypatch):
+    # the benchmark's tracer rebinds module attributes; certify_all must
+    # call through them, not through references taken at import
+    import riccatilab.certificates as certificates
+
+    calls = []
+    original = certificates.certify_tan_theta
+
+    def spy(p, sol):
+        calls.append(p)
+        return original(p, sol)
+
+    monkeypatch.setattr(certificates, "certify_tan_theta", spy)
+    p, gap, sol = solved_example()
+    rl.certify_all(p, gap, sol)
+    assert calls == [p]
+
+
+def test_inaccurate_solution_is_reported_not_refused():
+    p, gap, sol = solved_example()
+    X = sol.X + 0.1
+    bad = RiccatiSolution(
+        X=X, Z=p.A + p.B @ X, Zhat=p.C - p.B.conj().T @ X.conj().T,
+        residual=residual(p, X), method="perturbed",
+    )
+    existence = rl.certify_existence(p, gap, bad)
+    assert existence.details["residual_ok"] is False and not existence.passed
+    tan_theta = rl.certify_tan_theta(p, bad)
+    assert not tan_theta.hypothesis_ok and not tan_theta.passed

@@ -7,7 +7,8 @@ import pytest
 
 import riccatilab as rl
 from riccatilab.cli import main
-from riccatilab.serialize import dumps, problem_to_dict
+from riccatilab.harness import realize
+from riccatilab.serialize import clean_number, dumps, problem_to_dict
 
 
 @pytest.fixture()
@@ -179,3 +180,39 @@ def test_cli_output_is_deterministic(capsys, example_file):
     code2, out2, _ = run(capsys, "certify", example_file)
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+def test_sweep_cells_agree_with_certify(capsys, tmp_path):
+    theorems = {
+        "existence": "existence_1i",
+        "contraction": "contraction_1ii",
+        "tan_theta": "tan_theta_2",
+        "apriori": "apriori_bound",
+        "tan2theta": "tan_2theta_dk",
+        "squared": "squared_subordination",
+    }
+    grid = [
+        rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"),
+        rl.GenSpec(5, 2, 4, (0.0, 1.0), 0.3, 1.2, "subordinated"),  # gap is a ray
+        rl.GenSpec(3, 2, 5, (-1.0, 1.0), 0.3, 0.6, "overlapping"),
+        rl.ExampleSpec(d=1.0, b=1.6),  # past sqrt(2) d
+    ]
+    for spec, row in zip(grid, rl.sweep(grid).rows):
+        p, _ = realize(spec)
+        point = 0.0 if isinstance(spec, rl.ExampleSpec) else sum(spec.gap) / 2
+        path = tmp_path / "problem.json"
+        path.write_text(dumps(problem_to_dict(p)))
+        code, out, _ = run(capsys, "certify", str(path), "--gap", repr(point))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["x_norm"] == row["x_norm"]
+        by_name = {c["theorem"]: c for c in payload["certificates"]}
+        for prefix, theorem in theorems.items():
+            cert = by_name[theorem]
+            if row[f"{prefix}_pass"] is None:
+                assert row[f"{prefix}_margin"] is None
+                assert cert["applicable"] is False, (spec, theorem)
+            else:
+                assert "applicable" not in cert, (spec, theorem)
+                assert row[f"{prefix}_pass"] == cert["passed"]
+                assert clean_number(row[f"{prefix}_margin"]) == cert["margin"]

@@ -220,6 +220,17 @@ def test_sweep_tags_failed_instances():
     assert row["x_norm"] is None
 
 
+def test_sweep_keeps_going_past_an_uncertifiable_row():
+    # at this scale sigma(A+BX) picks up imaginary parts above the absolute
+    # spectral tolerance, so some certificates cannot be evaluated; that
+    # must empty their cells, not abort the whole grid
+    examples = [rl.ExampleSpec(d=1.0, b=0.5), rl.ExampleSpec(d=1.0, b=0.25)]
+    scaled = rl.GenSpec(seed=8, n_A=3, n_C=6, gap=(-1e8, 1e8), d_target=3e7, b_ratio=0.5)
+    rows = rl.sweep([examples[0], scaled, examples[1]]).rows
+    assert [row["status"] for row in rows] == ["ok", "ok", "ok"]
+    assert [rows[0], rows[2]] == rl.sweep(examples).rows
+
+
 def test_sweep_csv_is_deterministic():
     specs = [rl.ExampleSpec(d=1.0, b=0.3),
              rl.GenSpec(seed=99, n_A=2, n_C=4, gap=(-1.0, 1.0), d_target=0.3, b_ratio=0.5)]

@@ -12,7 +12,14 @@ from riccatilab.errors import (
     WrongSubspaceDimension,
 )
 from riccatilab.linalg import operator_norm, solve_sylvester
-from riccatilab.solvers import DIVERGE_NORM, MAX_ITER, TOL_FIX, residual_scale
+from riccatilab.solvers import (
+    DIVERGE_NORM,
+    MAX_ITER,
+    TOL_ACCEPT,
+    TOL_FIX,
+    residual_acceptable,
+    residual_scale,
+)
 
 
 @pytest.mark.parametrize("d,b", [(0.5, 0.1), (1.0, 0.5), (2.0, 1.2)])
@@ -190,6 +197,14 @@ def test_fixedpoint_follows_the_exact_norm_rule(battery500):
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
     assert gave_up >= 2
+
+
+def test_residual_acceptance_is_relative_to_the_scale():
+    p = rl.example_problem(2.0, 1.2)
+    X = rl.exact_example_solution(2.0, 1.2)
+    limit = TOL_ACCEPT * residual_scale(p, X)
+    assert residual_acceptable(p, X, limit)
+    assert not residual_acceptable(p, X, np.nextafter(limit, np.inf))
 
 
 def test_solution_fields_consistent():
