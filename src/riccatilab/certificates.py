@@ -98,7 +98,7 @@ def certify_existence(
     b = p.norm_B
     threshold = math.sqrt(d * gap.length)
     hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
-    res_ok = residual_acceptable(p, sol.X, sol.residual)
+    res_ok = residual_acceptable(p, sol, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
     z = real_eigenvalues(sol.Z)
     proper = bool(
@@ -176,7 +176,7 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     in_one_gap = any(
         g.alpha < z[0] and z[-1] < g.beta for g in find_gaps(p.eig_C)
     )
-    res_ok = residual_acceptable(p, sol.X, sol.residual)
+    res_ok = residual_acceptable(p, sol, sol.residual)
     b = p.norm_B
     bound = b / delta
     observed = sol.x_norm

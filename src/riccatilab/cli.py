@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def _build_parser() -> _Parser:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return json.loads(text)
 
 

@@ -56,9 +56,13 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
         raise DimensionMismatch(f"{what} must be square, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{what} has non-finite entries")
-    defect = operator_norm(M - M.conj().T)
-    if defect > herm_tol(M):
-        raise NonHermitianInput(f"{what} deviates from Hermitian by {defect:.3e}")
+    D = M - M.conj().T
+    # an exact zero defect passes herm_tol, which is always positive, so
+    # neither 2-norm is needed then
+    if D.any():
+        defect = operator_norm(D)
+        if defect > herm_tol(M):
+            raise NonHermitianInput(f"{what} deviates from Hermitian by {defect:.3e}")
     return (M + M.conj().T) / 2.0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,16 @@ FRO_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class RiccatiSolution:
+    """A solution X with Z, Zhat and its residual; residual and x_norm are
+    taken from X once, so X must not be modified in place."""
+
     X: np.ndarray
     Z: np.ndarray  # A + B X
     Zhat: np.ndarray  # C - B* X*
     residual: float
     method: str
 
-    @property
+    @cached_property
     def x_norm(self) -> float:
         return operator_norm(self.X)
 
@@ -129,13 +133,18 @@ def residual(p: BlockProblem, X) -> float:
 
 
 def residual_scale(p: BlockProblem, X) -> float:
-    """Natural size of the Riccati residual: (||A||+||B||+||C||)(1+||X||)^2."""
+    """Natural size of the Riccati residual: (||A||+||B||+||C||)(1+||X||)^2.
+
+    X is a matrix or a RiccatiSolution, whose cached x_norm is then reused.
+    """
+    x_norm = X.x_norm if isinstance(X, RiccatiSolution) else operator_norm(X)
     coeff = p.norm_A + p.norm_B + p.norm_C
-    return coeff * (1.0 + operator_norm(X)) ** 2
+    return coeff * (1.0 + x_norm) ** 2
 
 
 def residual_acceptable(p: BlockProblem, X, res: float) -> bool:
-    """True when a residual res of X is at most TOL_ACCEPT times residual_scale."""
+    """True when a residual res of X (a matrix or a RiccatiSolution) is at
+    most TOL_ACCEPT times residual_scale."""
     return res <= TOL_ACCEPT * residual_scale(p, X)
 
 

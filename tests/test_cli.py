@@ -1,6 +1,7 @@
 """Command line surface: exit codes, payload shapes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -216,3 +217,11 @@ def test_sweep_cells_agree_with_certify(capsys, tmp_path):
                 assert "applicable" not in cert, (spec, theorem)
                 assert row[f"{prefix}_pass"] == cert["passed"]
                 assert clean_number(row[f"{prefix}_margin"]) == cert["margin"]
+
+
+def test_certify_closes_the_problem_file(capsys, example_file):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", example_file]) == 0
+    capsys.readouterr()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -110,6 +110,21 @@ def test_require_hermitian_accepts_and_symmetrizes():
     assert operator_norm(H - H.conj().T) == 0.0
 
 
+def test_require_hermitian_takes_no_norm_of_exactly_hermitian_input(monkeypatch):
+    import riccatilab.linalg as linalg
+
+    norms = []
+    real_norm = linalg.operator_norm
+    monkeypatch.setattr(linalg, "operator_norm", lambda M: norms.append(M) or real_norm(M))
+    M = random_hermitian(SplitMix64(5), 6)
+    H = require_hermitian(M)
+    assert norms == []
+    assert np.array_equal(H, (M + M.conj().T) / 2.0)
+    M[0, 1] += 1e-14  # within tolerance: both norms are taken, the check passes
+    require_hermitian(M)
+    assert len(norms) == 2
+
+
 def test_require_hermitian_rejects():
     with pytest.raises(NonHermitianInput):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

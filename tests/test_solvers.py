@@ -207,6 +207,22 @@ def test_residual_acceptance_is_relative_to_the_scale():
     assert not residual_acceptable(p, X, np.nextafter(limit, np.inf))
 
 
+def test_x_norm_is_taken_once_and_reused_by_the_residual_scale(monkeypatch):
+    import riccatilab.solvers as solvers
+
+    p = rl.example_problem(2.0, 1.2)
+    gap = rl.select_gap(p)
+    sol = rl.solve_spectral(p, gap)
+    seen = []
+    real_norm = solvers.operator_norm
+    monkeypatch.setattr(solvers, "operator_norm", lambda M: seen.append(M is sol.X) or real_norm(M))
+    rl.certify_all(p, gap, sol)
+    assert seen.count(True) == 1
+    assert sol.x_norm == real_norm(sol.X)
+    assert residual_scale(p, sol) == residual_scale(p, sol.X)
+    assert residual_acceptable(p, sol, sol.residual) == residual_acceptable(p, sol.X, sol.residual)
+
+
 def test_solution_fields_consistent():
     p = rl.example_problem(2.0, 1.0)
     gap = rl.select_gap(p)
