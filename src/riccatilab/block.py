@@ -4,7 +4,9 @@ A and C are Hermitian, B couples them.  The module knows how to assemble
 H, locate the spectral gaps of C, evaluate the gap function
 M(lambda) = lambda - A + B (C - lambda)^{-1} B*, and rebuild the resolvent
 of H from M alone, which is the identity the solvers and certificates
-lean on.
+lean on.  Every resolvent of C is taken in its cached eigenbasis: with
+C = U diag(c) U*, (C - lambda)^{-1} = U diag(1/(c - lambda)) U*, so no
+point costs a dense n_C x n_C solve.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ def _readonly_eig(M: np.ndarray) -> EigDecomposition:
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
-    The spectra of A and C and the operator norms of A, B and C are computed
-    on first use and cached, so every consumer of one problem shares them.
+    The spectra of A and C, B* in the eigenbasis of C and the operator
+    norms of A, B and C are computed on first use and cached, so every
+    consumer of one problem shares them.
     """
 
     A: np.ndarray
@@ -74,6 +77,14 @@ class BlockProblem:
     @cached_property
     def eig_C(self) -> EigDecomposition:
         return _readonly_eig(self.C)
+
+    @cached_property
+    def Bstar_in_eig_C(self) -> np.ndarray:
+        """U* B* for C = U diag(c) U*, read-only, shape (nC, nA)."""
+        U = self.eig_C.vectors
+        G = U.conj().T @ self.B.conj().T
+        G.flags.writeable = False
+        return G
 
     @cached_property
     def norm_A(self) -> float:
@@ -193,19 +204,27 @@ def _dist_to_spectrum(lam: complex, w: np.ndarray) -> float:
     return float(np.min(np.abs(w - lam)))
 
 
+def _coupled_resolvent(p: BlockProblem, lams: np.ndarray, UY: np.ndarray) -> np.ndarray:
+    """B (C - lambda)^{-1} Y stacked over lambdas, for Y given as UY = U* Y.
+
+    With C = U diag(c) U*, B (C - lambda)^{-1} U is (U* B*)* with its
+    columns scaled by 1/(c - lambda).  Each point is its own product, so
+    its value does not depend on the other points of the batch.
+    """
+    c = p.eig_C.values
+    BU = p.Bstar_in_eig_C.conj().T
+    return np.matmul(BU[None, :, :] / (c[None, None, :] - lams[:, None, None]), UY)
+
+
 def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
     """M(lambda) stacked over a 1-d array of lambdas, shape (N, nA, nA).
 
     No spectrum checks here; callers guarantee the points sit in rho(C).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    nA, nC = p.n_A, p.n_C
-    eyeC = np.eye(nC, dtype=complex)
-    shifted = p.C[None, :, :] - lams[:, None, None] * eyeC
-    rhs = np.broadcast_to(p.B.conj().T, (lams.size, nC, nA))
-    Y = np.linalg.solve(shifted, rhs)
-    eyeA = np.eye(nA, dtype=complex)
-    return lams[:, None, None] * eyeA - p.A[None, :, :] + np.matmul(p.B, Y)
+    eyeA = np.eye(p.n_A, dtype=complex)
+    BRB = _coupled_resolvent(p, lams, p.Bstar_in_eig_C)
+    return lams[:, None, None] * eyeA - p.A[None, :, :] + BRB
 
 
 def herglotz_M(p: BlockProblem, lam: complex) -> HerglotzSample:
@@ -220,8 +239,9 @@ def herglotz_M(p: BlockProblem, lam: complex) -> HerglotzSample:
 def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
     """(H - lambda)^{-1} rebuilt from M(lambda)^{-1} and resolvents of C.
 
-    The representation inverts only the small nA block M(lambda) plus
-    C - lambda; it is exact wherever lambda avoids both spectra.
+    The representation inverts only the small nA block M(lambda); the
+    resolvent of C comes from its cached eigenbasis.  It is exact wherever
+    lambda avoids both spectra.
     """
     lam = complex(lam)
     c = p.eig_C.values
@@ -231,7 +251,8 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
     if _dist_to_spectrum(lam, h) <= TOL_SPEC:
         raise LambdaOnSpectrum(f"lambda={lam} is within tol of sigma(H)")
     nA, nC = p.n_A, p.n_C
-    Cres = np.linalg.inv(p.C - lam * np.eye(nC))
+    U = p.eig_C.vectors
+    Cres = (U * (1.0 / (c - lam))) @ U.conj().T
     M = herglotz_batch(p, np.array([lam]))[0]
     col = np.vstack([np.eye(nA, dtype=complex), -Cres @ p.B.conj().T])
     row = np.hstack([np.eye(nA, dtype=complex), -p.B @ Cres])

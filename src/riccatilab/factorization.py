@@ -5,7 +5,9 @@ splits as M(lambda) = W(lambda) (lambda - Z) with
 W(lambda) = I - B (C - lambda)^{-1} X, and W stays invertible near the
 gap.  That factorization localizes sigma(Z) inside an interval computed
 from ||B|| and the gap geometry alone, and forces definite signs on M
-outside that interval.
+outside that interval.  Like M, W is evaluated in the cached eigenbasis
+of C = U diag(c) U*: the resolvent acts on U* X as a row scaling by
+1/(c - lambda), with no dense n_C x n_C solve per point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, dist_spectra, herglotz_batch
+from .block import BlockProblem, SpectralGap, _coupled_resolvent, dist_spectra, herglotz_batch
 from .errors import HypothesisViolated, LambdaOnSpectrumOfC
 from .linalg import TOL_SPEC, as_matrix
 
@@ -40,14 +42,12 @@ def compute_W(p: BlockProblem, X, lam: complex) -> np.ndarray:
     c = p.eig_C.values
     if float(np.min(np.abs(c - lam))) <= TOL_SPEC:
         raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
-    Y = np.linalg.solve(p.C - lam * np.eye(p.n_C), X)
-    return np.eye(p.n_A, dtype=complex) - p.B @ Y
+    return _w_batch(p, X, np.array([lam]))[0]
 
 
 def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    shifted = p.C[None, :, :] - lams[:, None, None] * np.eye(p.n_C, dtype=complex)
-    Y = np.linalg.solve(shifted, np.broadcast_to(X, (lams.size, p.n_C, p.n_A)))
-    return np.eye(p.n_A, dtype=complex) - np.matmul(p.B, Y)
+    UX = p.eig_C.vectors.conj().T @ X
+    return np.eye(p.n_A, dtype=complex) - _coupled_resolvent(p, lams, UX)
 
 
 def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np.ndarray:
@@ -66,8 +66,8 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np
     angles = 2.0 * np.pi * (np.arange(count - half) + 0.5) / (count - half)
     circle = gap.midpoint + gap.length * np.exp(1j * angles)
     c = p.eig_C.values
-    keep = [z for z in circle if float(np.min(np.abs(c - z))) > 2 * TOL_SPEC]
-    return np.concatenate([real_pts.astype(complex), np.array(keep, dtype=complex)])
+    keep = circle[np.min(np.abs(c[None, :] - circle[:, None]), axis=1) > 2 * TOL_SPEC]
+    return np.concatenate([real_pts.astype(complex), keep])
 
 
 def verify_factorization(p: BlockProblem, sol, grid) -> float:

@@ -7,6 +7,7 @@ are defined once in this module and imported everywhere else.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +19,9 @@ HERM_TOL_FACTOR = 1e-10
 EIG_TOL_FACTOR = 1e-11
 TOL_RES = 1e-9
 TOL_SPEC = 1e-8
+# relative rounding slack on the Frobenius brackets of a computed 2-norm;
+# far above the O(n eps) error of either norm at any practical size
+FRO_SLACK = 1e-8
 
 
 class EigDecomposition(NamedTuple):
@@ -41,13 +45,61 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def herm_tol(M: np.ndarray) -> float:
-    return HERM_TOL_FACTOR * (1.0 + operator_norm(M))
+class _NormBracket:
+    """operator_norm(M), bracketed by ||M||_F / sqrt(min(m, n)) <= ||M||_2 <= ||M||_F.
+
+    The exact 2-norm (one SVD) is taken only when a comparison falls
+    inside the bracket, so every decision equals the one operator_norm
+    would give.  A non-finite Frobenius norm goes straight to
+    operator_norm, which raises on non-finite entries as before.
+    """
+
+    __slots__ = ("M", "lo", "hi", "exact")
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.exact = False
+        fro = math.sqrt(np.vdot(M, M).real)  # Frobenius norm
+        if math.isfinite(fro):
+            self.lo = fro / math.sqrt(min(M.shape)) * (1.0 - FRO_SLACK)
+            self.hi = fro * (1.0 + FRO_SLACK)
+        else:
+            self.settle()
+
+    def settle(self) -> float:
+        """The exact operator_norm(M), computed once."""
+        if not self.exact:
+            self.lo = self.hi = operator_norm(self.M)
+            self.exact = True
+        return self.hi
+
+    def exceeds(self, bound: float) -> bool:
+        """operator_norm(M) > bound."""
+        if self.lo > bound:
+            return True
+        return self.hi > bound and self.settle() > bound
+
+
+def _step_within(step: _NormBracket, tol: float, ref: _NormBracket) -> bool:
+    """operator_norm(step) <= tol * (1 + operator_norm(ref)), as a stop rule.
+
+    Rounding is monotone, so comparing the outer bracket ends settles the
+    test whenever they agree; otherwise both norms are taken exactly.
+    """
+    if step.hi <= tol * (1.0 + ref.lo):
+        return True
+    if step.lo > tol * (1.0 + ref.hi):
+        return False
+    return step.settle() <= tol * (1.0 + ref.settle())
 
 
 def require_hermitian(M, what: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry within tolerance, return the symmetrized copy.
 
+    The test is ||M - M*||_2 <= HERM_TOL_FACTOR (1 + ||M||_2).  Frobenius
+    brackets of both norms decide it without an SVD whenever they can (an
+    exact zero defect always passes); only an undecided comparison takes
+    the 2-norms, so every verdict is the one the 2-norms alone would give.
     Symmetrizing after the check keeps eigh's input exactly Hermitian, so
     results do not depend on which triangle LAPACK happens to read.
     """
@@ -57,12 +109,10 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{what} has non-finite entries")
     D = M - M.conj().T
-    # an exact zero defect passes herm_tol, which is always positive, so
-    # neither 2-norm is needed then
     if D.any():
-        defect = operator_norm(D)
-        if defect > herm_tol(M):
-            raise NonHermitianInput(f"{what} deviates from Hermitian by {defect:.3e}")
+        defect = _NormBracket(D)
+        if not _step_within(defect, HERM_TOL_FACTOR, _NormBracket(M)):
+            raise NonHermitianInput(f"{what} deviates from Hermitian by {defect.settle():.3e}")
     return (M + M.conj().T) / 2.0
 
 
@@ -82,6 +132,13 @@ def as_eig(M) -> EigDecomposition:
     return M if isinstance(M, EigDecomposition) else hermitian_eig(M)
 
 
+class _Rotated(NamedTuple):
+    """A right-hand side R of solve_sylvester given as U* R, where
+    C = U diag(c) U*; a loop over one C and one R rotates R once."""
+
+    UR: np.ndarray
+
+
 def solve_sylvester(Z, C, R) -> np.ndarray:
     """Solve X Z - C X = R for X by double diagonalization.
 
@@ -89,11 +146,13 @@ def solve_sylvester(Z, C, R) -> np.ndarray:
     C is Hermitian, given as a matrix or as its EigDecomposition.  Writing
     Z = P diag(z) P^{-1} and C = U diag(c) U*, the transformed unknown
     Y = U* X P satisfies Y_ij (z_j - c_i) = (U* R P)_ij, so the solve is an
-    entrywise division in the joint eigenbasis.
+    entrywise division in the joint eigenbasis.  R may also arrive as
+    _Rotated(U* R), which skips that one product.
     """
     Z = as_matrix(Z)
     c, U = C if isinstance(C, EigDecomposition) else np.linalg.eigh(require_hermitian(C, "C"))
-    R = as_matrix(R)
+    rotated = isinstance(R, _Rotated)
+    R = as_matrix(R.UR if rotated else R)
     n, m = c.shape[0], Z.shape[0]
     if Z.shape[0] != Z.shape[1]:
         raise DimensionMismatch(f"Z must be square, got {Z.shape}")
@@ -103,7 +162,8 @@ def solve_sylvester(Z, C, R) -> np.ndarray:
     sep = np.min(np.abs(z[None, :] - c[:, None]))
     if sep <= TOL_SPEC:
         raise SpectraOverlap(f"sigma(Z) and sigma(C) are {sep:.3e} apart")
-    Y = (U.conj().T @ R @ P) / (z[None, :] - c[:, None])
+    UR = R if rotated else U.conj().T @ R
+    Y = (UR @ P) / (z[None, :] - c[:, None])
     # X = U Y P^{-1}, done as a solve on the right factor
     return np.linalg.solve(P.T, (U @ Y).T).T
 

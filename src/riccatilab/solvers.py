@@ -17,7 +17,6 @@ validated problem data, such as the cached eigendecomposition of C.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +31,15 @@ from .errors import (
     SpectraTooClose,
     WrongSubspaceDimension,
 )
-from .linalg import TOL_SPEC, as_matrix, operator_norm, solve_sylvester
+from .linalg import (
+    TOL_SPEC,
+    _NormBracket,
+    _Rotated,
+    _step_within,
+    as_matrix,
+    operator_norm,
+    solve_sylvester,
+)
 
 TOL_QUAD = 1e-12  # relative stop for contour node doubling
 TOL_FIX = 1e-12  # relative stop for fixed-point steps
@@ -40,9 +47,6 @@ MAX_NODES = 4096
 MAX_ITER = 500
 DIVERGE_NORM = 1e6
 TOL_ACCEPT = 1e-6  # relative residual up to which a solution counts as accurate
-# relative rounding slack on the Frobenius brackets of a computed 2-norm;
-# far above the O(n eps) error of either norm at any practical size
-FRO_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,54 +78,6 @@ class Contour:
             raise ValueError("radius must be positive")
         if self.nodes < 16 or self.nodes % 2:
             raise ValueError("nodes must be even and at least 16")
-
-
-class _NormBracket:
-    """operator_norm(M), bracketed by ||M||_F / sqrt(min(m, n)) <= ||M||_2 <= ||M||_F.
-
-    The exact 2-norm (one SVD) is taken only when a comparison falls
-    inside the bracket, so every decision equals the one operator_norm
-    would give.  A non-finite Frobenius norm goes straight to
-    operator_norm, which raises on non-finite entries as before.
-    """
-
-    __slots__ = ("M", "lo", "hi", "exact")
-
-    def __init__(self, M: np.ndarray):
-        self.M = M
-        self.exact = False
-        fro = math.sqrt(np.vdot(M, M).real)  # Frobenius norm
-        if math.isfinite(fro):
-            self.lo = fro / math.sqrt(min(M.shape)) * (1.0 - FRO_SLACK)
-            self.hi = fro * (1.0 + FRO_SLACK)
-        else:
-            self.settle()
-
-    def settle(self) -> float:
-        """The exact operator_norm(M), computed once."""
-        if not self.exact:
-            self.lo = self.hi = operator_norm(self.M)
-            self.exact = True
-        return self.hi
-
-    def exceeds(self, bound: float) -> bool:
-        """operator_norm(M) > bound."""
-        if self.lo > bound:
-            return True
-        return self.hi > bound and self.settle() > bound
-
-
-def _step_within(step: _NormBracket, tol: float, ref: _NormBracket) -> bool:
-    """operator_norm(step) <= tol * (1 + operator_norm(ref)), as a stop rule.
-
-    Rounding is monotone, so comparing the outer bracket ends settles the
-    test whenever they agree; otherwise both norms are taken exactly.
-    """
-    if step.hi <= tol * (1.0 + ref.lo):
-        return True
-    if step.lo > tol * (1.0 + ref.hi):
-        return False
-    return step.settle() <= tol * (1.0 + ref.settle())
 
 
 def residual(p: BlockProblem, X) -> float:
@@ -240,7 +196,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         return contour.center + contour.radius * np.exp(2j * np.pi * k / n)
 
     c, U = p.eig_C
-    G = U.conj().T @ p.B.conj().T
+    G = p.Bstar_in_eig_C
 
     def weighted_sum(lams: np.ndarray) -> np.ndarray:
         return np.add.reduce(_quad_sum(c, G, Z, lams) * (lams - contour.center)[:, None, None])
@@ -268,7 +224,7 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     decided in the 2-norm; Frobenius brackets only spare the SVDs.
     """
     X = np.zeros((p.n_C, p.n_A), dtype=complex)
-    Bstar = p.B.conj().T
+    Bstar = _Rotated(p.Bstar_in_eig_C)
     for _ in range(MAX_ITER):
         X_next = solve_sylvester(p.A + p.B @ X, p.eig_C, Bstar)
         step = _NormBracket(X_next - X)

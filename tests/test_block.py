@@ -220,3 +220,89 @@ def test_spectrum_identity_skips_ambiguous_points():
     result = rl.spectrum_identity_check(p, gap, grid)
     assert result.ok
     assert result.skipped >= 1
+
+
+def dense_herglotz(p, lam):
+    """M(lambda) through a dense solve with C - lambda, the textbook definition."""
+    shifted = p.C - lam * np.eye(p.n_C)
+    return lam * np.eye(p.n_A) - p.A + p.B @ np.linalg.solve(shifted, p.B.conj().T)
+
+
+def dense_resolvent(p, lam):
+    """(H - lambda)^{-1} from M(lambda) with a dense inverse of C - lambda."""
+    nA, nC = p.n_A, p.n_C
+    Cres = np.linalg.inv(p.C - lam * np.eye(nC))
+    col = np.vstack([np.eye(nA), -Cres @ p.B.conj().T])
+    row = np.hstack([np.eye(nA), -p.B @ Cres])
+    out = np.zeros((nA + nC, nA + nC), dtype=complex)
+    out[nA:, nA:] = Cres
+    return out - col @ np.linalg.solve(dense_herglotz(p, lam), row)
+
+
+def shift_condition(M, spectrum, lam):
+    """Condition number of M - lambda for Hermitian M with the given spectrum."""
+    return (operator_norm(M) + abs(lam)) / float(np.min(np.abs(spectrum - lam)))
+
+
+def probe_points(p, gap):
+    """Real points across the gap, complex points, and points within 1e-6 of sigma(C)."""
+    c = p.eig_C.values
+    real = np.linspace(gap.alpha + 1e-3, gap.beta - 1e-3, 7)
+    off_axis = [gap.midpoint + 0.4j, gap.alpha - 0.3 + 0.2j, 3.0 - 2.0j, 1e-3j]
+    near = [c[0] + 1e-6, c[-1] - 1e-6, c[0] + 1e-6j, c[-1] + 7e-7 * np.exp(0.3j)]
+    return np.concatenate([real, off_axis, near]).astype(complex)
+
+
+def test_herglotz_batch_matches_the_dense_definition(battery500):
+    # the eigenbasis and the dense solve each err by about eps times the
+    # condition number of C - lambda, which reaches 1e6 next to sigma(C)
+    for _, p, gap, _ in battery500.items[:30]:
+        lams = probe_points(p, gap)
+        for lam, M in zip(lams, herglotz_batch(p, lams)):
+            ref = dense_herglotz(p, lam)
+            kappa = shift_condition(p.C, p.eig_C.values, lam)
+            assert operator_norm(M - ref) <= 1e-12 * kappa * operator_norm(ref)
+            assert np.array_equal(rl.herglotz_M(p, lam).M, M)
+
+
+def test_resolvent_matches_the_dense_inverse(battery500):
+    for _, p, gap, _ in battery500.items[:30]:
+        H = rl.assemble_H(p)
+        h = np.linalg.eigvalsh(H)
+        for lam in probe_points(p, gap):
+            if np.min(np.abs(h - lam)) <= 1e-6:
+                continue
+            ref = dense_resolvent(p, lam)
+            kappa = max(shift_condition(p.C, p.eig_C.values, lam), shift_condition(H, h, lam))
+            assert operator_norm(rl.resolvent_H(p, lam) - ref) <= 1e-12 * kappa * operator_norm(ref)
+
+
+def test_rotated_coupling_is_cached_read_only():
+    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    G = p.Bstar_in_eig_C
+    assert G is p.Bstar_in_eig_C
+    assert np.array_equal(G, p.eig_C.vectors.conj().T @ p.B.conj().T)
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.0
+
+
+def test_resolvents_of_C_take_no_dense_solve(monkeypatch):
+    p = rl.generate(rl.GenSpec(31, 3, 7, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    grid = rl.factorization_grid(p, gap)
+    shapes = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    herglotz_batch(p, grid)
+    rl.herglotz_M(p, 0.1 + 0.2j)
+    rl.compute_W(p, sol.X, 0.1 + 0.2j)
+    rl.verify_factorization(p, sol, grid)
+    rl.resolvent_H(p, 0.1 + 0.2j)
+    assert shapes and (p.n_C, p.n_C) not in shapes

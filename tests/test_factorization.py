@@ -149,3 +149,76 @@ def test_w_invertible_on_enclosure(battery500):
             W = rl.compute_W(p, sol.X, complex(lam))
             smin = float(np.linalg.svd(W, compute_uv=False)[-1])
             assert smin > TOL_SPEC
+
+
+def dense_W(p, X, lam):
+    """W(lambda) = I - B (C - lambda)^{-1} X through a dense solve."""
+    return np.eye(p.n_A) - p.B @ np.linalg.solve(p.C - lam * np.eye(p.n_C), X)
+
+
+def shift_condition(p, lam):
+    c = p.eig_C.values
+    return (operator_norm(p.C) + abs(lam)) / float(np.min(np.abs(c - lam)))
+
+
+def test_compute_W_matches_the_dense_definition(battery500):
+    # real points across the gap, complex points, and points within 1e-6 of
+    # sigma(C), where both evaluations err by eps times cond(C - lambda)
+    for _, p, gap, sol in battery500.items[:30]:
+        c = p.eig_C.values
+        lams = list(np.linspace(gap.alpha + 1e-3, gap.beta - 1e-3, 7))
+        lams += [gap.midpoint + 0.4j, 3.0 - 2.0j, c[0] + 1e-6, c[-1] - 1e-6j]
+        for lam in map(complex, lams):
+            ref = dense_W(p, sol.X, lam)
+            W = rl.compute_W(p, sol.X, lam)
+            assert operator_norm(W - ref) <= 1e-12 * shift_condition(p, lam) * operator_norm(ref)
+
+
+def test_verify_factorization_W_matches_the_dense_definition(monkeypatch, battery500):
+    import riccatilab.factorization as factorization
+
+    seen = []
+    real_w_batch = factorization._w_batch
+
+    def spy(p, X, lams):
+        W = real_w_batch(p, X, lams)
+        seen.append((lams, W))
+        return W
+
+    monkeypatch.setattr(factorization, "_w_batch", spy)
+    for _, p, gap, sol in battery500.items[:30]:
+        grid = rl.factorization_grid(p, gap)
+        assert rl.verify_factorization(p, sol, grid) <= 1e-12
+        lams, W = seen.pop()
+        assert np.array_equal(lams, grid)
+        for lam, Wk in zip(lams, W):
+            ref = dense_W(p, sol.X, lam)
+            assert operator_norm(Wk - ref) <= 1e-12 * shift_condition(p, lam) * operator_norm(ref)
+
+
+def pointwise_grid(p, gap, count):
+    """factorization_grid with the circle filtered one point at a time."""
+    half = count // 2
+    inset = 8 * TOL_SPEC
+    real_pts = np.linspace(gap.alpha + inset, gap.beta - inset, half)
+    angles = 2.0 * np.pi * (np.arange(count - half) + 0.5) / (count - half)
+    circle = gap.midpoint + gap.length * np.exp(1j * angles)
+    c = p.eig_C.values
+    keep = [z for z in circle if float(np.min(np.abs(c - z))) > 2 * TOL_SPEC]
+    return np.concatenate([real_pts.astype(complex), np.array(keep, dtype=complex)])
+
+
+def test_factorization_grid_equals_the_pointwise_filter(battery500):
+    # the broadcast filter keeps exactly the points the per-point loop kept,
+    # in the same order and with the same bits
+    cases = [(p, gap) for _, p, gap, _ in battery500.items[:50]]
+    # an odd circle count puts one circle point on the real axis at
+    # midpoint - length = -2, an eigenvalue of C here, so it is dropped
+    on_circle = rl.BlockProblem(np.zeros((1, 1)), np.full((1, 3), 0.1), np.diag([-2.0, -1.0, 1.0]))
+    cases.append((on_circle, rl.select_gap(on_circle, 0.0)))
+    for p, gap in cases:
+        for count in (10, 50, 51):
+            grid = rl.factorization_grid(p, gap, count)
+            ref = pointwise_grid(p, gap, count)
+            assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
+    assert len(rl.factorization_grid(on_circle, cases[-1][1], 50)) == 49

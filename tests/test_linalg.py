@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riccatilab as rl
+
 from riccatilab.errors import DimensionMismatch, NonHermitianInput, NotPSD, SpectraOverlap
 from riccatilab.linalg import (
+    HERM_TOL_FACTOR,
+    _Rotated,
     as_matrix,
     hermitian_eig,
     operator_norm,
@@ -120,9 +124,86 @@ def test_require_hermitian_takes_no_norm_of_exactly_hermitian_input(monkeypatch)
     H = require_hermitian(M)
     assert norms == []
     assert np.array_equal(H, (M + M.conj().T) / 2.0)
-    M[0, 1] += 1e-14  # within tolerance: both norms are taken, the check passes
+    # within tolerance, but too close to it for the Frobenius bracket
+    # to decide: both norms are taken, the check passes
+    M[0, 1] += 3e-10
     require_hermitian(M)
     assert len(norms) == 2
+
+
+def _verdict(M):
+    try:
+        require_hermitian(M)
+        return "accepted"
+    except NonHermitianInput as err:
+        return str(err)
+
+
+def _exact_verdict(M):
+    """require_hermitian's verdict decided by the exact 2-norms alone."""
+    defect = operator_norm(M - M.conj().T)
+    if defect <= HERM_TOL_FACTOR * (1.0 + operator_norm(M)):
+        return "accepted"
+    return f"matrix deviates from Hermitian by {defect:.3e}"
+
+
+def test_require_hermitian_decides_as_the_exact_rule_around_the_tolerance():
+    # defects from far inside to far outside herm_tol, just below and just
+    # above it included: the Frobenius pre-screen never moves a verdict
+    rng = SplitMix64(41)
+    verdicts = set()
+    for n in (2, 3, 6, 9):
+        M = random_hermitian(rng, n)
+        tol = HERM_TOL_FACTOR * (1.0 + operator_norm(M))
+        E = rng.complex_normal_matrix(n, n)
+        for shape in (np.eye(n)[:, ::-1] * 1j, E - E.conj().T, E):
+            unit = shape / operator_norm(shape - shape.conj().T)
+            for factor in (1e-4, 0.3, 0.999, 1.001, 3.0, 1e4):
+                Mk = M + factor * tol * unit
+                expected = _exact_verdict(Mk)
+                assert _verdict(Mk) == expected
+                verdicts.add((factor < 1, expected == "accepted"))
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_require_hermitian_on_overflowing_entries_takes_the_exact_rule():
+    # ||M||_F and ||M - M*||_F overflow (to inf for real entries, to nan
+    # for complex ones), so no bracket can be formed and the exact 2-norms
+    # decide
+    rng = SplitMix64(43)
+    G = rng.complex_normal_matrix(4, 4).real
+    for M in (1e200 * random_hermitian(rng, 4), 1e200 * (G + G.T)):
+        verdicts = []
+        for defect in (0.0, 1e-12, 1e-9):
+            Mk = M.copy()
+            Mk[0, 1] += defect * 1e200
+            D = Mk - Mk.conj().T
+            assert not np.isfinite(np.vdot(Mk, Mk).real)
+            assert defect == 0.0 or not np.isfinite(np.vdot(D, D).real)
+            verdicts.append(_verdict(Mk))
+            assert verdicts[-1] == _exact_verdict(Mk)
+        assert verdicts[:2] == ["accepted", "accepted"] and verdicts[2] != "accepted"
+
+
+def test_require_hermitian_takes_no_norm_for_a_generated_instance(monkeypatch):
+    # generated A and C are rotations U diag(w) U*, Hermitian only up to
+    # rounding; the Frobenius bracket accepts them without an SVD
+    import riccatilab.block as block
+    import riccatilab.linalg as linalg
+
+    norms, defects = [], []
+    real_norm, real_check = linalg.operator_norm, block.require_hermitian
+    monkeypatch.setattr(linalg, "operator_norm", lambda M: norms.append(M) or real_norm(M))
+
+    def check(M, what="matrix"):
+        defects.append(bool((M - M.conj().T).any()))
+        return real_check(M, what)
+
+    monkeypatch.setattr(block, "require_hermitian", check)
+    for seed in range(5):
+        rl.generate(rl.GenSpec(seed, 2 + seed, 4 + 2 * seed, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    assert len(defects) == 10 and all(defects)
+    assert norms == []
 
 
 def test_require_hermitian_rejects():
@@ -181,6 +262,17 @@ def test_solve_sylvester_accepts_eig_decomposition():
     C = random_hermitian(rng, 4) - 10.0 * np.eye(4)
     R = rng.complex_normal_matrix(4, 3)
     assert np.array_equal(solve_sylvester(Z, hermitian_eig(C), R), solve_sylvester(Z, C, R))
+
+
+def test_solve_sylvester_takes_a_rotated_right_hand_side():
+    rng = SplitMix64(6)
+    Z = random_hermitian(rng, 3) + 10.0 * np.eye(3) + 0.1 * rng.complex_normal_matrix(3, 3)
+    C = hermitian_eig(random_hermitian(rng, 5) - 10.0 * np.eye(5))
+    R = rng.complex_normal_matrix(5, 3)
+    rotated = _Rotated(C.vectors.conj().T @ R)
+    assert np.array_equal(solve_sylvester(Z, C, rotated), solve_sylvester(Z, C, R))
+    with pytest.raises(DimensionMismatch):
+        solve_sylvester(Z, C, _Rotated(rotated.UR[:, :2]))
 
 
 def test_solve_sylvester_rejects_overlap():

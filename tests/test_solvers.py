@@ -199,6 +199,23 @@ def test_fixedpoint_follows_the_exact_norm_rule(battery500):
     assert gave_up >= 2
 
 
+def test_fixedpoint_reads_the_cached_rotated_coupling(monkeypatch):
+    # every iteration hands solve_sylvester the problem's cached U* B*
+    # instead of having it rotate B* again
+    import riccatilab.solvers as solvers
+    from riccatilab.linalg import _Rotated
+
+    p = rl.generate(rl.GenSpec(12, 3, 7, (-1.0, 1.0), 0.3, 0.4, "interior"))
+    rhs = []
+    real_solve = solvers.solve_sylvester
+    monkeypatch.setattr(
+        solvers, "solve_sylvester", lambda Z, C, R: rhs.append(R) or real_solve(Z, C, R)
+    )
+    rl.solve_fixedpoint(p, rl.select_gap(p, 0.0))
+    assert len(rhs) > 1
+    assert all(isinstance(R, _Rotated) and R.UR is p.Bstar_in_eig_C for R in rhs)
+
+
 def test_residual_acceptance_is_relative_to_the_scale():
     p = rl.example_problem(2.0, 1.2)
     X = rl.exact_example_solution(2.0, 1.2)
