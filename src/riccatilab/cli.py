@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .block import BlockProblem, SpectralGap, select_gap
 from .certificates import Certificate, certify_all, gamma_center
 from .errors import RiccatiLabError
 from .factorization import (
-    compute_W,
+    _w_scan,
     enclosure_bounds,
     factorization_grid,
     sign_conditions,
@@ -148,10 +147,8 @@ def _factorize_payload(p: BlockProblem, gap: SpectralGap) -> dict:
         "upper": clean_number(bounds.upper),
     }
     out["sign_conditions"] = sign_conditions(p, gap, bounds)
-    smin = math.inf
-    for lam in np.linspace(bounds.lower, bounds.upper, 25):
-        W = compute_W(p, sol.X, complex(lam))
-        smin = min(smin, float(np.linalg.svd(W, compute_uv=False)[-1]))
+    W = _w_scan(p, sol.X, np.linspace(bounds.lower, bounds.upper, 25).astype(complex))
+    smin = float(np.min(np.linalg.svd(W, compute_uv=False)[:, -1]))
     out["w_min_singular_value"] = clean_number(smin)
     out["w_invertible"] = bool(smin > TOL_SPEC)
     return out

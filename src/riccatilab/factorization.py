@@ -37,12 +37,17 @@ class EnclosureBounds:
 
 def compute_W(p: BlockProblem, X, lam: complex) -> np.ndarray:
     """The factor W(lambda) = I - B (C - lambda)^{-1} X."""
-    X = as_matrix(X)
-    lam = complex(lam)
+    return _w_scan(p, as_matrix(X), np.array([complex(lam)]))[0]
+
+
+def _w_scan(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """W at each of lams in one batch; the first point within tol of
+    sigma(C) raises LambdaOnSpectrumOfC, as compute_W does for its one."""
     c = p.eig_C.values
-    if float(np.min(np.abs(c - lam))) <= TOL_SPEC:
-        raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
-    return _w_batch(p, X, np.array([lam]))[0]
+    near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
+    if near.size:
+        raise LambdaOnSpectrumOfC(f"lambda={complex(lams[near[0]])} is within tol of sigma(C)")
+    return _w_batch(p, X, lams)
 
 
 def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ validated problem data, such as the cached eigendecomposition of C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,17 +164,32 @@ def build_contour(z_spectrum, c_spectrum, nodes: int = 16) -> Contour:
     return Contour(center=float(center), radius=float(radius), nodes=nodes)
 
 
-def _quad_sum(c: np.ndarray, G: np.ndarray, Z: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Integrand U* (C-lam)^{-1} B* (Z-lam)^{-1} at each node, in C's eigenbasis.
+def _quad_sum(
+    c: np.ndarray, G: np.ndarray, Z: np.ndarray, lams: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """sum_k weights_k U* (C-lam_k)^{-1} B* (Z-lam_k)^{-1}, in C's eigenbasis.
 
-    With C = U diag(c) U* and G = U* B*, the C-side resolvent is a row
-    scaling of G by 1/(c - lam); the Z-side is a batched solve.
+    With C = U diag(c) U* and G = U* B*, row i of the term at lam_k is
+    G_i R_k / (c_i - lam_k), where R_k = (Z - lam_k)^{-1} comes from one
+    batched solve.  So row i of the sum is G_i T_i with
+    T_i = sum_k a_ik R_k and a_ik = weights_k / (c_i - lam_k): one BLAS-3
+    contraction over the nodes.  Rows of C are contracted in blocks small
+    enough that no block of T exceeds N n_C n_A entries, the size of the
+    stacked per-node integrand (a single block unless n_A exceeds the node
+    count N).
     """
     nA = Z.shape[0]
-    L = G[None, :, :] / (c[None, :, None] - lams[:, None, None])
-    shiftZ = Z[None, :, :] - lams[:, None, None] * np.eye(nA, dtype=complex)
-    Y = np.linalg.solve(np.swapaxes(shiftZ, 1, 2), np.swapaxes(L, 1, 2))
-    return np.swapaxes(Y, 1, 2)
+    n, nC = lams.size, c.size
+    eye = np.eye(nA, dtype=complex)[None, :, :]  # a stack, so solve reads matrices
+    R = np.linalg.solve(Z[None, :, :] - lams[:, None, None] * eye, eye).reshape(n, nA * nA)
+    a = weights[None, :] / (c[:, None] - lams[None, :])
+    block = max(1, min(nC, n * nC // nA))
+    out = np.empty((nC, nA), dtype=complex)
+    for i in range(0, nC, block):
+        rows = slice(i, i + block)
+        # one expression, so each block's T is freed before the next is built
+        out[rows] = np.matmul(G[rows, None, :], (a[rows] @ R).reshape(-1, nA, nA))[:, 0, :]
+    return out
 
 
 def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
@@ -181,37 +197,62 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
 
     X = (2 pi i)^{-1} oint (C-lambda)^{-1} B* (Z-lambda)^{-1} d lambda over
     the counterclockwise circle; on N equispaced nodes this collapses to
-    an average of integrand samples weighted by (lambda_k - center).  Nodes
-    double until successive results agree to TOL_QUAD or MAX_NODES is hit.
-    The sum runs in the eigenbasis of C and is mapped back once per doubling.
+    an average of integrand samples weighted by (lambda_k - center).
+
+    The integrand is analytic for r_Z < |lambda - center| < r_C, where
+    r_Z = max |sigma(Z) - center| and r_C = min |sigma(C) - center|, so on
+    the circle of radius r the error of N nodes decays like rho^N with
+    rho = max(r_Z / r, r / r_C) (Trefethen & Weideman, SIAM Review 2014).
+    Nodes double from contour.nodes, and X_2N is accepted once
+    ||X_2N - X_N|| rho^N / (1 - rho^N) <= TOL_QUAD (1 + ||X_2N||), with
+    rho^(2N) <= TOL_QUAD and at least two doublings made.  A circle that
+    does not separate the spectra (rho >= 1) raises SpectraTooClose, and a
+    rho too close to 1 for any level up to MAX_NODES raises QuadratureStall,
+    both before any node is evaluated; QuadratureStall is also raised when
+    the nodes run out.  The sum runs in the eigenbasis of C and is mapped
+    back once per doubling.
     """
     Z = as_matrix(Z)
     if Z.shape != (p.n_A, p.n_A):
         raise DimensionMismatch(f"Z must be {p.n_A}x{p.n_A}, got {Z.shape}")
+    c, U = p.eig_C
+    G = p.Bstar_in_eig_C
+    center, r = contour.center, contour.radius
+    r_Z = float(np.max(np.abs(np.linalg.eigvals(Z) - center)))
+    r_C = float(np.min(np.abs(c - center)))
+    rho = max(r_Z / r, r / r_C) if r_C > 0 else math.inf
+    if not rho < 1.0:
+        raise SpectraTooClose(
+            f"contour of radius r={r:.6g} does not separate sigma(Z) (out to "
+            f"r_Z={r_Z:.6g} from its center) from sigma(C) (from r_C={r_C:.6g})"
+        )
+    top = contour.nodes
+    while 2 * top <= MAX_NODES:
+        top *= 2
+    if top < 4 * contour.nodes or rho**top > TOL_QUAD:
+        raise QuadratureStall(f"no convergence within {MAX_NODES} nodes")
 
-    def nodes_at(n: int, offset: bool) -> np.ndarray:
+    def level_sum(n: int, offset: bool) -> np.ndarray:
         # offset picks the midpoints of an existing n-grid, i.e. the new
         # nodes created when n doubles
         k = np.arange(n) + (0.5 if offset else 0.0)
-        return contour.center + contour.radius * np.exp(2j * np.pi * k / n)
-
-    c, U = p.eig_C
-    G = p.Bstar_in_eig_C
-
-    def weighted_sum(lams: np.ndarray) -> np.ndarray:
-        return np.add.reduce(_quad_sum(c, G, Z, lams) * (lams - contour.center)[:, None, None])
+        lams = center + r * np.exp(2j * np.pi * k / n)
+        return _quad_sum(c, G, Z, lams, lams - center)
 
     n = contour.nodes
-    total = weighted_sum(nodes_at(n, offset=False))
+    total = level_sum(n, offset=False)
     X_prev = U @ total / n
     while True:
         if 2 * n > MAX_NODES:
             raise QuadratureStall(f"no convergence within {MAX_NODES} nodes")
-        total = total + weighted_sum(nodes_at(n, offset=True))
+        total = total + level_sum(n, offset=True)
+        q = rho**n  # rho^N of the level just refined
         n *= 2
         X_new = U @ total / n
-        if _step_within(_NormBracket(X_new - X_prev), TOL_QUAD, _NormBracket(X_new)):
-            return _solution(p, X_new, "contour")
+        if n >= 4 * contour.nodes and rho**n <= TOL_QUAD:
+            tol = TOL_QUAD * (1.0 - q) / q if q > 0.0 else math.inf
+            if _step_within(_NormBracket(X_new - X_prev), tol, _NormBracket(X_new)):
+                return _solution(p, X_new, "contour")
         X_prev = X_new
 
 

@@ -135,6 +135,28 @@ def test_factorize_payload(capsys, example_file):
     assert enc["lower"] == pytest.approx(-enc["upper"])
 
 
+def test_factorize_scans_W_in_one_batch(capsys, monkeypatch, tmp_path):
+    import riccatilab.factorization as factorization
+
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    path = tmp_path / "problem.json"
+    path.write_text(dumps(problem_to_dict(p, gap=(-1.0, 1.0))))
+    batches = []
+    real_w_batch = factorization._w_batch
+
+    def spy(p, X, lams):
+        batches.append(lams.size)
+        return real_w_batch(p, X, lams)
+
+    monkeypatch.setattr(factorization, "_w_batch", spy)
+    code, out, _ = run(capsys, "factorize", str(path))
+    assert code == 0
+    assert json.loads(out)["w_invertible"] is True
+    # one batch for the factorization grid, one for the 25-point W scan
+    grid = rl.factorization_grid(p, rl.select_gap(p, 0.0))
+    assert batches == [grid.size, 25]
+
+
 def test_example_command_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "example", "--d", "1.0", "--b", "0.5")
     assert code == 0

@@ -73,6 +73,28 @@ def test_verify_factorization_names_first_point_on_sigma_C():
         rl.verify_factorization(p, sol, np.array([0.3, -1.0 + 1e-10j, 1.0]))
 
 
+def test_w_scan_names_first_point_on_sigma_C():
+    # the message is compute_W's for that one point
+    from riccatilab.factorization import _w_scan
+
+    p, gap, sol = solved_example()
+    with pytest.raises(LambdaOnSpectrumOfC, match=r"^lambda=\(-1\+1e-10j\) is within tol"):
+        _w_scan(p, sol.X, np.array([0.3, -1.0 + 1e-10j, 1.0]))
+    with pytest.raises(LambdaOnSpectrumOfC, match=r"^lambda=\(-1\+1e-10j\) is within tol"):
+        rl.compute_W(p, sol.X, -1.0 + 1e-10j)
+
+
+def test_w_scan_is_bit_identical_to_compute_W_per_point(battery500):
+    from riccatilab.factorization import _w_scan
+
+    for _, p, gap, sol in battery500.items[:30]:
+        enc = rl.enclosure_bounds(p, gap)
+        lams = np.linspace(enc.lower, enc.upper, 25)
+        W = _w_scan(p, sol.X, lams.astype(complex))
+        for lam, Wk in zip(lams, W):
+            assert np.array_equal(Wk, rl.compute_W(p, sol.X, complex(lam)))
+
+
 def test_enclosure_closed_form():
     # 1x2 family, gap (-d, d), sigma(A) = {0}: both deltas reduce to
     # b tan(arctan(2b/d)/2)

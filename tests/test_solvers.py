@@ -1,9 +1,12 @@
 """The three solution routes and their failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import riccatilab as rl
+from riccatilab import solvers
 from riccatilab.errors import (
     IterationDiverged,
     NotAGraph,
@@ -15,8 +18,10 @@ from riccatilab.linalg import operator_norm, solve_sylvester
 from riccatilab.solvers import (
     DIVERGE_NORM,
     MAX_ITER,
+    MAX_NODES,
     TOL_ACCEPT,
     TOL_FIX,
+    TOL_QUAD,
     residual_acceptable,
     residual_scale,
 )
@@ -136,6 +141,167 @@ def test_quadrature_stalls_on_hugging_contour():
     contour = rl.Contour(center=z0, radius=dist_C * (1 - 1e-5), nodes=16)
     with pytest.raises(QuadratureStall):
         rl.solve_contour(p, ref.Z, contour)
+
+
+def spy_quad_nodes(monkeypatch):
+    """Record the node count of every _quad_sum batch."""
+    sizes = []
+    real = solvers._quad_sum
+
+    def spy(c, G, Z, lams, weights):
+        sizes.append(lams.size)
+        return real(c, G, Z, lams, weights)
+
+    monkeypatch.setattr(solvers, "_quad_sum", spy)
+    return sizes
+
+
+def test_hugging_contour_stalls_before_any_node(monkeypatch):
+    # rho = 1 - 1e-5 leaves rho^MAX_NODES far above TOL_QUAD
+    p = rl.example_problem(1.0, 0.5)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    z0 = float(np.linalg.eigvals(ref.Z).real[0])
+    dist_C = np.min(np.abs(np.linalg.eigvalsh(p.C) - z0))
+    sizes = spy_quad_nodes(monkeypatch)
+    with pytest.raises(QuadratureStall, match=f"within {MAX_NODES} nodes"):
+        rl.solve_contour(p, ref.Z, rl.Contour(center=z0, radius=dist_C * (1 - 1e-5)))
+    assert sizes == []
+
+
+def test_contour_without_room_for_two_doublings_stalls_before_any_node(monkeypatch):
+    p = rl.example_problem(1.0, 0.5)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    contour = rl.build_contour(np.linalg.eigvals(ref.Z).real, p.eig_C.values, nodes=MAX_NODES // 2)
+    sizes = spy_quad_nodes(monkeypatch)
+    with pytest.raises(QuadratureStall):
+        rl.solve_contour(p, ref.Z, contour)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("radius", [1.5, 3.0, 1e300])
+def test_contour_around_sigma_C_raises_before_any_node(monkeypatch, radius):
+    # sigma(C) = {-1, 1}: a circle of radius > 1 about 0 encloses it as well
+    # as sigma(Z), and quadrature on it converges to a wrong X
+    p = rl.example_problem(1.0, 0.5)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    sizes = spy_quad_nodes(monkeypatch)
+    with pytest.raises(SpectraTooClose, match=r"r=.* r_Z=.* r_C="):
+        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, radius=radius))
+    assert sizes == []
+
+
+def test_contour_inside_sigma_Z_raises_before_any_node(monkeypatch):
+    p = rl.example_problem(1.0, 0.5)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    z0 = abs(complex(ref.Z[0, 0]))
+    assert z0 > 0
+    sizes = spy_quad_nodes(monkeypatch)
+    with pytest.raises(SpectraTooClose):
+        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, radius=z0 / 2))
+    assert sizes == []
+
+
+def test_contour_takes_two_doublings_even_when_rho_underflows(monkeypatch):
+    # a circle of radius 1e-12 about the one eigenvalue of Z: rho < 1e-11,
+    # so rho^32 underflows to 0.0; the second level already meets the
+    # tolerance, yet acceptance waits for the third
+    p = rl.example_problem(1.0, 0.5)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    z0 = float(np.linalg.eigvals(ref.Z).real[0])
+    assert (1e-12 / np.min(np.abs(p.eig_C.values - z0))) ** 32 == 0.0
+    sizes = spy_quad_nodes(monkeypatch)
+    sol = rl.solve_contour(p, ref.Z, rl.Contour(center=z0, radius=1e-12))
+    assert sum(sizes) == 64
+    assert operator_norm(sol.X - ref.X) <= 1e-12 * (1 + ref.x_norm)
+
+
+def test_contour_waits_for_the_rho_guard_when_levels_agree_exactly(monkeypatch):
+    # B = 0 makes every level exactly 0; rho = 0.9 still asks for
+    # rho^(2N) <= TOL_QUAD, first met at 2N = 512
+    p = rl.BlockProblem(np.zeros((1, 1)), np.zeros((1, 2)), np.diag([-1.0, 1.0]))
+    sizes = spy_quad_nodes(monkeypatch)
+    sol = rl.solve_contour(p, np.zeros((1, 1)), rl.Contour(center=0.0, radius=0.9))
+    assert sum(sizes) == 512
+    assert not sol.X.any()
+
+
+def test_contour_meets_the_tolerance_for_a_defective_Z():
+    # a Jordan block Z makes the error constant grow with N; the rho^(2N)
+    # guard alone would stop at 128 nodes 7e-12 away, the step test goes on
+    n = 4
+    p = rl.BlockProblem(np.zeros((n, n)), np.ones((n, 2)), np.diag([-1.0, 1.0]))
+    Z = 0.6 * np.eye(n) + np.eye(n, k=1)
+    # X Z - C X = B*, solved through its Kronecker form
+    K = np.kron(Z.T, np.eye(2)) - np.kron(np.eye(n), p.C)
+    want = np.linalg.solve(K, p.B.T.reshape(-1, order="F")).reshape(2, n, order="F")
+    sol = rl.solve_contour(p, Z, rl.Contour(center=0.0, radius=0.8))
+    assert operator_norm(sol.X - want) <= TOL_QUAD * (1 + operator_norm(want))
+
+
+def contour_kernel(p, Z, contour, nodes):
+    """The library's node sum on one fixed grid, mapped back out of C's eigenbasis."""
+    lams = contour.center + contour.radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    c, U = p.eig_C
+    return U @ solvers._quad_sum(c, p.Bstar_in_eig_C, Z, lams, lams - contour.center) / nodes
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: rl.example_problem(1.0, 0.7),
+        lambda: rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5)),
+        lambda: rl.generate(rl.GenSpec(5, 8, 24, (-1.0, 1.0), 0.3, 0.5)),
+        # n_A > n_C, and n_A > 16 nodes: rows of C are contracted in blocks
+        lambda: rl.generate(rl.GenSpec(7, 40, 12, (-1.0, 1.0), 0.3, 0.5)),
+    ],
+)
+@pytest.mark.parametrize("nodes", [16, 64])
+def test_quadrature_kernel_matches_direct_trapezoid(problem, nodes):
+    p = problem()
+    ref = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    contour = rl.build_contour(np.linalg.eigvals(ref.Z).real, p.eig_C.values)
+    got = contour_kernel(p, ref.Z, contour, nodes)
+    want = direct_trapezoid(p, ref.Z, contour.center, contour.radius, nodes)
+    assert operator_norm(got - want) <= 1e-13 * operator_norm(want)
+
+
+def direct_trapezoid_batched(p, Z, center, radius, nodes):
+    """direct_trapezoid with the dense solves of all nodes stacked."""
+    lams = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    shiftC = p.C[None, :, :] - lams[:, None, None] * np.eye(p.n_C)
+    Bstar = np.broadcast_to(p.B.conj().T, (nodes, p.n_C, p.n_A))
+    shiftZ = Z[None, :, :] - lams[:, None, None] * np.eye(p.n_A)
+    F = np.linalg.solve(shiftC, Bstar) @ np.linalg.inv(shiftZ)
+    return np.tensordot(lams - center, F, axes=1) / nodes
+
+
+def test_accepted_contour_X_is_within_tolerance_of_one_more_doubling(monkeypatch, battery500):
+    sizes = spy_quad_nodes(monkeypatch)
+    for _, p, _, sol in battery500.items:
+        contour = rl.build_contour(np.linalg.eigvals(sol.Z).real, p.eig_C.values)
+        sizes.clear()
+        alt = rl.solve_contour(p, sol.Z, contour)
+        finer = direct_trapezoid_batched(p, sol.Z, contour.center, contour.radius, 2 * sum(sizes))
+        assert operator_norm(alt.X - finer) <= 10 * TOL_QUAD * (1 + alt.x_norm)
+
+
+@pytest.mark.parametrize("n_A,n_C,nodes", [(16, 48, 64), (64, 96, 16)])
+def test_quadrature_batch_memory_is_bounded_by_the_node_stack(n_A, n_C, nodes):
+    # at (64, 96, 16) n_A > nodes, so rows of C go in four blocks; one
+    # block of all 96 rows would hold 4 nodes n_C n_A entries
+    p = rl.generate(rl.GenSpec(11, n_A, n_C, (-1.0, 1.0), 0.3, 0.5))
+    ref = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    contour = rl.build_contour(np.linalg.eigvals(ref.Z).real, p.eig_C.values)
+    lams = contour.center + contour.radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    c, G, weights = p.eig_C.values, p.Bstar_in_eig_C, lams - contour.center
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solvers._quad_sum(c, G, ref.Z, lams, weights)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * nodes * n_C * n_A * 16
 
 
 def test_fixedpoint_agrees_with_spectral():
