@@ -62,7 +62,6 @@ from .linalg import (
     hermitian_eig,
     operator_norm,
     solve_sylvester,
-    sqrt_psd,
 )
 from .rng import SplitMix64
 from .solvers import (
@@ -128,7 +127,6 @@ __all__ = [
     "solve_spectral",
     "solve_sylvester",
     "spectrum_identity_check",
-    "sqrt_psd",
     "squared_shift",
     "sweep",
     "uniqueness_class_check",

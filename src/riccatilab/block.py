@@ -131,8 +131,10 @@ class SpectralGap:
     def is_finite(self) -> bool:
         return math.isfinite(self.alpha) and math.isfinite(self.beta)
 
-    def contains(self, x: float, margin: float = 0.0) -> bool:
-        return self.alpha + margin < x < self.beta - margin
+    def contains(self, x, margin: float = 0.0):
+        """alpha + margin < x < beta - margin, elementwise on arrays: the one
+        gap-membership rule (strict interior tests pass margin tol_spec)."""
+        return (self.alpha + margin < x) & (x < self.beta - margin)
 
     @property
     def midpoint(self) -> float:
@@ -179,6 +181,11 @@ def dist_spectra(A, C) -> float:
     return float(np.min(np.abs(a[:, None] - c[None, :])))
 
 
+def _gap_d(p: BlockProblem, gap: SpectralGap) -> float:
+    """The gap's bound d, or dist(sigma(A), sigma(C)) for an unbound gap."""
+    return gap.d if not math.isnan(gap.d) else dist_spectra(p.eig_A, p.eig_C)
+
+
 def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
     """Pick the gap of C containing `point` and bind d = dist(sigma(A), sigma(C)).
 
@@ -189,7 +196,7 @@ def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
         a = p.eig_A.values
         point = float(a[0] + a[-1]) / 2.0
     for gap in find_gaps(p.eig_C):
-        if gap.alpha < point < gap.beta:
+        if gap.contains(point):
             return replace(gap, d=dist_spectra(p.eig_A, p.eig_C))
     raise LambdaOnSpectrumOfC(f"point {point} is not interior to any gap of C")
 
@@ -202,6 +209,16 @@ class HerglotzSample:
 
 def _dist_to_spectrum(lam: complex, w: np.ndarray) -> float:
     return float(np.min(np.abs(w - lam)))
+
+
+def _require_off_sigma_C(p: BlockProblem, lams: np.ndarray, label: str = "lambda=") -> None:
+    """Raise LambdaOnSpectrumOfC naming the first of lams within tol_spec of
+    sigma(C); label prefixes the point in the message ("lambda=" for a
+    single evaluation point, "grid point " for a grid)."""
+    c = p.eig_C.values
+    near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
+    if near.size:
+        raise LambdaOnSpectrumOfC(f"{label}{complex(lams[near[0]])} is within tol of sigma(C)")
 
 
 def _coupled_resolvent(p: BlockProblem, lams: np.ndarray, UY: np.ndarray) -> np.ndarray:
@@ -230,9 +247,7 @@ def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
 def herglotz_M(p: BlockProblem, lam: complex) -> HerglotzSample:
     """One sample of the gap function M(lambda) = lambda - A + B (C-lambda)^{-1} B*."""
     lam = complex(lam)
-    c = p.eig_C.values
-    if _dist_to_spectrum(lam, c) <= TOL_SPEC:
-        raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
+    _require_off_sigma_C(p, np.array([lam]))
     return HerglotzSample(lam=lam, M=herglotz_batch(p, np.array([lam]))[0])
 
 
@@ -244,9 +259,8 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
     lambda avoids both spectra.
     """
     lam = complex(lam)
+    _require_off_sigma_C(p, np.array([lam]))
     c = p.eig_C.values
-    if _dist_to_spectrum(lam, c) <= TOL_SPEC:
-        raise LambdaOnSpectrumOfC(f"lambda={lam} is within tol of sigma(C)")
     h = hermitian_eig(assemble_H(p)).values
     if _dist_to_spectrum(lam, h) <= TOL_SPEC:
         raise LambdaOnSpectrum(f"lambda={lam} is within tol of sigma(H)")
@@ -286,18 +300,12 @@ def spectrum_identity_check(
     """
     H = assemble_H(p)
     h = hermitian_eig(H).values
-    c = p.eig_C.values
     tol_near = TOL_SPEC * (1.0 + operator_norm(H))
 
-    pts = [complex(x) for x in np.asarray(grid, dtype=complex).ravel()]
-    for e in h:
-        if gap.alpha < e < gap.beta:
-            pts.append(complex(e))
-    for lam in pts:
-        if _dist_to_spectrum(lam, c) <= TOL_SPEC:
-            raise LambdaOnSpectrumOfC(f"grid point {lam} is within tol of sigma(C)")
+    pts = np.concatenate([np.asarray(grid, dtype=complex).ravel(), h[gap.contains(h)]])
+    _require_off_sigma_C(p, pts, "grid point ")
 
-    M = herglotz_batch(p, np.array(pts))
+    M = herglotz_batch(p, pts)
     mismatches = []
     checked = skipped = 0
     for lam, Mk in zip(pts, M):
@@ -309,7 +317,7 @@ def spectrum_identity_check(
         singular = smin < TOL_SPEC * (1.0 + operator_norm(Mk))
         checked += 1
         if singular != (dist < tol_near):
-            mismatches.append((lam, dist, smin))
+            mismatches.append((complex(lam), dist, smin))
     return SpectrumIdentityResult(
         ok=not mismatches, checked=checked, skipped=skipped, mismatches=mismatches
     )

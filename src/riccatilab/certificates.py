@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, dist_spectra, find_gaps
+from .block import BlockProblem, SpectralGap, _gap_d, dist_spectra, find_gaps
 from .errors import (
     ComplexSpectrum,
     DeltaNonpositive,
@@ -27,7 +27,7 @@ from .errors import (
     RiccatiLabError,
 )
 from .factorization import enclosure_bounds
-from .linalg import TOL_SPEC, as_matrix, operator_norm
+from .linalg import TOL_SPEC, operator_norm
 from .solvers import RiccatiSolution, residual_acceptable, solve_spectral, uniqueness_class_check
 
 TOL_CERT = 1e-9
@@ -44,13 +44,8 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
 
-def _gap_d(p: BlockProblem, gap: SpectralGap) -> float:
-    return gap.d if not math.isnan(gap.d) else dist_spectra(p.eig_A, p.eig_C)
-
-
 def _sigma_a_interior(p: BlockProblem, gap: SpectralGap) -> bool:
-    a = p.eig_A.values
-    return bool(a[0] > gap.alpha + TOL_SPEC and a[-1] < gap.beta - TOL_SPEC)
+    return bool(np.all(gap.contains(p.eig_A.values, TOL_SPEC)))
 
 
 def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
@@ -69,17 +64,16 @@ def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
     return gamma, d, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, d * (gap.length - d) - b * b
 
 
-def real_eigenvalues(Z, what: str = "Z") -> np.ndarray:
-    """Eigenvalues of a matrix that must have real spectrum, sorted ascending."""
-    z = np.linalg.eigvals(as_matrix(Z))
+def real_eigenvalues(z, what: str = "Z") -> np.ndarray:
+    """A spectrum z (an array) that must be real, as real parts sorted ascending."""
     if z.size and float(np.max(np.abs(z.imag))) > TOL_SPEC:
         raise ComplexSpectrum(f"{what} has eigenvalue imag part {np.max(np.abs(z.imag)):.3e}")
     return np.sort(z.real)
 
 
-def gamma_center(Z) -> float:
-    """Midpoint of the hull of sigma(Z); demands a real spectrum."""
-    z = real_eigenvalues(Z)
+def gamma_center(sol: RiccatiSolution) -> float:
+    """Midpoint of the hull of sigma(Z) for Z = A + BX; demands a real spectrum."""
+    z = real_eigenvalues(sol.z_eigs)
     return float(z[0] + z[-1]) / 2.0
 
 
@@ -100,12 +94,8 @@ def certify_existence(
     hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
     res_ok = residual_acceptable(p, sol, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
-    z = real_eigenvalues(sol.Z)
-    proper = bool(
-        z.size == p.n_A
-        and z[0] > gap.alpha + TOL_SPEC
-        and z[-1] < gap.beta - TOL_SPEC
-    )
+    z = real_eigenvalues(sol.z_eigs)
+    proper = bool(z.size == p.n_A and np.all(gap.contains(z, TOL_SPEC)))
     margin = threshold - b
     return Certificate(
         theorem="existence_1i",
@@ -168,7 +158,7 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     a single gap of C.  Raises DeltaNonpositive when the two spectra touch
     and the bound is undefined.
     """
-    z = real_eigenvalues(sol.Z)
+    z = real_eigenvalues(sol.z_eigs)
     c = p.eig_C.values
     delta = float(np.min(np.abs(z[:, None] - c[None, :])))
     if delta <= TOL_SPEC:

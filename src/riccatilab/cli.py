@@ -97,10 +97,8 @@ def _solve_payload(p: BlockProblem, gap: SpectralGap, method: str) -> dict:
     else:
         # the quadrature needs the pencil operator Z up front; the spectral
         # route provides it, after which the integral recovers X on its own
-        Z = solve_spectral(p, gap).Z
-        z = np.sort(np.linalg.eigvals(Z).real)
-        c = p.eig_C.values
-        sol = solve_contour(p, Z, build_contour(z, c))
+        ref = solve_spectral(p, gap)
+        sol = solve_contour(p, ref.Z, build_contour(ref.z_eigs.real, p.eig_C.values))
     out = solution_to_dict(sol)
     out["gap"] = [clean_number(gap.alpha), clean_number(gap.beta)]
     return out
@@ -116,7 +114,7 @@ def _certify_payload(p: BlockProblem, gap: SpectralGap) -> dict:
     ]
     return {
         "gap": [clean_number(gap.alpha), clean_number(gap.beta)],
-        "gamma": clean_number(gamma_center(sol.Z)),
+        "gamma": clean_number(gamma_center(sol)),
         "x_norm": clean_number(sol.x_norm),
         "residual": clean_number(sol.residual),
         "certificates": certs,

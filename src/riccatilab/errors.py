@@ -18,10 +18,6 @@ class NonHermitianInput(RiccatiLabError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class NotPSD(RiccatiLabError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
 class SpectraOverlap(RiccatiLabError):
     """Coefficient spectra touch, so the Sylvester equation is singular."""
 

@@ -18,8 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, _coupled_resolvent, dist_spectra, herglotz_batch
-from .errors import HypothesisViolated, LambdaOnSpectrumOfC
+from .block import (
+    BlockProblem,
+    SpectralGap,
+    _coupled_resolvent,
+    _gap_d,
+    _require_off_sigma_C,
+    herglotz_batch,
+)
+from .errors import HypothesisViolated
 from .linalg import TOL_SPEC, as_matrix
 
 logger = logging.getLogger(__name__)
@@ -43,10 +50,7 @@ def compute_W(p: BlockProblem, X, lam: complex) -> np.ndarray:
 def _w_scan(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """W at each of lams in one batch; the first point within tol of
     sigma(C) raises LambdaOnSpectrumOfC, as compute_W does for its one."""
-    c = p.eig_C.values
-    near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
-    if near.size:
-        raise LambdaOnSpectrumOfC(f"lambda={complex(lams[near[0]])} is within tol of sigma(C)")
+    _require_off_sigma_C(p, lams)
     return _w_batch(p, X, lams)
 
 
@@ -78,10 +82,7 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np
 def verify_factorization(p: BlockProblem, sol, grid) -> float:
     """Max normalized defect ||M(lam) - W(lam)(lam - Z)|| / (1 + ||M(lam)||) on the grid."""
     lams = np.asarray(grid, dtype=complex).ravel()
-    c = p.eig_C.values
-    near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
-    if near.size:
-        raise LambdaOnSpectrumOfC(f"grid point {lams[near[0]]} is within tol of sigma(C)")
+    _require_off_sigma_C(p, lams, "grid point ")
     if lams.size == 0:
         return 0.0
     M = herglotz_batch(p, lams)
@@ -105,11 +106,9 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     if not gap.is_finite:
         raise HypothesisViolated("enclosure needs a finite gap")
     a = p.eig_A.values
-    if not (a[0] > gap.alpha + TOL_SPEC and a[-1] < gap.beta - TOL_SPEC):
+    if not np.all(gap.contains(a, TOL_SPEC)):
         raise HypothesisViolated("sigma(A) is not interior to the gap")
-    d = gap.d
-    if math.isnan(d):
-        d = dist_spectra(p.eig_A, p.eig_C)
+    d = _gap_d(p, gap)
     b = p.norm_B
     if not b < math.sqrt(d * gap.length):
         raise HypothesisViolated(

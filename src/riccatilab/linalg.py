@@ -12,11 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, NotPSD, SpectraOverlap
+from .errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 
 # Relative tolerance factors; absolute tolerances below scale with 1 + ||M||.
 HERM_TOL_FACTOR = 1e-10
-EIG_TOL_FACTOR = 1e-11
 TOL_RES = 1e-9
 TOL_SPEC = 1e-8
 # relative rounding slack on the Frobenius brackets of a computed 2-norm;
@@ -148,6 +147,11 @@ def solve_sylvester(Z, C, R) -> np.ndarray:
     Y = U* X P satisfies Y_ij (z_j - c_i) = (U* R P)_ij, so the solve is an
     entrywise division in the joint eigenbasis.  R may also arrive as
     _Rotated(U* R), which skips that one product.
+
+    Z must be diagonalizable: a defective Z gives a numerically singular P
+    and a wrong X without an error (Z = [[0, 1], [0, 0]], C = diag(-1, 1),
+    R = [[1, 0.3], [0.5, 1]]: residual 1.66, cond(P) ~ 1e292), so callers
+    that may meet one check the residual of X.
     """
     Z = as_matrix(Z)
     c, U = C if isinstance(C, EigDecomposition) else np.linalg.eigh(require_hermitian(C, "C"))
@@ -167,18 +171,3 @@ def solve_sylvester(Z, C, R) -> np.ndarray:
     # X = U Y P^{-1}, done as a solve on the right factor
     return np.linalg.solve(P.T, (U @ Y).T).T
 
-
-def sqrt_psd(M) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-tol_eig, 0) are treated as rounded zeros and clamped;
-    anything more negative raises NotPSD.
-    """
-    Ms = require_hermitian(M)
-    w, v = np.linalg.eigh(Ms)
-    tol = EIG_TOL_FACTOR * (1.0 + (abs(w[0]) if w.size else 0.0) + (abs(w[-1]) if w.size else 0.0))
-    if w.size and w[0] < -tol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below -{tol:.3e}")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    S = (v * root) @ v.conj().T
-    return (S + S.conj().T) / 2.0

@@ -29,6 +29,7 @@ from .errors import (
     IterationDiverged,
     NotAGraph,
     QuadratureStall,
+    ResidualTooLarge,
     SpectraTooClose,
     WrongSubspaceDimension,
 )
@@ -52,8 +53,9 @@ TOL_ACCEPT = 1e-6  # relative residual up to which a solution counts as accurate
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """A solution X with Z, Zhat and its residual; residual and x_norm are
-    taken from X once, so X must not be modified in place."""
+    """A solution X with Z, Zhat and its residual; residual, x_norm and the
+    read-only spectra z_eigs = eigvals(Z) and zhat_eigs = eigvals(Zhat) are
+    taken once, so X, Z and Zhat must not be modified in place."""
 
     X: np.ndarray
     Z: np.ndarray  # A + B X
@@ -64,6 +66,18 @@ class RiccatiSolution:
     @cached_property
     def x_norm(self) -> float:
         return operator_norm(self.X)
+
+    @cached_property
+    def z_eigs(self) -> np.ndarray:
+        z = np.linalg.eigvals(self.Z)
+        z.flags.writeable = False
+        return z
+
+    @cached_property
+    def zhat_eigs(self) -> np.ndarray:
+        zhat = np.linalg.eigvals(self.Zhat)
+        zhat.flags.writeable = False
+        return zhat
 
 
 @dataclass(frozen=True)
@@ -124,7 +138,7 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     """
     H = assemble_H(p)
     w, U = np.linalg.eigh(H)
-    inside = (w > gap.alpha + TOL_SPEC) & (w < gap.beta - TOL_SPEC)
+    inside = gap.contains(w, TOL_SPEC)
     count = int(np.count_nonzero(inside))
     if count != p.n_A:
         for edge in (gap.alpha, gap.beta):
@@ -262,7 +276,8 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     Contracts when ||B|| is small against the gap; no convergence promise
     otherwise.  Stops on a relative step of TOL_FIX, raises
     IterationDiverged past MAX_ITER steps or norm 1e6.  Both tests are
-    decided in the 2-norm; Frobenius brackets only spare the SVDs.
+    decided in the 2-norm; Frobenius brackets only spare the SVDs.  A
+    stop at a residual that is not residual_acceptable raises ResidualTooLarge.
     """
     X = np.zeros((p.n_C, p.n_A), dtype=complex)
     Bstar = _Rotated(p.Bstar_in_eig_C)
@@ -274,7 +289,10 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
         if x_norm.exceeds(DIVERGE_NORM):
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
         if _step_within(step, TOL_FIX, x_norm):
-            return _solution(p, X, "fixedpoint")
+            sol = _solution(p, X, "fixedpoint")
+            if not residual_acceptable(p, sol, sol.residual):
+                raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
+            return sol
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
 
 
@@ -282,15 +300,12 @@ def uniqueness_class_check(p: BlockProblem, sol: RiccatiSolution, gap: SpectralG
     """True when sigma(A + BX) sits inside the gap and sigma(C - B*X*) outside.
 
     These two spectral locations are what single the solution out among
-    all solutions of the equation.  Comparisons carry a tol_spec margin on
-    each side so endpoint roundoff cannot flip the answer.
+    all solutions of the equation.  Both test gap.contains with a tol_spec
+    margin, so endpoint roundoff cannot flip the answer.
     """
-    z = np.linalg.eigvals(sol.Z)
-    zhat = np.linalg.eigvals(sol.Zhat)
+    z, zhat = sol.z_eigs, sol.zhat_eigs
     if np.max(np.abs(z.imag)) > TOL_SPEC or np.max(np.abs(zhat.imag)) > TOL_SPEC:
         return False
-    z_inside = np.all((z.real > gap.alpha + TOL_SPEC) & (z.real < gap.beta - TOL_SPEC))
-    zhat_outside = np.all(
-        (zhat.real < gap.alpha + TOL_SPEC) | (zhat.real > gap.beta - TOL_SPEC)
+    return bool(
+        np.all(gap.contains(z.real, TOL_SPEC)) and not np.any(gap.contains(zhat.real, TOL_SPEC))
     )
-    return bool(z_inside and zhat_outside)

@@ -124,6 +124,21 @@ def test_spectral_gap_midpoint_and_contains():
     assert not rl.SpectralGap(-np.inf, 0.0).is_finite
 
 
+@pytest.mark.parametrize("alpha,beta", [(-1.0, 3.0), (-np.inf, 0.5), (0.5, np.inf)])
+@pytest.mark.parametrize("margin", [0.0, TOL_SPEC])
+def test_spectral_gap_contains_is_the_scalar_rule_elementwise(alpha, beta, margin):
+    g = rl.SpectralGap(alpha, beta)
+    pts = [-7.0, 0.0, 0.7, 7.0]
+    for edge in (alpha + margin, beta - margin):
+        if np.isfinite(edge):
+            pts += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    expected = [alpha + margin < x < beta - margin for x in pts]
+    got = g.contains(np.array(pts), margin)
+    assert got.dtype == bool
+    assert got.tolist() == expected
+    assert [bool(g.contains(x, margin)) for x in pts] == expected
+
+
 def test_herglotz_M_value():
     p = small_problem()
     # M(0) = -A + B C^{-1} B* = 0 + (0.125 - 0.125) ... worked by hand
@@ -185,6 +200,36 @@ def test_resolvent_matches_direct_inverse():
         direct = np.linalg.inv(H - lam * np.eye(H.shape[0]))
         assert operator_norm(R - direct) <= 1e-8 * operator_norm(direct)
         checked += 1
+
+
+ON_SIGMA_C = [
+    ("herglotz_M", lambda p, gap, sol, pts: rl.herglotz_M(p, pts[1]), "lambda="),
+    ("resolvent_H", lambda p, gap, sol, pts: rl.resolvent_H(p, pts[1]), "lambda="),
+    ("compute_W", lambda p, gap, sol, pts: rl.compute_W(p, sol.X, pts[1]), "lambda="),
+    (
+        "verify_factorization",
+        lambda p, gap, sol, pts: rl.verify_factorization(p, sol, pts),
+        "grid point ",
+    ),
+    (
+        "spectrum_identity_check",
+        lambda p, gap, sol, pts: rl.spectrum_identity_check(p, gap, pts),
+        "grid point ",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,call,label", ON_SIGMA_C, ids=[case[0] for case in ON_SIGMA_C])
+def test_points_near_sigma_C_name_the_first_offender(name, call, label):
+    # sigma(C) = {-1, 1}: the second point is within tol of 1, the third is
+    # on -1; the single-point functions get the second point alone
+    p = small_problem()
+    gap = rl.select_gap(p)
+    sol = rl.solve_spectral(p, gap)
+    pts = np.array([0.1, 1.0 + 0.5 * TOL_SPEC, -1.0], dtype=complex)
+    with pytest.raises(LambdaOnSpectrumOfC) as err:
+        call(p, gap, sol, pts)
+    assert str(err.value) == f"{label}{complex(pts[1])} is within tol of sigma(C)"
 
 
 def test_resolvent_rejects_lambda_on_spectrum():

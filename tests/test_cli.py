@@ -157,6 +157,19 @@ def test_factorize_scans_W_in_one_batch(capsys, monkeypatch, tmp_path):
     assert batches == [grid.size, 25]
 
 
+def test_certify_takes_each_spectrum_once(monkeypatch):
+    from riccatilab import cli
+
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    gap = rl.select_gap(p, 0.0)
+    shapes = []
+    real_eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or real_eigvals(a))
+    cli._certify_payload(p, gap)
+    # sigma(Z) (4x4) and sigma(Zhat) (12x12), once each
+    assert sorted(shapes) == [(4, 4), (12, 12)]
+
+
 def test_example_command_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "example", "--d", "1.0", "--b", "0.5")
     assert code == 0

@@ -144,7 +144,7 @@ def test_distance_identity_at_gamma_center(battery500):
     # exactly, hence the resolvent norm identity
     for s, p, gap, sol in battery500.items[:40]:
         z = np.linalg.eigvals(sol.Z).real
-        gamma = rl.gamma_center(sol.Z)
+        gamma = rl.gamma_center(sol)
         assert gamma == pytest.approx((z.min() + z.max()) / 2, abs=1e-9)
         c = np.linalg.eigvalsh(p.C)
         delta = min(abs(ci - zj) for ci in c for zj in z)

@@ -1,4 +1,4 @@
-"""Core linear algebra: eigensolver contract, Sylvester solver, psd root.
+"""Core linear algebra: eigensolver contract and Sylvester solver.
 
 The eigensolver is cross-checked against a from-scratch cyclic Jacobi
 sweep so that no assertion here trusts the production code path it is
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import riccatilab as rl
 
-from riccatilab.errors import DimensionMismatch, NonHermitianInput, NotPSD, SpectraOverlap
+from riccatilab.errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 from riccatilab.linalg import (
     HERM_TOL_FACTOR,
     _Rotated,
@@ -22,7 +22,6 @@ from riccatilab.linalg import (
     operator_norm,
     require_hermitian,
     solve_sylvester,
-    sqrt_psd,
 )
 from riccatilab.rng import SplitMix64
 
@@ -279,33 +278,3 @@ def test_solve_sylvester_rejects_overlap():
     with pytest.raises(SpectraOverlap):
         solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
 
-
-def test_sqrt_psd_squares_back():
-    rng = SplitMix64(11)
-    G = rng.complex_normal_matrix(4, 4)
-    M = G @ G.conj().T
-    S = sqrt_psd(M)
-    assert operator_norm(S @ S - M) <= 1e-11 * (1 + operator_norm(M))
-    assert operator_norm(S - S.conj().T) <= 1e-12 * (1 + operator_norm(S))
-
-
-def test_sqrt_psd_clamps_tiny_negatives():
-    M = np.array([[1e-15, 0.0], [0.0, 1.0]])
-    M[0, 0] = -1e-14  # inside the tolerance band, should clamp to zero
-    S = sqrt_psd(M)
-    assert S[0, 0] == 0.0
-
-
-def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        sqrt_psd(np.diag([1.0, -1.0]))
-
-
-def test_sqrt_psd_commutes_with_unitary_conjugation():
-    rng = SplitMix64(13)
-    G = rng.complex_normal_matrix(5, 5)
-    M = G @ G.conj().T
-    U = rng.unitary(5)
-    lhs = sqrt_psd(U @ M @ U.conj().T)
-    rhs = U @ sqrt_psd(M) @ U.conj().T
-    assert operator_norm(lhs - rhs) <= 10 * 1e-11 * (1 + operator_norm(M))

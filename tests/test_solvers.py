@@ -11,6 +11,7 @@ from riccatilab.errors import (
     IterationDiverged,
     NotAGraph,
     QuadratureStall,
+    ResidualTooLarge,
     SpectraTooClose,
     WrongSubspaceDimension,
 )
@@ -365,6 +366,17 @@ def test_fixedpoint_follows_the_exact_norm_rule(battery500):
     assert gave_up >= 2
 
 
+def test_fixedpoint_rejects_a_converged_non_solution(monkeypatch):
+    # a Sylvester solve off by a fixed offset makes the iteration settle on
+    # a matrix that does not solve the equation; the step test alone
+    # would return it
+    p = rl.example_problem(1.0, 0.4)
+    real_solve = solvers.solve_sylvester
+    monkeypatch.setattr(solvers, "solve_sylvester", lambda Z, C, R: real_solve(Z, C, R) + 0.1)
+    with pytest.raises(ResidualTooLarge):
+        rl.solve_fixedpoint(p, rl.select_gap(p))
+
+
 def test_fixedpoint_reads_the_cached_rotated_coupling(monkeypatch):
     # every iteration hands solve_sylvester the problem's cached U* B*
     # instead of having it rotate B* again
@@ -404,6 +416,23 @@ def test_x_norm_is_taken_once_and_reused_by_the_residual_scale(monkeypatch):
     assert sol.x_norm == real_norm(sol.X)
     assert residual_scale(p, sol) == residual_scale(p, sol.X)
     assert residual_acceptable(p, sol, sol.residual) == residual_acceptable(p, sol.X, sol.residual)
+
+
+def test_spectra_of_Z_and_Zhat_are_taken_once(monkeypatch):
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    real_eigvals = np.linalg.eigvals
+    assert np.array_equal(sol.z_eigs, real_eigvals(sol.Z))
+    assert np.array_equal(sol.zhat_eigs, real_eigvals(sol.Zhat))
+    assert sol.z_eigs is sol.z_eigs and sol.zhat_eigs is sol.zhat_eigs
+    with pytest.raises(ValueError):
+        sol.z_eigs[0] = 0.0
+    rl.certify_all(p, gap, sol)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real_eigvals(a))
+    assert rl.uniqueness_class_check(p, sol, gap)
+    assert calls == []
 
 
 def test_solution_fields_consistent():
