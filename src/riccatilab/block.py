@@ -12,7 +12,7 @@ point costs a dense n_C x n_C solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,9 +47,9 @@ def _readonly_eig(M: np.ndarray) -> EigDecomposition:
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
-    The spectra of A and C, B* in the eigenbasis of C and the operator
-    norms of A, B and C are computed on first use and cached, so every
-    consumer of one problem shares them.
+    The spectra of A and C, B* in the eigenbasis of C, the operator norms
+    of A, B and C and d = dist(sigma(A), sigma(C)) are computed on first
+    use and cached, so every consumer of one problem shares them.
     """
 
     A: np.ndarray
@@ -98,6 +98,10 @@ class BlockProblem:
     def norm_C(self) -> float:
         return operator_norm(self.C)
 
+    @cached_property
+    def d(self) -> float:
+        return dist_spectra(self.eig_A, self.eig_C)
+
     @property
     def n_A(self) -> int:
         return self.A.shape[0]
@@ -109,15 +113,10 @@ class BlockProblem:
 
 @dataclass(frozen=True)
 class SpectralGap:
-    """Open interval (alpha, beta) free of sigma(C); rays use infinite endpoints.
-
-    d is dist(sigma(A), sigma(C)) once the gap has been bound to a problem
-    via select_gap; it stays NaN for gaps straight out of find_gaps.
-    """
+    """Open interval (alpha, beta) free of sigma(C); rays use infinite endpoints."""
 
     alpha: float
     beta: float
-    d: float = field(default=math.nan)
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -181,13 +180,8 @@ def dist_spectra(A, C) -> float:
     return float(np.min(np.abs(a[:, None] - c[None, :])))
 
 
-def _gap_d(p: BlockProblem, gap: SpectralGap) -> float:
-    """The gap's bound d, or dist(sigma(A), sigma(C)) for an unbound gap."""
-    return gap.d if not math.isnan(gap.d) else dist_spectra(p.eig_A, p.eig_C)
-
-
 def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
-    """Pick the gap of C containing `point` and bind d = dist(sigma(A), sigma(C)).
+    """Pick the gap of C containing `point`.
 
     Without a point, the midpoint of sigma(A)'s hull names the gap, which
     is the natural choice when sigma(A) is expected to sit inside one gap.
@@ -197,7 +191,7 @@ def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
         point = float(a[0] + a[-1]) / 2.0
     for gap in find_gaps(p.eig_C):
         if gap.contains(point):
-            return replace(gap, d=dist_spectra(p.eig_A, p.eig_C))
+            return gap
     raise LambdaOnSpectrumOfC(f"point {point} is not interior to any gap of C")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, _gap_d, dist_spectra, find_gaps
+from .block import BlockProblem, SpectralGap, find_gaps
 from .errors import (
     ComplexSpectrum,
     DeltaNonpositive,
@@ -44,6 +44,17 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
 
+def _certificate(
+    theorem: str, hyp: bool, bound: float, observed: float, details: dict, side=(), lower=False
+) -> Certificate:
+    """The one verdict rule every certifier reports through: margin is
+    bound - observed (observed - bound for a lower bound), and the theorem
+    passes when hyp holds, margin >= -tol_cert and every side condition holds."""
+    margin = observed - bound if lower else bound - observed
+    passed = bool(hyp and margin >= -TOL_CERT and all(side))
+    return Certificate(theorem, hyp, bound, observed, margin, passed, details)
+
+
 def _sigma_a_interior(p: BlockProblem, gap: SpectralGap) -> bool:
     return bool(np.all(gap.contains(p.eig_A.values, TOL_SPEC)))
 
@@ -51,23 +62,23 @@ def _sigma_a_interior(p: BlockProblem, gap: SpectralGap) -> bool:
 def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
     """The gap-midpoint frame of the theorems under ||B|| < sqrt(d (|gap| - d)).
 
-    Returns (gamma, d, threshold, hypothesis, A - gamma, C - gamma,
+    Returns (gamma, threshold, hypothesis, A - gamma, C - gamma,
     (A - gamma) B + B (C - gamma), d (|gap| - d) - ||B||^2).
     """
     gamma = gap.midpoint
-    d = _gap_d(p, gap)
+    d = p.d
     b = p.norm_B
     threshold = math.sqrt(d * (gap.length - d))
     hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
     Ash = p.A - gamma * np.eye(p.n_A)
     Csh = p.C - gamma * np.eye(p.n_C)
-    return gamma, d, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, d * (gap.length - d) - b * b
+    return gamma, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, d * (gap.length - d) - b * b
 
 
-def real_eigenvalues(z, what: str = "Z") -> np.ndarray:
-    """A spectrum z (an array) that must be real, as real parts sorted ascending."""
+def real_eigenvalues(z) -> np.ndarray:
+    """A spectrum z of Z (an array) that must be real, as real parts sorted ascending."""
     if z.size and float(np.max(np.abs(z.imag))) > TOL_SPEC:
-        raise ComplexSpectrum(f"{what} has eigenvalue imag part {np.max(np.abs(z.imag)):.3e}")
+        raise ComplexSpectrum(f"Z has eigenvalue imag part {np.max(np.abs(z.imag)):.3e}")
     return np.sort(z.real)
 
 
@@ -88,23 +99,17 @@ def certify_existence(
     """
     if not gap.is_finite:
         raise ValueError("existence certificate needs a finite gap")
-    d = _gap_d(p, gap)
+    d = p.d
     b = p.norm_B
     threshold = math.sqrt(d * gap.length)
     hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
     res_ok = residual_acceptable(p, sol, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
     z = real_eigenvalues(sol.z_eigs)
-    proper = bool(z.size == p.n_A and np.all(gap.contains(z, TOL_SPEC)))
-    margin = threshold - b
-    return Certificate(
-        theorem="existence_1i",
-        hypothesis_ok=hyp,
-        bound_value=threshold,
-        observed_value=b,
-        margin=margin,
-        passed=bool(hyp and margin >= -TOL_CERT and res_ok and uniq and proper),
-        details={
+    proper = bool(np.all(gap.contains(z, TOL_SPEC)))
+    return _certificate(
+        "existence_1i", hyp, threshold, b,
+        {
             "d": d,
             "gap_length": gap.length,
             "residual": sol.residual,
@@ -112,6 +117,7 @@ def certify_existence(
             "uniqueness_class": uniq,
             "spectrum_interior": proper,
         },
+        side=(res_ok, uniq, proper),
     )
 
 
@@ -126,28 +132,23 @@ def certify_contraction(
     """
     if not gap.is_finite:
         raise ValueError("contraction certificate needs a finite gap")
-    gamma, _, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
+    gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
     coupling = operator_norm(Bhat)
     if denom > 0:
         bound = math.tan(0.5 * math.atan2(2.0 * coupling, denom))
     else:
         bound = math.inf
     observed = sol.x_norm
-    margin = bound - observed
-    return Certificate(
-        theorem="contraction_1ii",
-        hypothesis_ok=hyp,
-        bound_value=bound,
-        observed_value=observed,
-        margin=margin,
-        passed=bool(hyp and margin >= -TOL_CERT and observed < 1.0),
-        details={
+    return _certificate(
+        "contraction_1ii", hyp, bound, observed,
+        {
             "gamma": gamma,
             "coupling_norm": coupling,
             "denominator": denom,
             "hypothesis_threshold": threshold,
             "b_norm": p.norm_B,
         },
+        side=(observed < 1.0,),
     )
 
 
@@ -163,23 +164,14 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     delta = float(np.min(np.abs(z[:, None] - c[None, :])))
     if delta <= TOL_SPEC:
         raise DeltaNonpositive(f"dist(sigma(Z), sigma(C)) = {delta:.3e}")
-    in_one_gap = any(
-        g.alpha < z[0] and z[-1] < g.beta for g in find_gaps(p.eig_C)
-    )
+    # z is sorted, so its hull lies in a gap when both ends do
+    lo, hi = float(z[0]), float(z[-1])
+    in_one_gap = any(g.contains(lo) and g.contains(hi) for g in find_gaps(p.eig_C))
     res_ok = residual_acceptable(p, sol, sol.residual)
     b = p.norm_B
-    bound = b / delta
-    observed = sol.x_norm
-    margin = bound - observed
-    hyp = bool(in_one_gap and res_ok)
-    return Certificate(
-        theorem="tan_theta_2",
-        hypothesis_ok=hyp,
-        bound_value=bound,
-        observed_value=observed,
-        margin=margin,
-        passed=bool(hyp and margin >= -TOL_CERT),
-        details={"delta": delta, "b_norm": b, "residual": sol.residual},
+    return _certificate(
+        "tan_theta_2", bool(in_one_gap and res_ok), b / delta, sol.x_norm,
+        {"delta": delta, "b_norm": b, "residual": sol.residual},
     )
 
 
@@ -200,17 +192,9 @@ def certify_apriori(
     )
     b = p.norm_B
     hyp = delta_tilde > 0
-    bound = b / delta_tilde if hyp else math.inf
-    observed = sol.x_norm
-    margin = bound - observed
-    return Certificate(
-        theorem="apriori_bound",
-        hypothesis_ok=hyp,
-        bound_value=bound,
-        observed_value=observed,
-        margin=margin,
-        passed=bool(hyp and margin >= -TOL_CERT),
-        details={
+    return _certificate(
+        "apriori_bound", hyp, b / delta_tilde if hyp else math.inf, sol.x_norm,
+        {
             "delta_tilde": delta_tilde,
             "delta_minus": bounds.delta_minus,
             "delta_plus": bounds.delta_plus,
@@ -233,21 +217,16 @@ def certify_tan2theta(p: BlockProblem) -> Certificate:
         raise NotSubordinated(
             f"sup sigma(A) = {a[-1]:.6g} not below inf sigma(C) = {c[0]:.6g}"
         )
-    d = float(c[0]) - float(a[-1])
+    # with sigma(A) below sigma(C), d = p.d is c[0] - a[-1] bit for bit
+    d = p.d
     mid = (float(a[-1]) + float(c[0])) / 2.0
     sol = solve_spectral(p, SpectralGap(-math.inf, mid))
     b = p.norm_B
-    bound = math.tan(0.5 * math.atan2(2.0 * b, d))
     observed = sol.x_norm
-    margin = bound - observed
-    return Certificate(
-        theorem="tan_2theta_dk",
-        hypothesis_ok=True,
-        bound_value=bound,
-        observed_value=observed,
-        margin=margin,
-        passed=bool(margin >= -TOL_CERT and observed < 1.0),
-        details={"d": d, "b_norm": b, "split_at": mid, "residual": sol.residual},
+    return _certificate(
+        "tan_2theta_dk", True, math.tan(0.5 * math.atan2(2.0 * b, d)), observed,
+        {"d": d, "b_norm": b, "split_at": mid, "residual": sol.residual},
+        side=(observed < 1.0,),
     )
 
 
@@ -262,7 +241,7 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     """
     if not gap.is_finite:
         raise HypothesisViolated("squared shift needs a finite gap")
-    gamma, d, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap)
+    gamma, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap)
     b = p.norm_B
     if not hyp:
         raise HypothesisViolated(
@@ -271,21 +250,15 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     Ahat = Ash @ Ash + p.B @ p.B.conj().T
     Chat = Csh @ Csh + p.B.conj().T @ p.B
     sq = BlockProblem(A=Ahat, B=Bhat, C=Chat)
-    achieved = dist_spectra(sq.eig_A, sq.eig_C)
+    achieved = sq.d
     ahat = sq.eig_A.values
     chat = sq.eig_C.values
     subordinated = bool(float(ahat[-1]) < float(chat[0]))
-    top = (gap.length / 2.0 - d) ** 2 + b * b
+    top = (gap.length / 2.0 - p.d) ** 2 + b * b
     contained = bool(float(ahat[0]) >= -TOL_CERT and float(ahat[-1]) <= top + TOL_CERT)
-    margin = achieved - floor
-    cert = Certificate(
-        theorem="squared_subordination",
-        hypothesis_ok=True,
-        bound_value=floor,
-        observed_value=achieved,
-        margin=margin,
-        passed=bool(margin >= -TOL_CERT and subordinated and contained),
-        details={
+    cert = _certificate(
+        "squared_subordination", True, floor, achieved,
+        {
             "gamma": gamma,
             "separation_floor": floor,
             "separation_achieved": achieved,
@@ -293,6 +266,8 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
             "ahat_interval_top": top,
             "ahat_contained": contained,
         },
+        side=(subordinated, contained),
+        lower=True,
     )
     return sq, cert
 

@@ -169,10 +169,10 @@ def _parse_specs(obj) -> list:
     for i, row in enumerate(obj):
         if not isinstance(row, dict):
             raise ValueError(f"spec {i} must be an object")
-        if row.get("family") == "example":
-            specs.append(ExampleSpec(d=float(row["d"]), b=float(row["b"])))
-            continue
         try:
+            if row.get("family") == "example":
+                specs.append(ExampleSpec(d=float(row["d"]), b=float(row["b"])))
+                continue
             specs.append(
                 GenSpec(
                     seed=int(row["seed"]),
@@ -186,6 +186,8 @@ def _parse_specs(obj) -> list:
             )
         except KeyError as err:
             raise ValueError(f"spec {i} lacks key {err}") from err
+        except (TypeError, IndexError, OverflowError) as err:
+            raise ValueError(f"spec {i} is malformed: {err}") from err
     return specs
 
 
@@ -196,11 +198,8 @@ def _prepare(args):
     the returned closure is a solver failure (exit 2).
     """
     if args.command == "example":
-        if args.d <= 0:
-            raise ValueError("--d must be positive")
-        if args.b < 0:
-            raise ValueError("--b must be nonnegative")
-        return lambda: sys.stdout.write(dumps(_example_payload(args.d, args.b)))
+        spec = ExampleSpec(d=args.d, b=args.b)
+        return lambda: sys.stdout.write(dumps(_example_payload(spec.d, spec.b)))
 
     if args.command == "sweep":
         specs = _parse_specs(_read_json(args.specs))

@@ -22,7 +22,6 @@ from .block import (
     BlockProblem,
     SpectralGap,
     _coupled_resolvent,
-    _gap_d,
     _require_off_sigma_C,
     herglotz_batch,
 )
@@ -108,7 +107,7 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     a = p.eig_A.values
     if not np.all(gap.contains(a, TOL_SPEC)):
         raise HypothesisViolated("sigma(A) is not interior to the gap")
-    d = _gap_d(p, gap)
+    d = p.d
     b = p.norm_B
     if not b < math.sqrt(d * gap.length):
         raise HypothesisViolated(

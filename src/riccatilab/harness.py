@@ -48,12 +48,14 @@ class GenSpec:
             raise InfeasibleSpec("n_A and n_C must be at least 1")
         if not alpha < beta:
             raise InfeasibleSpec(f"gap ({alpha}, {beta}) is empty")
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise InfeasibleSpec(f"gap ({alpha}, {beta}) must be finite")
         if not 0 < self.d_target <= (beta - alpha) / 2.0:
             raise InfeasibleSpec(
                 f"d_target={self.d_target} must be in (0, {(beta - alpha) / 2}]"
             )
-        if self.b_ratio < 0:
-            raise InfeasibleSpec("b_ratio must be nonnegative")
+        if not 0 <= self.b_ratio < math.inf:
+            raise InfeasibleSpec(f"b_ratio={self.b_ratio} must be finite and nonnegative")
         if self.placement not in PLACEMENTS:
             raise InfeasibleSpec(f"unknown placement {self.placement!r}")
 
@@ -66,10 +68,10 @@ class ExampleSpec:
     b: float
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise InfeasibleSpec("d must be positive")
-        if self.b < 0:
-            raise InfeasibleSpec("b must be nonnegative")
+        if not 0 < self.d < math.inf:
+            raise InfeasibleSpec(f"d={self.d} must be finite and positive")
+        if not 0 <= self.b < math.inf:
+            raise InfeasibleSpec(f"b={self.b} must be finite and nonnegative")
 
 
 SweepSpec = Union[GenSpec, ExampleSpec]
@@ -153,7 +155,7 @@ def generate(spec: GenSpec) -> BlockProblem:
 
 
 def realize(spec: SweepSpec) -> tuple[BlockProblem, SpectralGap]:
-    """Instance plus its bound gap (d attached) for any sweep spec."""
+    """Instance plus its named gap for any sweep spec."""
     if isinstance(spec, ExampleSpec):
         p = example_problem(spec.d, spec.b)
         return p, select_gap(p, 0.0)
@@ -235,7 +237,7 @@ def sweep(spec_grid: Iterable[SweepSpec]) -> SweepResult:
             n_C=p.n_C,
             alpha=float(alpha),
             beta=float(beta),
-            d=float(gap.d),
+            d=p.d,
             b=p.norm_B,
         )
         rows.append(row)

@@ -45,6 +45,7 @@ from .linalg import (
 
 TOL_QUAD = 1e-12  # relative stop for contour node doubling
 TOL_FIX = 1e-12  # relative stop for fixed-point steps
+START_NODES = 16  # first quadrature level; nodes double from here
 MAX_NODES = 4096
 MAX_ITER = 500
 DIVERGE_NORM = 1e6
@@ -86,13 +87,10 @@ class Contour:
 
     center: float
     radius: float
-    nodes: int = 16
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.nodes < 16 or self.nodes % 2:
-            raise ValueError("nodes must be even and at least 16")
 
 
 def residual(p: BlockProblem, X) -> float:
@@ -160,7 +158,7 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     return _solution(p, X, "spectral")
 
 
-def build_contour(z_spectrum, c_spectrum, nodes: int = 16) -> Contour:
+def build_contour(z_spectrum, c_spectrum) -> Contour:
     """Circle centered on sigma(Z)'s hull, radius halfway out to sigma(C).
 
     center = midpoint of [min z, max z]; radius = half-width of that hull
@@ -175,7 +173,7 @@ def build_contour(z_spectrum, c_spectrum, nodes: int = 16) -> Contour:
         raise SpectraTooClose(f"spectra are only {sep:.3e} apart")
     center = (z.max() + z.min()) / 2.0
     radius = (z.max() - z.min()) / 2.0 + sep / 2.0
-    return Contour(center=float(center), radius=float(radius), nodes=nodes)
+    return Contour(center=float(center), radius=float(radius))
 
 
 def _quad_sum(
@@ -217,7 +215,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
     r_Z = max |sigma(Z) - center| and r_C = min |sigma(C) - center|, so on
     the circle of radius r the error of N nodes decays like rho^N with
     rho = max(r_Z / r, r / r_C) (Trefethen & Weideman, SIAM Review 2014).
-    Nodes double from contour.nodes, and X_2N is accepted once
+    Nodes double from START_NODES, and X_2N is accepted once
     ||X_2N - X_N|| rho^N / (1 - rho^N) <= TOL_QUAD (1 + ||X_2N||), with
     rho^(2N) <= TOL_QUAD and at least two doublings made.  A circle that
     does not separate the spectra (rho >= 1) raises SpectraTooClose, and a
@@ -240,10 +238,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
             f"contour of radius r={r:.6g} does not separate sigma(Z) (out to "
             f"r_Z={r_Z:.6g} from its center) from sigma(C) (from r_C={r_C:.6g})"
         )
-    top = contour.nodes
-    while 2 * top <= MAX_NODES:
-        top *= 2
-    if top < 4 * contour.nodes or rho**top > TOL_QUAD:
+    if rho**MAX_NODES > TOL_QUAD:
         raise QuadratureStall(f"no convergence within {MAX_NODES} nodes")
 
     def level_sum(n: int, offset: bool) -> np.ndarray:
@@ -253,7 +248,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         lams = center + r * np.exp(2j * np.pi * k / n)
         return _quad_sum(c, G, Z, lams, lams - center)
 
-    n = contour.nodes
+    n = START_NODES
     total = level_sum(n, offset=False)
     X_prev = U @ total / n
     while True:
@@ -263,7 +258,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         q = rho**n  # rho^N of the level just refined
         n *= 2
         X_new = U @ total / n
-        if n >= 4 * contour.nodes and rho**n <= TOL_QUAD:
+        if n >= 4 * START_NODES and rho**n <= TOL_QUAD:
             tol = TOL_QUAD * (1.0 - q) / q if q > 0.0 else math.inf
             if _step_within(_NormBracket(X_new - X_prev), tol, _NormBracket(X_new)):
                 return _solution(p, X_new, "contour")

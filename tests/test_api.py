@@ -1,5 +1,8 @@
 """The public API: what riccatilab exports must exist."""
 
+import ast
+from pathlib import Path
+
 import riccatilab as rl
 
 
@@ -12,3 +15,23 @@ def test_star_import_succeeds():
     namespace: dict = {}
     exec("from riccatilab import *", namespace)
     assert set(rl.__all__) <= namespace.keys()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter ships with the project; this catches imports left behind
+    # when the code that used them is deleted
+    unused = []
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
+    assert unused == []

@@ -107,7 +107,7 @@ def test_select_gap_default_uses_sigma_A():
     p = small_problem()
     gap = rl.select_gap(p)
     assert (gap.alpha, gap.beta) == (-1.0, 1.0)
-    assert gap.d == pytest.approx(1.0)
+    assert p.d == pytest.approx(1.0)
 
 
 def test_select_gap_rejects_point_on_spectrum():

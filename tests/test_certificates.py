@@ -21,16 +21,30 @@ def solved_example(d=1.0, b=0.5):
     return p, gap, rl.solve_spectral(p, gap)
 
 
-def test_certificate_margin_orientation_upper_bounds():
-    p, gap, sol = solved_example()
-    for cert in (
-        rl.certify_contraction(p, gap, sol),
-        rl.certify_tan_theta(p, sol),
-        rl.certify_apriori(p, gap, sol),
-    ):
-        assert cert.hypothesis_ok
-        assert cert.margin == pytest.approx(cert.bound_value - cert.observed_value, abs=1e-15)
-        assert cert.passed == (cert.margin >= -TOL_CERT)
+def test_certificate_margin_orientation_upper_bounds(battery500, battery200_subordinated):
+    # every certificate of certify_all reports through one verdict rule:
+    # margin is bound - observed (observed - bound for the one lower
+    # bound), and passing needs the hypothesis and margin >= -TOL_CERT
+    instances = [solved_example(1.0, b) for b in (0.5, 1.0, 1.41, 1.5)]
+    instances += [(p, gap, sol) for _, p, gap, sol in battery500.items[:20]]
+    for s, p in battery200_subordinated.items[:20]:
+        gap = rl.select_gap(p, (s.gap[0] + s.gap[1]) / 2)
+        instances.append((p, gap, rl.solve_spectral(p, gap)))
+    seen = set()
+    for p, gap, sol in instances:
+        for theorem, cert in rl.certify_all(p, gap, sol):
+            if isinstance(cert, Exception):
+                continue
+            seen.add(theorem)
+            assert cert.theorem == theorem
+            if theorem == "squared_subordination":
+                assert cert.margin == cert.observed_value - cert.bound_value
+            else:
+                assert cert.margin == cert.bound_value - cert.observed_value
+            if cert.passed:
+                assert cert.hypothesis_ok and cert.margin >= -TOL_CERT
+    assert seen == {theorem for theorem, _ in rl.certify_all(*instances[0])}
+    assert len(seen) == 6
 
 
 def test_existence_certificate_on_example():

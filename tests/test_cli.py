@@ -189,6 +189,37 @@ def test_example_rejects_bad_parameters(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("d, b", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5"), ("1", "inf")])
+def test_example_rejects_non_finite_parameters(capsys, d, b):
+    code, out, err = run(capsys, "example", "--d", d, "--b", b)
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error:")
+
+
+_GEN_ROW = '"seed": 7, "n_A": 2, "n_C": 4, "d_target": 0.3'
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{%s, "gap": [-1.0, 1.0], "b_ratio": 1e400}' % _GEN_ROW,
+        '{%s, "gap": [-1.0, 1.0], "b_ratio": NaN}' % _GEN_ROW,
+        '{%s, "gap": 5, "b_ratio": 0.5}' % _GEN_ROW,
+        '{%s, "gap": [-1], "b_ratio": 0.5}' % _GEN_ROW,
+        '{%s, "gap": [-1e400, 1.0], "b_ratio": 0.5}' % _GEN_ROW,
+        '{"seed": 7, "n_A": 1e400, "n_C": 4, "d_target": 0.3, "gap": [-1.0, 1.0], "b_ratio": 0.5}',
+        '{"family": "example", "d": null, "b": 0.5}',
+        '{"family": "example", "d": 1.0, "b": Infinity}',
+    ],
+)
+def test_sweep_rejects_non_finite_or_mistyped_row(capsys, tmp_path, row):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(f"[{row}]")
+    code, out, err = run(capsys, "sweep", str(spec_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error: ")
+
+
 def test_sweep_writes_csv(capsys, tmp_path):
     specs = {"specs": [
         {"family": "example", "d": 1.0, "b": 0.5},

@@ -1,6 +1,7 @@
 """Instance generation, the random stream, and the sweep CSV surface."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -66,6 +67,80 @@ def test_complex_normal_matrix_shape_and_determinism():
     assert np.array_equal(A, B)
 
 
+# Golden values of the README's random-stream contract.  Uniforms are pure
+# integer arithmetic and pinned bit for bit; normals go through libm's
+# log, cos and sin and are pinned to 2 ulp; generated spectra pass through
+# LAPACK QR and eigh and are pinned to 1e-12.
+
+def _assert_ulp(actual, expected, maxulp=2):
+    actual = np.asarray(actual, dtype=complex)
+    expected = np.asarray(expected, dtype=complex)
+    np.testing.assert_array_max_ulp(actual.real, expected.real, maxulp=maxulp)
+    np.testing.assert_array_max_ulp(actual.imag, expected.imag, maxulp=maxulp)
+
+
+def test_uniform_golden_values():
+    assert SplitMix64(0).uniform().hex() == "0x1.c4415072f63b9p-1"
+    assert SplitMix64(0).uniform_open().hex() == "0x1.c4415072f63bap-1"
+    g = SplitMix64(12345)
+    assert (g.uniform().hex(), g.uniform_open().hex()) == (
+        "0x1.108c12c54e888p-3",
+        "0x1.a376e72fb8a00p-3",
+    )
+
+
+def test_normal_pair_golden_values():
+    _assert_ulp(
+        SplitMix64(7).normal_pair(),
+        [float.fromhex("0x1.5d70229cdee62p+0"), float.fromhex("0x1.27fabdf770e11p-3")],
+    )
+
+
+def test_complex_normal_matrix_golden_values():
+    parts = [
+        ("0x1.5d70229cdee62p+0", "0x1.27fabdf770e11p-3"),
+        ("-0x1.960a61872e247p-2", "-0x1.d21e03d25aea8p-3"),
+        ("0x1.26d0bebc9703cp-8", "0x1.426a347623a51p+0"),
+        ("-0x1.29461d47f64cep-1", "0x1.16487974b3ad9p+0"),
+        ("-0x1.b67fe497fad83p+0", "0x1.0a49c042a3559p+0"),
+        ("0x1.07f8b9c875d66p+1", "-0x1.0fff075b1fae3p-1"),
+    ]
+    expected = np.array(
+        [complex(float.fromhex(re), float.fromhex(im)) for re, im in parts]
+    ).reshape(2, 3)
+    _assert_ulp(SplitMix64(7).complex_normal_matrix(2, 3), expected)
+
+
+@pytest.mark.parametrize(
+    "placement, eig_A, eig_C, norm_B",
+    [
+        (
+            "interior",
+            [-0.7, -0.5979865685195006],
+            [-0.9999999999999992, 0.9999999999999999, 1.6129746825466236, 1.7002935135929025],
+            0.38729833462074165,
+        ),
+        (
+            "subordinated",
+            [-0.8761265474879651, 0.6999999999999998],
+            [1.0000000000000004, 1.113450342057155, 1.612974682546625, 1.7002935135929025],
+            0.38729833462074165,
+        ),
+        (
+            "overlapping",
+            [-1.3668264423302867, -0.9073948518992486],
+            [-1.0, 1.0000000000000004, 1.6129746825466253, 1.7002935135929025],
+            0.3872983346207417,
+        ),
+    ],
+)
+def test_generate_golden_values(placement, eig_A, eig_C, norm_B):
+    p = rl.generate(rl.GenSpec(3, 2, 4, (-1.0, 1.0), 0.3, 0.5, placement))
+    np.testing.assert_allclose(p.eig_A.values, eig_A, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.eig_C.values, eig_C, rtol=0, atol=1e-12)
+    assert p.norm_B == pytest.approx(norm_B, rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------- generator
 
 def test_example_problem_and_solution_are_consistent():
@@ -81,6 +156,9 @@ def test_example_spec_validation():
         rl.ExampleSpec(d=0.0, b=0.5)
     with pytest.raises(InfeasibleSpec):
         rl.ExampleSpec(d=1.0, b=-0.1)
+    for d, b in [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(InfeasibleSpec):
+            rl.ExampleSpec(d=d, b=b)
 
 
 def test_gen_spec_validation():
@@ -98,6 +176,16 @@ def test_gen_spec_validation():
         rl.GenSpec(**{**good, "placement": "sideways"})
     with pytest.raises(InfeasibleSpec):
         rl.GenSpec(**{**good, "n_A": 0})
+    for bad in [
+        {"b_ratio": math.inf},
+        {"b_ratio": math.nan},
+        {"d_target": math.nan},
+        {"gap": (-math.inf, 1.0)},
+        {"gap": (-1.0, math.inf)},
+        {"gap": (math.nan, 1.0)},
+    ]:
+        with pytest.raises(InfeasibleSpec):
+            rl.GenSpec(**{**good, **bad})
 
 
 def test_generate_hits_gap_endpoints_exactly():
@@ -160,7 +248,7 @@ def test_realize_returns_the_named_gap():
     spec = rl.GenSpec(seed=815, n_A=2, n_C=5, gap=(-1.0, 1.0), d_target=0.3, b_ratio=0.5)
     p, gap = realize(spec)
     assert (gap.alpha, gap.beta) == pytest.approx((-1.0, 1.0), abs=1e-12)
-    assert gap.d == pytest.approx(0.3, abs=1e-12)
+    assert p.d == pytest.approx(0.3, abs=1e-12)
     p2, gap2 = realize(rl.ExampleSpec(d=2.0, b=0.5))
     assert (gap2.alpha, gap2.beta) == (-2.0, 2.0)
 
