@@ -9,7 +9,6 @@ enclosure bounds as explicit margins.
 
 from .block import (
     BlockProblem,
-    HerglotzSample,
     SpectralGap,
     assemble_H,
     dist_spectra,
@@ -88,7 +87,6 @@ __all__ = [
     "ExampleSpec",
     "GenSpec",
     "GraphProjection",
-    "HerglotzSample",
     "RiccatiLabError",
     "RiccatiSolution",
     "SpectralGap",

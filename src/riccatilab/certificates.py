@@ -130,8 +130,6 @@ def certify_contraction(
     the gap midpoint, where the bound is sharpest and shift-invariantly
     stated.
     """
-    if not gap.is_finite:
-        raise ValueError("contraction certificate needs a finite gap")
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
     coupling = operator_norm(Bhat)
     if denom > 0:

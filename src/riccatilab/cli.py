@@ -160,6 +160,31 @@ def _example_payload(d: float, b: float) -> dict:
     return out
 
 
+# the JSON types of a sweep grid row's keys, by family; bool is no number
+_NUMBER = (int, float)
+_ROW_TYPES = {
+    "example": {"family": (str,), "d": _NUMBER, "b": _NUMBER},
+    "generated": {
+        "seed": (int,), "n_A": (int,), "n_C": (int,), "gap": (list,),
+        "d_target": _NUMBER, "b_ratio": _NUMBER, "placement": (str,),
+    },
+}
+
+
+def _check_row(row: dict) -> None:
+    """Raise ValueError on a key the row's family does not define, a value
+    of another JSON type, or a gap that is not two numbers."""
+    types = _ROW_TYPES["example" if row.get("family") == "example" else "generated"]
+    for key, value in row.items():
+        if key not in types:
+            raise ValueError(f"unknown key {key!r}")
+        if type(value) not in types[key]:
+            raise ValueError(f"{key}={value!r} is not of its JSON type")
+    gap = row.get("gap")
+    if gap is not None and (len(gap) != 2 or not all(type(x) in _NUMBER for x in gap)):
+        raise ValueError(f"gap must be [alpha, beta], got {gap!r}")
+
+
 def _parse_specs(obj) -> list:
     if isinstance(obj, dict) and "specs" in obj:
         obj = obj["specs"]
@@ -170,23 +195,24 @@ def _parse_specs(obj) -> list:
         if not isinstance(row, dict):
             raise ValueError(f"spec {i} must be an object")
         try:
+            _check_row(row)
             if row.get("family") == "example":
                 specs.append(ExampleSpec(d=float(row["d"]), b=float(row["b"])))
                 continue
             specs.append(
                 GenSpec(
-                    seed=int(row["seed"]),
-                    n_A=int(row["n_A"]),
-                    n_C=int(row["n_C"]),
+                    seed=row["seed"],
+                    n_A=row["n_A"],
+                    n_C=row["n_C"],
                     gap=(float(row["gap"][0]), float(row["gap"][1])),
                     d_target=float(row["d_target"]),
                     b_ratio=float(row["b_ratio"]),
-                    placement=str(row.get("placement", "interior")),
+                    placement=row.get("placement", "interior"),
                 )
             )
         except KeyError as err:
             raise ValueError(f"spec {i} lacks key {err}") from err
-        except (TypeError, IndexError, OverflowError) as err:
+        except (ValueError, OverflowError) as err:
             raise ValueError(f"spec {i} is malformed: {err}") from err
     return specs
 
@@ -231,7 +257,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         work = _prepare(args)
-    except (json.JSONDecodeError, OSError, ValueError, KeyError, RiccatiLabError) as err:
+    except (OSError, ValueError, OverflowError, KeyError, RiccatiLabError) as err:
         print(f"riccatilab: input error: {err}", file=sys.stderr)
         return 1
     try:

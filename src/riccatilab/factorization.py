@@ -30,6 +30,9 @@ from .linalg import TOL_SPEC, as_matrix
 
 logger = logging.getLogger(__name__)
 
+GRID_POINTS = 50  # of factorization_grid: half across the gap, half on a circle
+SIGN_SAMPLES = 20  # per side of the enclosure, in sign_conditions
+
 
 @dataclass(frozen=True)
 class EnclosureBounds:
@@ -58,8 +61,8 @@ def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.eye(p.n_A, dtype=complex) - _coupled_resolvent(p, lams, UX)
 
 
-def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np.ndarray:
-    """Default evaluation grid: half real points across the gap, half on a circle.
+def factorization_grid(p: BlockProblem, gap: SpectralGap) -> np.ndarray:
+    """Evaluation grid of GRID_POINTS: half real points across the gap, half on a circle.
 
     The real half spans the gap shrunk by tol_spec; the circle has radius
     equal to the gap length around its midpoint, dropping any point that
@@ -67,11 +70,11 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap, count: int = 50) -> np
     """
     if not gap.is_finite:
         raise ValueError("default grid needs a finite gap")
-    half = count // 2
+    half = GRID_POINTS // 2
     # inset a few tolerances so the endpoint eigenvalues of C stay clear
     inset = 8 * TOL_SPEC
     real_pts = np.linspace(gap.alpha + inset, gap.beta - inset, half)
-    angles = 2.0 * np.pi * (np.arange(count - half) + 0.5) / (count - half)
+    angles = 2.0 * np.pi * (np.arange(half) + 0.5) / half
     circle = gap.midpoint + gap.length * np.exp(1j * angles)
     c = p.eig_C.values
     keep = circle[np.min(np.abs(c[None, :] - circle[:, None]), axis=1) > 2 * TOL_SPEC]
@@ -123,30 +126,23 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     )
 
 
-def sign_conditions(
-    p: BlockProblem, gap: SpectralGap, bounds: EnclosureBounds, samples: int = 20
-) -> bool:
+def sign_conditions(p: BlockProblem, gap: SpectralGap, bounds: EnclosureBounds) -> bool:
     """M(lambda) negative definite left of the enclosure, positive right of it.
 
-    Samples equispaced interior points of (alpha, lower) and (upper, beta)
-    and checks eigenvalue signs.  An empty side passes vacuously with a
-    log note, which happens when sigma(A) hugs one endpoint.
+    Samples SIGN_SAMPLES equispaced interior points of (alpha, lower) and of
+    (upper, beta), one batch a side, and checks eigenvalue signs.  An empty
+    side passes vacuously with a log note, as when sigma(A) hugs an endpoint.
     """
+    ts = (np.arange(SIGN_SAMPLES) + 1.0) / (SIGN_SAMPLES + 1.0)
     ok = True
-    for lo, hi, side in (
-        (gap.alpha, bounds.lower, "left"),
-        (bounds.upper, gap.beta, "right"),
+    for lo, hi, side, sign in (
+        (gap.alpha, bounds.lower, "left", -1.0),
+        (bounds.upper, gap.beta, "right", 1.0),
     ):
         if not (hi - lo > 4 * TOL_SPEC):
             logger.info("sign interval on the %s side is empty, skipping", side)
             continue
-        ts = (np.arange(samples) + 1.0) / (samples + 1.0)
-        lams = lo + (hi - lo) * ts
-        M = herglotz_batch(p, lams.astype(complex))
-        for Mk in M:
-            w = np.linalg.eigvalsh((Mk + Mk.conj().T) / 2.0)
-            if side == "left" and w[-1] >= 0:
-                ok = False
-            if side == "right" and w[0] <= 0:
-                ok = False
+        M = herglotz_batch(p, (lo + (hi - lo) * ts).astype(complex))
+        w = np.linalg.eigvalsh((M + M.conj().transpose(0, 2, 1)) / 2.0)
+        ok &= bool(np.all(sign * w > 0))
     return ok

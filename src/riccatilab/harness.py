@@ -197,10 +197,6 @@ _CERT_PREFIXES = tuple(col[: -len("_pass")] for col in CSV_COLUMNS if col.endswi
 class SweepResult:
     rows: list[dict]
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return CSV_COLUMNS
-
     def write_csv(self, stream) -> None:
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for row in self.rows:

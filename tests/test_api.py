@@ -35,3 +35,30 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    # a module-level _name (function, class or constant) that no module of
+    # the package reads is dead code; `from .m import _name` counts as a read
+    defined, referenced = {}, set()
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in referenced) == []

@@ -142,9 +142,9 @@ def test_spectral_gap_contains_is_the_scalar_rule_elementwise(alpha, beta, margi
 def test_herglotz_M_value():
     p = small_problem()
     # M(0) = -A + B C^{-1} B* = 0 + (0.125 - 0.125) ... worked by hand
-    s = rl.herglotz_M(p, 0.0)
+    M = rl.herglotz_M(p, 0.0)
     expected = -p.A + p.B @ np.linalg.inv(p.C) @ p.B.conj().T
-    assert np.allclose(s.M, expected, atol=1e-14)
+    assert np.allclose(M, expected, atol=1e-14)
 
 
 def test_herglotz_M_rejects_lambda_on_sigma_C():
@@ -158,7 +158,7 @@ def test_herglotz_batch_matches_single():
     lams = np.array([0.1, 0.5j, -0.3 + 0.2j])
     batch = herglotz_batch(p, lams)
     for k, lam in enumerate(lams):
-        assert np.allclose(batch[k], rl.herglotz_M(p, complex(lam)).M, atol=1e-13)
+        assert np.allclose(batch[k], rl.herglotz_M(p, complex(lam)), atol=1e-13)
 
 
 def test_herglotz_imaginary_part_psd_upper_half_plane():
@@ -168,7 +168,7 @@ def test_herglotz_imaginary_part_psd_upper_half_plane():
     rng = SplitMix64(3)
     for _ in range(20):
         lam = complex(3 * rng.normal(), 0.05 + 2 * rng.uniform())
-        M = rl.herglotz_M(p, lam).M
+        M = rl.herglotz_M(p, lam)
         im = (M - M.conj().T) / 2j
         assert np.linalg.eigvalsh(im).min() >= -1e-11 * (1 + operator_norm(M))
 
@@ -179,8 +179,8 @@ def test_herglotz_derivative_dominates_identity_on_gap():
     p = rl.generate(spec)
     h = 1e-6
     for lam in np.linspace(-0.5, 0.5, 7):
-        Mp = rl.herglotz_M(p, lam + h).M
-        Mm = rl.herglotz_M(p, lam - h).M
+        Mp = rl.herglotz_M(p, lam + h)
+        Mm = rl.herglotz_M(p, lam - h)
         deriv = (Mp - Mm).real / (2 * h)
         assert np.linalg.eigvalsh(deriv).min() >= 1.0 - 1e-6
 
@@ -267,6 +267,48 @@ def test_spectrum_identity_skips_ambiguous_points():
     assert result.skipped >= 1
 
 
+def pointwise_spectrum_identity(p, gap, grid):
+    """spectrum_identity_check classifying one point at a time."""
+    H = rl.assemble_H(p)
+    h = np.linalg.eigh(H)[0]
+    tol_near = TOL_SPEC * (1.0 + operator_norm(H))
+    pts = np.concatenate([np.asarray(grid, dtype=complex).ravel(), h[gap.contains(h)]])
+    mismatches = []
+    checked = skipped = 0
+    for lam, Mk in zip(pts, herglotz_batch(p, pts)):
+        dist = float(np.min(np.abs(h - lam)))
+        if 0.01 * tol_near <= dist <= 100.0 * tol_near:
+            skipped += 1
+            continue
+        smin = float(np.linalg.svd(Mk, compute_uv=False)[-1])
+        singular = smin < TOL_SPEC * (1.0 + operator_norm(Mk))
+        checked += 1
+        if singular != (dist < tol_near):
+            mismatches.append((complex(lam), dist, smin))
+    return not mismatches, checked, skipped, mismatches
+
+
+def test_spectrum_identity_check_equals_the_pointwise_loop(battery500):
+    # points across the gap, off the axis, and around each eigenvalue of H
+    # in the gap: inside the skip annulus, just outside it on both sides
+    for _, p, gap, _ in battery500.items[:50]:
+        H = rl.assemble_H(p)
+        h = np.linalg.eigvalsh(H)
+        tol_near = TOL_SPEC * (1.0 + operator_norm(H))
+        inside = h[gap.contains(h)]
+        grid = np.concatenate([
+            np.linspace(gap.alpha + 0.01, gap.beta - 0.01, 15),
+            [gap.midpoint + 0.3j, gap.alpha - 2.0 + 1.0j],
+            inside + 10 * tol_near,
+            inside - 0.005 * tol_near,
+            inside + 200 * tol_near,
+        ])
+        result = rl.spectrum_identity_check(p, gap, grid)
+        expected = pointwise_spectrum_identity(p, gap, grid)
+        assert (bool(result), result.checked, result.skipped, result.mismatches) == expected
+        assert result.skipped >= inside.size
+
+
 def dense_herglotz(p, lam):
     """M(lambda) through a dense solve with C - lambda, the textbook definition."""
     shifted = p.C - lam * np.eye(p.n_C)
@@ -307,7 +349,7 @@ def test_herglotz_batch_matches_the_dense_definition(battery500):
             ref = dense_herglotz(p, lam)
             kappa = shift_condition(p.C, p.eig_C.values, lam)
             assert operator_norm(M - ref) <= 1e-12 * kappa * operator_norm(ref)
-            assert np.array_equal(rl.herglotz_M(p, lam).M, M)
+            assert np.array_equal(rl.herglotz_M(p, lam), M)
 
 
 def test_resolvent_matches_the_dense_inverse(battery500):

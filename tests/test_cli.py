@@ -210,12 +210,47 @@ _GEN_ROW = '"seed": 7, "n_A": 2, "n_C": 4, "d_target": 0.3'
         '{"seed": 7, "n_A": 1e400, "n_C": 4, "d_target": 0.3, "gap": [-1.0, 1.0], "b_ratio": 0.5}',
         '{"family": "example", "d": null, "b": 0.5}',
         '{"family": "example", "d": 1.0, "b": Infinity}',
+        # no coercion: seed, n_A and n_C are JSON integers, the rest numbers
+        '{"seed": 7.9, "n_A": 2, "n_C": 4, "d_target": 0.3, "gap": [-1.0, 1.0], "b_ratio": 0.5}',
+        '{"seed": 7, "n_A": 2.7, "n_C": 4, "d_target": 0.3, "gap": [-1.0, 1.0], "b_ratio": 0.5}',
+        '{"seed": "8", "n_A": 2, "n_C": 4, "d_target": 0.3, "gap": [-1.0, 1.0], "b_ratio": 0.5}',
+        '{"seed": true, "n_A": 2, "n_C": 4, "d_target": 0.3, "gap": [-1.0, 1.0], "b_ratio": 0.5}',
+        '{"seed": 7, "n_A": 2, "n_C": 4, "d_target": "0.3", "gap": [-1.0, 1.0], "b_ratio": 0.5}',
+        '{%s, "gap": [-1.0, 1.0], "b_ratio": true}' % _GEN_ROW,
+        '{%s, "gap": [-1.0, "1"], "b_ratio": 0.5}' % _GEN_ROW,
+        '{%s, "gap": [-1.0, 1.0, 5.0], "b_ratio": 0.5}' % _GEN_ROW,
+        '{%s, "gap": [-%s, 1.0], "b_ratio": 0.5}' % (_GEN_ROW, "1" * 401),
+        '{%s, "gap": [-1.0, 1.0], "b_ratio": 0.5, "placement": 3}' % _GEN_ROW,
+        '{"family": "example", "d": "1", "b": 0.5}',
+        '{"family": "example", "d": 1.0, "b": false}',
+        # a key the row's family does not define, and an unknown family
+        '{%s, "gap": [-1.0, 1.0], "b_ratio": 0.5, "placment": "subordinated"}' % _GEN_ROW,
+        '{%s, "gap": [-1.0, 1.0], "b_ratio": 0.5, "d": 1.0}' % _GEN_ROW,
+        '{"family": "example", "d": 1.0, "b": 0.5, "seed": 7}',
+        '{"family": "other", "d": 1.0, "b": 0.5}',
+        '{"family": null, %s, "gap": [-1.0, 1.0], "b_ratio": 0.5}' % _GEN_ROW,
     ],
 )
 def test_sweep_rejects_non_finite_or_mistyped_row(capsys, tmp_path, row):
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(f"[{row}]")
     code, out, err = run(capsys, "sweep", str(spec_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"A": [[%s]], "B": [[0.5]], "C": [[2.0]]}' % ("1" * 401),
+        '{"A": [[0.0]], "B": [[0.5]], "C": [[2.0]], "gap": [-%s, 1.0]}' % ("1" * 401),
+    ],
+    ids=["entry", "gap_hint"],
+)
+def test_integer_beyond_float_range_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "certify", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("riccatilab: input error: ")
 

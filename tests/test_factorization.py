@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
+from riccatilab.block import herglotz_batch
 from riccatilab.errors import HypothesisViolated, LambdaOnSpectrumOfC
 from riccatilab.linalg import TOL_SPEC, operator_norm
 
@@ -29,7 +30,7 @@ def test_compute_W_closed_form_value():
 def test_factorization_identity_pointwise():
     p, gap, sol = solved_example()
     for lam in (0.3, -0.2 + 0.5j, 1.0 + 2.0j):
-        M = rl.herglotz_M(p, lam).M
+        M = rl.herglotz_M(p, lam)
         W = rl.compute_W(p, sol.X, lam)
         factored = W @ (lam * np.eye(p.n_A) - sol.Z)
         assert operator_norm(M - factored) <= 1e-12 * (1 + operator_norm(M))
@@ -45,8 +46,12 @@ def test_factorization_grid_avoids_sigma_C():
 
 
 def test_factorization_grid_count_parameter():
+    # the grid is fixed: 25 real points across the gap, 25 on the circle
     p, gap, sol = solved_example()
-    assert len(rl.factorization_grid(p, gap, count=10)) == 10
+    grid = rl.factorization_grid(p, gap)
+    assert len(grid) == 50
+    assert np.all(grid[:25].imag == 0) and np.all(gap.contains(grid[:25].real))
+    assert np.allclose(np.abs(grid[25:] - gap.midpoint), gap.length)
 
 
 def test_verify_factorization_small_defect():
@@ -164,6 +169,45 @@ def test_sign_conditions_vacuous_side_logs(caplog):
     assert any("empty" in rec.message for rec in caplog.records)
 
 
+def pointwise_sign_conditions(p, gap, bounds):
+    """sign_conditions checking the 20 samples of each side one at a time."""
+    ok = True
+    for lo, hi, side in ((gap.alpha, bounds.lower, "left"), (bounds.upper, gap.beta, "right")):
+        if not (hi - lo > 4 * TOL_SPEC):
+            continue
+        lams = lo + (hi - lo) * (np.arange(20) + 1.0) / 21.0
+        for Mk in herglotz_batch(p, lams.astype(complex)):
+            w = np.linalg.eigvalsh((Mk + Mk.conj().T) / 2.0)
+            if side == "left" and w[-1] >= 0:
+                ok = False
+            if side == "right" and w[0] <= 0:
+                ok = False
+    return ok
+
+
+def test_sign_conditions_equal_the_pointwise_loop(battery500):
+    # the enclosure itself, the enclosure collapsed onto its upper end (the
+    # left side then samples sigma(Z) and fails), onto its lower end (the
+    # right side fails), and one reaching alpha (the left side is empty)
+    failed = {"left": 0, "right": 0}
+    for _, p, gap, _ in battery500.items[:50]:
+        enc = rl.enclosure_bounds(p, gap)
+        cases = {
+            "true": enc,
+            "left": rl.EnclosureBounds(0.0, 0.0, enc.upper, enc.upper),
+            "right": rl.EnclosureBounds(0.0, 0.0, enc.lower, enc.lower),
+            "empty": rl.EnclosureBounds(0.0, 0.0, gap.alpha, enc.upper),
+        }
+        for name, bounds in cases.items():
+            got = rl.sign_conditions(p, gap, bounds)
+            assert got is pointwise_sign_conditions(p, gap, bounds)
+            if name in failed:
+                failed[name] += not got
+            else:
+                assert got
+    assert failed == {"left": 50, "right": 50}
+
+
 def test_w_invertible_on_enclosure(battery500):
     for s, p, gap, sol in battery500.items[:40]:
         enc = rl.enclosure_bounds(p, gap)
@@ -218,12 +262,11 @@ def test_verify_factorization_W_matches_the_dense_definition(monkeypatch, batter
             assert operator_norm(Wk - ref) <= 1e-12 * shift_condition(p, lam) * operator_norm(ref)
 
 
-def pointwise_grid(p, gap, count):
+def pointwise_grid(p, gap):
     """factorization_grid with the circle filtered one point at a time."""
-    half = count // 2
     inset = 8 * TOL_SPEC
-    real_pts = np.linspace(gap.alpha + inset, gap.beta - inset, half)
-    angles = 2.0 * np.pi * (np.arange(count - half) + 0.5) / (count - half)
+    real_pts = np.linspace(gap.alpha + inset, gap.beta - inset, 25)
+    angles = 2.0 * np.pi * (np.arange(25) + 0.5) / 25
     circle = gap.midpoint + gap.length * np.exp(1j * angles)
     c = p.eig_C.values
     keep = [z for z in circle if float(np.min(np.abs(c - z))) > 2 * TOL_SPEC]
@@ -234,13 +277,12 @@ def test_factorization_grid_equals_the_pointwise_filter(battery500):
     # the broadcast filter keeps exactly the points the per-point loop kept,
     # in the same order and with the same bits
     cases = [(p, gap) for _, p, gap, _ in battery500.items[:50]]
-    # an odd circle count puts one circle point on the real axis at
+    # the odd circle count 25 puts one circle point on the real axis at
     # midpoint - length = -2, an eigenvalue of C here, so it is dropped
     on_circle = rl.BlockProblem(np.zeros((1, 1)), np.full((1, 3), 0.1), np.diag([-2.0, -1.0, 1.0]))
     cases.append((on_circle, rl.select_gap(on_circle, 0.0)))
     for p, gap in cases:
-        for count in (10, 50, 51):
-            grid = rl.factorization_grid(p, gap, count)
-            ref = pointwise_grid(p, gap, count)
-            assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
-    assert len(rl.factorization_grid(on_circle, cases[-1][1], 50)) == 49
+        grid = rl.factorization_grid(p, gap)
+        ref = pointwise_grid(p, gap)
+        assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
+    assert len(rl.factorization_grid(on_circle, cases[-1][1])) == 49
