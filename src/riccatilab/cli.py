@@ -17,7 +17,7 @@ import numpy as np
 
 from .block import BlockProblem, SpectralGap, select_gap
 from .certificates import Certificate, certify_all, gamma_center
-from .errors import RiccatiLabError
+from .errors import InfeasibleSpec, RiccatiLabError
 from .factorization import (
     _w_scan,
     enclosure_bounds,
@@ -212,7 +212,7 @@ def _parse_specs(obj) -> list:
             )
         except KeyError as err:
             raise ValueError(f"spec {i} lacks key {err}") from err
-        except (ValueError, OverflowError) as err:
+        except (ValueError, OverflowError, InfeasibleSpec) as err:
             raise ValueError(f"spec {i} is malformed: {err}") from err
     return specs
 

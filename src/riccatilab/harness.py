@@ -44,6 +44,10 @@ class GenSpec:
 
     def __post_init__(self):
         alpha, beta = self.gap
+        # SplitMix64 reduces its seed mod 2^64; a seed outside that range
+        # would name another seed's instance
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise InfeasibleSpec(f"seed={self.seed!r} must be an integer in [0, 2^64)")
         if self.n_A < 1 or self.n_C < 1:
             raise InfeasibleSpec("n_A and n_C must be at least 1")
         if not alpha < beta:

@@ -43,22 +43,43 @@ class SplitMix64:
 
     def normal_pair(self) -> tuple[float, float]:
         """One Box-Muller step: two independent standard normals."""
-        u1 = self.uniform_open()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+        z = self.complex_normal_matrix(1, 1)[0, 0]
+        return float(z.real), float(z.imag)
 
     def normal(self) -> float:
         return self.normal_pair()[0]
 
     def complex_normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Matrix with independent standard-normal real and imaginary parts."""
-        out = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                re, im = self.normal_pair()
-                out[i, j] = complex(re, im)
-        return out
+        """Matrix with independent standard-normal real and imaginary parts.
+
+        Entry k (row-major) is one Box-Muller step on the stream's outputs
+        2k and 2k + 1, all taken as one block.  log, cos and sin stay on
+        math: numpy's SIMD versions differ from libm in the last bit on
+        some inputs, which would change the generated instances.
+        """
+        n = rows * cols
+        z = self._block(2 * n) >> np.uint64(11)
+        u1 = (z[0::2] + np.uint64(1)).astype(float) * 2.0**-53
+        u2 = z[1::2].astype(float) * 2.0**-53
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float, n))
+        theta = ((2.0 * math.pi) * u2).tolist()
+        out = np.empty(n, dtype=complex)
+        out.real = r * np.fromiter(map(math.cos, theta), float, n)
+        out.imag = r * np.fromiter(map(math.sin, theta), float, n)
+        return out.reshape(rows, cols)
+
+    def _block(self, n: int) -> np.ndarray:
+        """The next n outputs of next_u64 as a uint64 array, in stream order.
+
+        Only array arithmetic touches uint64 values: it wraps mod 2^64
+        silently, where numpy scalar arithmetic warns on overflow.
+        """
+        start = np.array([self._state], dtype=np.uint64)
+        z = start + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self._state = (self._state + n * _GOLDEN) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
 
     def unitary(self, n: int) -> np.ndarray:
         """Haar-ish random unitary: QR of a complex gaussian matrix.

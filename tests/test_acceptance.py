@@ -15,6 +15,7 @@ import pytest
 
 import riccatilab as rl
 from riccatilab.errors import IterationDiverged
+from riccatilab.factorization import _w_scan
 from riccatilab.linalg import TOL_RES, TOL_SPEC, operator_norm
 from riccatilab.rng import SplitMix64
 from riccatilab.solvers import residual_scale
@@ -107,9 +108,8 @@ def test_criterion_04_factorization(report, battery500):
         grid = rl.factorization_grid(p, gap)
         worst_defect = max(worst_defect, rl.verify_factorization(p, sol, grid))
         enc = rl.enclosure_bounds(p, gap)
-        for lam in np.linspace(enc.lower, enc.upper, 25):
-            W = rl.compute_W(p, sol.X, complex(lam))
-            min_smin = min(min_smin, float(np.linalg.svd(W, compute_uv=False)[-1]))
+        W = _w_scan(p, sol.X, np.linspace(enc.lower, enc.upper, 25).astype(complex))
+        min_smin = min(min_smin, float(np.min(np.linalg.svd(W, compute_uv=False)[:, -1])))
     ok = worst_defect <= 1e-9 and min_smin > TOL_SPEC
     report(
         "criterion 04 factorization",

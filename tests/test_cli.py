@@ -1,5 +1,6 @@
 """Command line surface: exit codes, payload shapes, determinism."""
 
+import io
 import json
 import warnings
 
@@ -275,6 +276,15 @@ def test_sweep_rejects_malformed_spec(capsys, tmp_path):
     spec_path.write_text(json.dumps([{"family": "example", "d": 1.0}]))  # b missing
     code, _, err = run(capsys, "sweep", str(spec_path))
     assert code == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_sweep_rejects_a_seed_outside_the_stream(capsys, monkeypatch, seed):
+    row = {"seed": seed, "n_A": 2, "n_C": 4, "gap": [-1.0, 1.0], "d_target": 0.3, "b_ratio": 0.5}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([row])))
+    code, out, err = run(capsys, "sweep", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error: spec 0 is malformed: seed=")
 
 
 def test_cli_output_is_deterministic(capsys, example_file):

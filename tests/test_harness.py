@@ -111,6 +111,54 @@ def test_complex_normal_matrix_golden_values():
     _assert_ulp(SplitMix64(7).complex_normal_matrix(2, 3), expected)
 
 
+def _scalar_complex_normal_matrix(g, rows, cols):
+    # the per-entry Box-Muller the block draw must reproduce bit for bit
+    out = np.empty((rows, cols), dtype=complex)
+    for i in range(rows):
+        for j in range(cols):
+            u1 = g.uniform_open()
+            u2 = g.uniform()
+            r = math.sqrt(-2.0 * math.log(u1))
+            out[i, j] = complex(r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2))
+    return out
+
+
+# seed + 3 * golden is 0 mod 2^64: the block's third counter wraps to exactly 0
+_STREAM_SEEDS = [0, 7, 2**64 - 1, (-3 * 0x9E3779B97F4A7C15) % 2**64]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (13, 7), (64, 192)])
+def test_complex_normal_matrix_matches_the_scalar_stream(seed, shape):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = block.complex_normal_matrix(*shape)
+    want = _scalar_complex_normal_matrix(scalar, *shape)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_normal_pair_matches_the_scalar_stream(seed):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(3):
+        got = block.normal_pair()
+        want = _scalar_complex_normal_matrix(scalar, 1, 1)[0, 0]
+        assert [x.hex() for x in got] == [want.real.hex(), want.imag.hex()]
+    assert block.uniform() == scalar.uniform()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_block_equals_next_u64(seed):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert block._block(9).tolist() == [scalar.next_u64() for _ in range(9)]
+    assert block._block(0).tolist() == []
+    assert block.next_u64() == scalar.next_u64()
+
+
 @pytest.mark.parametrize(
     "placement, eig_A, eig_C, norm_B",
     [
@@ -186,6 +234,18 @@ def test_gen_spec_validation():
     ]:
         with pytest.raises(InfeasibleSpec):
             rl.GenSpec(**{**good, **bad})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, True, 7.0])
+def test_gen_spec_rejects_a_seed_outside_the_stream(seed):
+    # SplitMix64 takes seeds mod 2^64, so these would alias other seeds
+    with pytest.raises(InfeasibleSpec, match="seed="):
+        rl.GenSpec(seed, 2, 4, (-1.0, 1.0), 0.3, 0.5)
+
+
+def test_gen_spec_accepts_both_ends_of_the_seed_range():
+    for seed in (0, 2**64 - 1):
+        assert rl.GenSpec(seed, 2, 4, (-1.0, 1.0), 0.3, 0.5).seed == seed
 
 
 def test_generate_hits_gap_endpoints_exactly():
