@@ -20,7 +20,6 @@ import numpy as np
 
 from .block import BlockProblem, SpectralGap, find_gaps
 from .errors import (
-    ComplexSpectrum,
     DeltaNonpositive,
     HypothesisViolated,
     NotSubordinated,
@@ -75,17 +74,9 @@ def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
     return gamma, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, d * (gap.length - d) - b * b
 
 
-def real_eigenvalues(z) -> np.ndarray:
-    """A spectrum z of Z (an array) that must be real, as real parts sorted ascending."""
-    if z.size and float(np.max(np.abs(z.imag))) > TOL_SPEC:
-        raise ComplexSpectrum(f"Z has eigenvalue imag part {np.max(np.abs(z.imag)):.3e}")
-    return np.sort(z.real)
-
-
 def gamma_center(sol: RiccatiSolution) -> float:
-    """Midpoint of the hull of sigma(Z) for Z = A + BX; demands a real spectrum."""
-    z = real_eigenvalues(sol.z_eigs)
-    return float(z[0] + z[-1]) / 2.0
+    """Midpoint of the hull of sigma(Z) for Z = A + BX."""
+    return float(sol.z_eigs[0] + sol.z_eigs[-1]) / 2.0
 
 
 def certify_existence(
@@ -105,8 +96,7 @@ def certify_existence(
     hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
     res_ok = residual_acceptable(p, sol, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
-    z = real_eigenvalues(sol.z_eigs)
-    proper = bool(np.all(gap.contains(z, TOL_SPEC)))
+    proper = bool(np.all(gap.contains(sol.z_eigs, TOL_SPEC)))
     return _certificate(
         "existence_1i", hyp, threshold, b,
         {
@@ -157,7 +147,7 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     a single gap of C.  Raises DeltaNonpositive when the two spectra touch
     and the bound is undefined.
     """
-    z = real_eigenvalues(sol.z_eigs)
+    z = sol.z_eigs
     c = p.eig_C.values
     delta = float(np.min(np.abs(z[:, None] - c[None, :])))
     if delta <= TOL_SPEC:

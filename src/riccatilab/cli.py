@@ -98,7 +98,7 @@ def _solve_payload(p: BlockProblem, gap: SpectralGap, method: str) -> dict:
         # the quadrature needs the pencil operator Z up front; the spectral
         # route provides it, after which the integral recovers X on its own
         ref = solve_spectral(p, gap)
-        sol = solve_contour(p, ref.Z, build_contour(ref.z_eigs.real, p.eig_C.values))
+        sol = solve_contour(p, ref.Z, build_contour(ref.z_eigs, p.eig_C.values))
     out = solution_to_dict(sol)
     out["gap"] = [clean_number(gap.alpha), clean_number(gap.beta)]
     return out

@@ -66,9 +66,5 @@ class NotSubordinated(RiccatiLabError):
     """sigma(A) does not lie strictly below sigma(C)."""
 
 
-class ComplexSpectrum(RiccatiLabError):
-    """A matrix expected to have real spectrum does not."""
-
-
 class InfeasibleSpec(RiccatiLabError):
     """A generator spec asks for an impossible eigenvalue placement."""

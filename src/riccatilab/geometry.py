@@ -3,8 +3,8 @@
 The graph of X carries an orthogonal projection Q with closed-form blocks
 in terms of (I + X*X)^{-1}; the angle operator between the graph and the
 first component subspace has tan Theta = (X*X)^{1/2}.  Conjugating H by
-the graph transform splits it into A + BX and C - B*X*, and a further
-similarity by (I + X*X)^{1/2} makes both halves Hermitian.
+the graph transform splits it into A + BX and C - B*X*, and similarities
+by (I + X*X)^{1/2} and (I + XX*)^{1/2} make both halves Hermitian.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .block import BlockProblem
 from .errors import ResidualTooLarge
 from .linalg import as_matrix, operator_norm
-from .solvers import residual, residual_acceptable
+from .solvers import _solution, residual_acceptable
 
 
 @dataclass(frozen=True)
@@ -74,40 +74,16 @@ def operator_angle(proj: GraphProjection) -> AngleReport:
     )
 
 
-def _sqrt_and_inverse(S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # S2 = I + (positive semidefinite) has eigenvalues >= 1, so no clamping
-    w, u = np.linalg.eigh(S2)
-    return (u * np.sqrt(w)) @ u.conj().T, (u * (1.0 / np.sqrt(w))) @ u.conj().T
-
-
 def block_diagonalize(p: BlockProblem, X) -> Diagonalization:
     """Split H by the graph transform of X and symmetrize both halves.
 
     X must be an accurate solution: a Riccati residual above 1e-6 times
     the natural scale means the off-diagonal blocks of V^{-1} H V would
-    not actually vanish, so the operation refuses to pretend.
+    not actually vanish, so the operation refuses to pretend.  Z, Zhat and
+    both compressions are read from the RiccatiSolution of X.
     """
-    X = as_matrix(X)
-    res = residual(p, X)
-    if not residual_acceptable(p, X, res):
-        raise ResidualTooLarge(f"Riccati residual {res:.3e} too large to diagonalize")
-    nA, nC = p.n_A, p.n_C
-    V = np.zeros((nA + nC, nA + nC), dtype=complex)
-    V[:nA, :nA] = np.eye(nA)
-    V[:nA, nA:] = -X.conj().T
-    V[nA:, :nA] = X
-    V[nA:, nA:] = np.eye(nC)
-    Z = p.A + p.B @ X
-    Zhat = p.C - p.B.conj().T @ X.conj().T
-    # S = (I + X*X)^{1/2} symmetrizes Z; T = (I + XX*)^{1/2} symmetrizes Zhat
-    S, Sinv = _sqrt_and_inverse(np.eye(nA, dtype=complex) + X.conj().T @ X)
-    Lambda = S @ Z @ Sinv
-    T, Tinv = _sqrt_and_inverse(np.eye(nC, dtype=complex) + X @ X.conj().T)
-    LambdaHat = T @ Zhat @ Tinv
-    return Diagonalization(
-        V=V,
-        Z=Z,
-        Zhat=Zhat,
-        Lambda=(Lambda + Lambda.conj().T) / 2.0,
-        LambdaHat=(LambdaHat + LambdaHat.conj().T) / 2.0,
-    )
+    sol = _solution(p, as_matrix(X), "given")
+    if not residual_acceptable(p, sol, sol.residual):
+        raise ResidualTooLarge(f"Riccati residual {sol.residual:.3e} too large to diagonalize")
+    V = np.block([[np.eye(p.n_A), -sol.X.conj().T], [sol.X, np.eye(p.n_C)]])
+    return Diagonalization(V=V, Z=sol.Z, Zhat=sol.Zhat, Lambda=sol.Lambda, LambdaHat=sol.LambdaHat)

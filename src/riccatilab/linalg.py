@@ -37,11 +37,12 @@ def as_matrix(M) -> np.ndarray:
 
 
 def operator_norm(M) -> float:
-    """Largest singular value; 0.0 for the zero matrix."""
+    """Largest singular value; 0.0 for the zero and the empty matrix."""
     M = as_matrix(M)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.norm(M, 2))
+    s = np.linalg.svd(M, compute_uv=False)  # what norm(M, 2) maximizes, minus its dispatch
+    return float(s[0]) if s.size else 0.0
 
 
 class _NormBracket:

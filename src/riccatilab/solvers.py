@@ -13,6 +13,8 @@ a gap of C:
 Cross-checking them against each other is the point of the package, so
 none of them shares intermediate results with another; what they share is
 validated problem data, such as the cached eigendecomposition of C.
+Each solution takes sigma(Z) and sigma(Zhat) from its own Hermitian
+compressions, whichever route produced it.
 """
 
 from __future__ import annotations
@@ -54,9 +56,15 @@ TOL_ACCEPT = 1e-6  # relative residual up to which a solution counts as accurate
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """A solution X with Z, Zhat and its residual; residual, x_norm and the
-    read-only spectra z_eigs = eigvals(Z) and zhat_eigs = eigvals(Zhat) are
-    taken once, so X, Z and Zhat must not be modified in place."""
+    """A solution X with Z, Zhat and its residual.
+
+    The graph of X is invariant under H, so Z and Zhat are similar to the
+    Hermitian compressions Lambda = S Z S^{-1} and LambdaHat = T Zhat T^{-1},
+    S = (I + X*X)^{1/2} and T = (I + XX*)^{1/2} from one thin SVD of X;
+    z_eigs and zhat_eigs are their eigvalsh.  This holds only for an accurate
+    X (S^2 Z - Z* S^2 = X* R - R* X for the residual R).  Every derived
+    value is cached and read-only: do not modify X, Z or Zhat in place.
+    """
 
     X: np.ndarray
     Z: np.ndarray  # A + B X
@@ -69,16 +77,42 @@ class RiccatiSolution:
         return operator_norm(self.X)
 
     @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # X = U diag(sigma) W*; S scales W, and T scales U, by r = sqrt(1 + sigma^2)
+        U, sigma, Wh = np.linalg.svd(self.X, full_matrices=False)
+        return U, np.sqrt(1.0 + sigma * sigma), Wh.conj().T
+
+    @cached_property
+    def Lambda(self) -> np.ndarray:
+        _, r, W = self._svd
+        return _compression(self.Z, W, r)
+
+    @cached_property
+    def LambdaHat(self) -> np.ndarray:
+        U, r, _ = self._svd
+        return _compression(self.Zhat, U, r)
+
+    @cached_property
     def z_eigs(self) -> np.ndarray:
-        z = np.linalg.eigvals(self.Z)
-        z.flags.writeable = False
-        return z
+        return _read_only(np.linalg.eigvalsh(self.Lambda))
 
     @cached_property
     def zhat_eigs(self) -> np.ndarray:
-        zhat = np.linalg.eigvals(self.Zhat)
-        zhat.flags.writeable = False
-        return zhat
+        return _read_only(np.linalg.eigvalsh(self.LambdaHat))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _compression(M: np.ndarray, V: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """S M S^{-1}, symmetrized, for S^{+-1} = I + V diag(r^{+-1} - 1) V*
+    with orthonormal columns V; a rank-k update on each side."""
+    Vh = V.conj().T
+    MSinv = M + ((M @ V) * (1.0 / r - 1.0)) @ Vh
+    L = MSinv + V @ ((r - 1.0)[:, None] * (Vh @ MSinv))
+    return _read_only((L + L.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -118,9 +152,10 @@ def residual_acceptable(p: BlockProblem, X, res: float) -> bool:
 
 
 def _solution(p: BlockProblem, X: np.ndarray, method: str) -> RiccatiSolution:
+    res = residual(p, X)  # first, so a misshapen X raises DimensionMismatch
     Z = p.A + p.B @ X
     Zhat = p.C - p.B.conj().T @ X.conj().T
-    return RiccatiSolution(X=X, Z=Z, Zhat=Zhat, residual=residual(p, X), method=method)
+    return RiccatiSolution(X=X, Z=Z, Zhat=Zhat, residual=res, method=method)
 
 
 def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
@@ -292,15 +327,16 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
 
 
 def uniqueness_class_check(p: BlockProblem, sol: RiccatiSolution, gap: SpectralGap) -> bool:
-    """True when sigma(A + BX) sits inside the gap and sigma(C - B*X*) outside.
+    """True when sol is accurate, sigma(A + BX) sits inside the gap and
+    sigma(C - B*X*) outside.
 
     These two spectral locations are what single the solution out among
-    all solutions of the equation.  Both test gap.contains with a tol_spec
-    margin, so endpoint roundoff cannot flip the answer.
+    all solutions of the equation; the compressions they are read from
+    describe them only when the residual is residual_acceptable.  Both
+    test gap.contains with a tol_spec margin, so endpoint roundoff cannot
+    flip the answer.
     """
-    z, zhat = sol.z_eigs, sol.zhat_eigs
-    if np.max(np.abs(z.imag)) > TOL_SPEC or np.max(np.abs(zhat.imag)) > TOL_SPEC:
+    if not residual_acceptable(p, sol, sol.residual):
         return False
-    return bool(
-        np.all(gap.contains(z.real, TOL_SPEC)) and not np.any(gap.contains(zhat.real, TOL_SPEC))
-    )
+    z_inside = np.all(gap.contains(sol.z_eigs, TOL_SPEC))
+    return bool(z_inside and not np.any(gap.contains(sol.zhat_eigs, TOL_SPEC)))

@@ -62,3 +62,22 @@ def test_every_private_module_name_is_referenced():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in referenced) == []
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an error class nothing raises is dead API
+    from riccatilab import errors
+
+    raised = set()
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    classes = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.RiccatiLabError)
+        and obj is not errors.RiccatiLabError
+    ]
+    assert classes and sorted(set(classes) - raised) == []

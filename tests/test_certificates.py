@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab.certificates import TOL_CERT, real_eigenvalues
+from riccatilab.certificates import TOL_CERT
 from riccatilab.errors import (
-    ComplexSpectrum,
     DeltaNonpositive,
     HypothesisViolated,
     NotSubordinated,
@@ -215,13 +214,6 @@ def test_squared_shift_rejects_weak_hypothesis():
         rl.squared_shift(p, gap)
 
 
-def test_real_eigenvalues_guard():
-    with pytest.raises(ComplexSpectrum):
-        real_eigenvalues(np.linalg.eigvals(np.array([[0.0, -1.0], [1.0, 0.0]])))
-    vals = real_eigenvalues(np.linalg.eigvals(np.diag([3.0, 1.0])))
-    assert np.allclose(vals, [1.0, 3.0])
-
-
 def test_certificate_details_are_json_ready():
     from riccatilab.serialize import certificate_to_dict, dumps
 
@@ -292,3 +284,34 @@ def test_inaccurate_solution_is_reported_not_refused():
     assert existence.details["residual_ok"] is False and not existence.passed
     tan_theta = rl.certify_tan_theta(p, bad)
     assert not tan_theta.hypothesis_ok and not tan_theta.passed
+
+
+def _verdicts(p):
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    verdicts = [
+        (theorem, type(cert).__name__ if isinstance(cert, Exception) else cert.passed)
+        for theorem, cert in rl.certify_all(p, gap, sol)
+    ]
+    return verdicts, sol.x_norm
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5),
+        rl.GenSpec(8, 3, 6, (-1.0, 1.0), 0.3, 0.5),
+        rl.GenSpec(11, 16, 48, (-1.0, 1.0), 0.3, 0.5),
+    ],
+    ids=lambda spec: f"seed{spec.seed}-{spec.n_A}x{spec.n_C}",
+)
+def test_certificates_are_invariant_under_large_scaling(spec):
+    # H -> sH leaves X and every verdict unchanged; eigvals of the scaled,
+    # non-normal Z picks up imaginary parts far above 1e-8 here, the
+    # Hermitian compressions do not
+    p = rl.generate(spec)
+    base, x_norm = _verdicts(p)
+    for s in (1e8, 1e10, 1e12):
+        verdicts, x_norm_s = _verdicts(rl.BlockProblem(s * p.A, s * p.B, s * p.C))
+        assert verdicts == base, s
+        assert x_norm_s == pytest.approx(x_norm, rel=1e-12, abs=0.0)

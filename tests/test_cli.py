@@ -163,12 +163,13 @@ def test_certify_takes_each_spectrum_once(monkeypatch):
 
     p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
     gap = rl.select_gap(p, 0.0)
-    shapes = []
+    calls = []
     real_eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or real_eigvals(a))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(np.shape(a)) or real_eigvals(a))
     cli._certify_payload(p, gap)
-    # sigma(Z) (4x4) and sigma(Zhat) (12x12), once each
-    assert sorted(shapes) == [(4, 4), (12, 12)]
+    # sigma(Z) and sigma(Zhat) come from eigvalsh of the solution's Hermitian
+    # compressions, so no general eigenvalue problem is solved
+    assert calls == []
 
 
 def test_example_command_round_trips(capsys, tmp_path):

@@ -118,6 +118,9 @@ def test_block_diagonalize_spectra_tile_sigma_H(battery500):
         # similarity preserves sigma(Z)
         z = np.sort(np.linalg.eigvals(sol.Z).real)
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(diag.Lambda)) - z)) <= 1e-9 * scale
+        # and the compressions are the ones the solution's spectra come from
+        assert np.array_equal(np.linalg.eigvalsh(diag.Lambda), sol.z_eigs)
+        assert np.array_equal(np.linalg.eigvalsh(diag.LambdaHat), sol.zhat_eigs)
 
 
 def test_block_diagonalize_inverse_closed_form():

@@ -367,15 +367,17 @@ def test_sweep_tags_failed_instances():
     assert row["x_norm"] is None
 
 
-def test_sweep_keeps_going_past_an_uncertifiable_row():
-    # at this scale sigma(A+BX) picks up imaginary parts above the absolute
-    # spectral tolerance, so some certificates cannot be evaluated; that
-    # must empty their cells, not abort the whole grid
+def test_sweep_keeps_going_and_certifies_a_scaled_row():
+    # at this scale eigvals(A+BX) picks up imaginary parts above the
+    # absolute spectral tolerance; the spectra taken from the Hermitian
+    # compressions are real, so the existence and tan-theta cells are filled
     examples = [rl.ExampleSpec(d=1.0, b=0.5), rl.ExampleSpec(d=1.0, b=0.25)]
     scaled = rl.GenSpec(seed=8, n_A=3, n_C=6, gap=(-1e8, 1e8), d_target=3e7, b_ratio=0.5)
     rows = rl.sweep([examples[0], scaled, examples[1]]).rows
     assert [row["status"] for row in rows] == ["ok", "ok", "ok"]
     assert [rows[0], rows[2]] == rl.sweep(examples).rows
+    assert rows[1]["existence_pass"] is True and rows[1]["tan_theta_pass"] is True
+    assert rows[1]["existence_margin"] > 0 and rows[1]["tan_theta_margin"] > 0
 
 
 def test_sweep_csv_is_deterministic():

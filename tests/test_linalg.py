@@ -94,6 +94,18 @@ def test_operator_norm_adjoint_invariant():
         assert operator_norm(M) == pytest.approx(operator_norm(M.conj().T), rel=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 6), (64, 192), (0, 3)])
+@pytest.mark.parametrize("kind", ["real", "complex", "zero"])
+def test_operator_norm_is_the_2_norm_bit_for_bit(shape, kind):
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal(shape)
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal(shape)
+    elif kind == "zero":
+        M = np.zeros(shape)
+    assert operator_norm(M) == np.linalg.norm(as_matrix(M), 2)
+
+
 def test_operator_norm_rejects_nonfinite():
     with pytest.raises(ValueError):
         operator_norm(np.array([[np.inf, 0.0]]))

@@ -15,7 +15,7 @@ from riccatilab.errors import (
     SpectraTooClose,
     WrongSubspaceDimension,
 )
-from riccatilab.linalg import operator_norm, solve_sylvester
+from riccatilab.linalg import TOL_SPEC, operator_norm, solve_sylvester
 from riccatilab.solvers import (
     DIVERGE_NORM,
     MAX_ITER,
@@ -404,17 +404,37 @@ def test_spectra_of_Z_and_Zhat_are_taken_once(monkeypatch):
     p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
     gap = rl.select_gap(p, 0.0)
     sol = rl.solve_spectral(p, gap)
-    real_eigvals = np.linalg.eigvals
-    assert np.array_equal(sol.z_eigs, real_eigvals(sol.Z))
-    assert np.array_equal(sol.zhat_eigs, real_eigvals(sol.Zhat))
+    for eigs, M in ((sol.z_eigs, sol.Z), (sol.zhat_eigs, sol.Zhat)):
+        assert eigs.dtype == np.float64
+        assert np.all(np.diff(eigs) >= 0)
+        ref = np.sort(np.linalg.eigvals(M).real)
+        assert np.max(np.abs(eigs - ref)) <= 1e-14 * (1 + operator_norm(M))
     assert sol.z_eigs is sol.z_eigs and sol.zhat_eigs is sol.zhat_eigs
-    with pytest.raises(ValueError):
-        sol.z_eigs[0] = 0.0
+    assert sol.Lambda is sol.Lambda and sol.LambdaHat is sol.LambdaHat
+    for frozen in (sol.z_eigs, sol.zhat_eigs, sol.Lambda, sol.LambdaHat):
+        with pytest.raises(ValueError):
+            frozen[0] = 0.0
     rl.certify_all(p, gap, sol)
     calls = []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real_eigvals(a))
+    for name in ("eigvals", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
     assert rl.uniqueness_class_check(p, sol, gap)
     assert calls == []
+
+
+def test_compressions_are_hermitian_and_similar_to_Z_and_Zhat():
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    sol = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    X = sol.X
+    S2 = np.eye(p.n_A) + X.conj().T @ X
+    T2 = np.eye(p.n_C) + X @ X.conj().T
+    for L, M, G2 in ((sol.Lambda, sol.Z, S2), (sol.LambdaHat, sol.Zhat, T2)):
+        assert np.array_equal(L, L.conj().T)
+        # L = G M G^{-1} with G = G2^{1/2}
+        w, u = np.linalg.eigh(G2)
+        G, Ginv = (u * np.sqrt(w)) @ u.conj().T, (u / np.sqrt(w)) @ u.conj().T
+        assert operator_norm(Ginv @ L @ G - M) <= 1e-14 * (1 + operator_norm(M))
 
 
 def test_solution_fields_consistent():
@@ -434,9 +454,9 @@ def test_z_eigenvalues_are_the_gap_eigenvalues_of_H(battery500):
         H_inside = np.array(
             [x for x in np.linalg.eigvalsh(rl.assemble_H(p)) if gap.contains(x)]
         )
-        z = np.sort(np.linalg.eigvals(sol.Z))
-        assert np.max(np.abs(np.imag(z))) <= 1e-8
-        assert np.max(np.abs(np.sort(z.real) - H_inside)) <= 1e-8 * (1 + operator_norm(sol.Z))
+        for z in (np.linalg.eigvals(sol.Z), sol.z_eigs):
+            assert np.max(np.abs(np.imag(z))) <= 1e-8
+            assert np.max(np.abs(np.sort(z.real) - H_inside)) <= 1e-8 * (1 + operator_norm(sol.Z))
 
 
 def test_uniqueness_class_accepts_the_gap_solution():
@@ -459,6 +479,20 @@ def test_uniqueness_class_rejects_the_complementary_root():
         X=X, Z=p.A + p.B @ X, Zhat=p.C - p.B.conj().T @ X.conj().T,
         residual=rl.residual(p, X), method="handmade",
     )
+    assert not rl.uniqueness_class_check(p, bad, gap)
+
+
+def test_uniqueness_class_rejects_a_perturbed_solution():
+    # X + 1e-3 E is no solution; its compressions still put sigma(Z) in the
+    # gap and sigma(Zhat) outside, so only the residual can reject it
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    assert rl.uniqueness_class_check(p, sol, gap)
+    bad = solvers._solution(p, sol.X + 1e-3 * np.ones_like(sol.X), "perturbed")
+    assert not residual_acceptable(p, bad, bad.residual)
+    assert np.all(gap.contains(bad.z_eigs, TOL_SPEC))
+    assert not np.any(gap.contains(bad.zhat_eigs, TOL_SPEC))
     assert not rl.uniqueness_class_check(p, bad, gap)
 
 
