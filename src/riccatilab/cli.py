@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,10 +83,20 @@ def _read_json(path: str):
     return json.loads(text)
 
 
+def _hint_point(alpha: float, beta: float) -> float:
+    """A point naming the hinted gap: its midpoint, or on a ray, whose
+    midpoint is infinite, a point strictly beyond its finite end."""
+    if alpha == -math.inf:
+        return beta - (1.0 + abs(beta))
+    if beta == math.inf:
+        return alpha + (1.0 + abs(alpha))
+    return (alpha + beta) / 2.0
+
+
 def _load_problem(path: str, gap_point) -> tuple[BlockProblem, SpectralGap]:
     p, gap_hint = problem_from_dict(_read_json(path))
     if gap_point is None and gap_hint is not None:
-        gap_point = (gap_hint[0] + gap_hint[1]) / 2.0
+        gap_point = _hint_point(*gap_hint)
     return p, select_gap(p, gap_point)
 
 

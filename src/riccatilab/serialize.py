@@ -105,7 +105,11 @@ def _matrix_from_entries(rows) -> np.ndarray:
 
 
 def problem_from_dict(obj: dict) -> tuple[BlockProblem, tuple[float, float] | None]:
-    """Decode {"A": ..., "B": ..., "C": ..., "gap": [alpha, beta]?}; validates shapes."""
+    """Decode {"A": ..., "B": ..., "C": ..., "gap": [alpha, beta]?}; validates shapes.
+
+    A null gap end is infinite, as ``problem_to_dict`` writes a ray: null
+    alpha reads as -inf and null beta as +inf.  [null, null] is rejected.
+    """
     if not isinstance(obj, dict):
         raise ValueError("problem JSON must be an object")
     missing = [k for k in ("A", "B", "C") if k not in obj]
@@ -122,10 +126,12 @@ def problem_from_dict(obj: dict) -> tuple[BlockProblem, tuple[float, float] | No
     if (
         not isinstance(gap, list)
         or len(gap) != 2
-        or not all(isinstance(x, (int, float)) for x in gap)
+        or gap == [None, None]
+        or not all(x is None or isinstance(x, (int, float)) for x in gap)
     ):
         raise ValueError('"gap" must be [alpha, beta]')
-    return p, (float(gap[0]), float(gap[1]))
+    alpha, beta = gap
+    return p, (-math.inf if alpha is None else float(alpha), math.inf if beta is None else float(beta))
 
 
 def problem_to_dict(p: BlockProblem, gap: tuple[float, float] | None = None) -> dict:
@@ -157,13 +163,16 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def solution_to_dict(sol: RiccatiSolution) -> dict:
+    """The solve payload: X alone, with its norm and residual.
+
+    Z = A + B X and Zhat = C - B* X* are two products away from the
+    problem and X, so they are not written.
+    """
     return {
         "method": sol.method,
         "x_norm": clean_number(sol.x_norm),
         "residual": clean_number(sol.residual),
         "X": matrix_to_json(sol.X),
-        "Z": matrix_to_json(sol.Z),
-        "Zhat": matrix_to_json(sol.Zhat),
     }
 
 

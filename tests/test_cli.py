@@ -10,7 +10,7 @@ import pytest
 import riccatilab as rl
 from riccatilab.cli import main
 from riccatilab.harness import realize
-from riccatilab.serialize import clean_number, dumps, problem_to_dict
+from riccatilab.serialize import clean_number, dumps, problem_from_dict, problem_to_dict
 
 
 @pytest.fixture()
@@ -19,6 +19,18 @@ def example_file(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(dumps(problem_to_dict(p, gap=(-1.0, 1.0))))
     return str(path)
+
+
+@pytest.fixture()
+def generated_file(tmp_path):
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    path = tmp_path / "generated.json"
+    path.write_text(dumps(problem_to_dict(p, gap=(-1.0, 1.0))))
+    return str(path)
+
+
+def _matrix(rows):
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def run(capsys, *argv):
@@ -34,7 +46,7 @@ def test_solve_exit_zero_and_payload(capsys, example_file):
     assert payload["method"] == "spectral"
     assert payload["x_norm"] == pytest.approx(0.5, rel=1e-12)
     assert payload["residual"] <= 1e-12
-    X = np.array([[complex(re, im) for re, im in row] for row in payload["X"]])
+    X = _matrix(payload["X"])
     assert X.shape == (2, 1)
 
 
@@ -46,6 +58,77 @@ def test_solve_method_choices_agree(capsys, example_file):
         results[method] = json.loads(out)["x_norm"]
     assert results["contour"] == pytest.approx(results["spectral"], abs=1e-10)
     assert results["fixedpoint"] == pytest.approx(results["spectral"], abs=1e-10)
+
+
+@pytest.mark.parametrize("method", ["spectral", "contour", "fixedpoint"])
+def test_solve_payload_is_x_alone(capsys, monkeypatch, generated_file, method):
+    from riccatilab import cli
+
+    solutions = []
+    real_solution_to_dict = cli.solution_to_dict
+    monkeypatch.setattr(
+        cli, "solution_to_dict", lambda sol: solutions.append(sol) or real_solution_to_dict(sol)
+    )
+    code, out, _ = run(capsys, "solve", generated_file, "--method", method)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"gap", "method", "residual", "x_norm", "X"}
+    assert payload["method"] == method
+    # Z and Zhat are two products away from the problem file and X
+    (sol,) = solutions
+    with open(generated_file, encoding="utf-8") as f:
+        p, _ = problem_from_dict(json.load(f))
+    X = _matrix(payload["X"])
+    assert np.array_equal(X, sol.X)
+    np.testing.assert_allclose(p.A + p.B @ X, sol.Z, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(p.C - p.B.conj().T @ X.conj().T, sol.Zhat, rtol=0, atol=1e-14)
+
+
+def test_solve_output_on_the_large_instance_stays_small(capsys, tmp_path):
+    # the 64x192 problem of the cli_large benchmark workload: X is 192x64,
+    # where X, Z and Zhat together wrote 4.05 MB
+    p = rl.generate(rl.GenSpec(11, 64, 192, (-1.0, 1.0), 0.3, 0.5))
+    path = tmp_path / "large.json"
+    path.write_text(dumps(problem_to_dict(p, gap=(-1.0, 1.0))))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    assert len(out.encode()) <= 1_100_000
+
+
+def _subordinated_ray():
+    # gap (-inf, 0.9999999999999999), written as [null, beta]
+    return realize(rl.GenSpec(11, 3, 8, (0.0, 1.0), 0.3, 0.5, "subordinated"))
+
+
+def _upper_ray():
+    p = rl.BlockProblem(np.array([[3.0]]), np.array([[0.1, 0.2]]), np.diag([-1.0, 1.0]))
+    return p, rl.select_gap(p)
+
+
+@pytest.mark.parametrize("make", [_subordinated_ray, _upper_ray])
+def test_ray_gap_hint_round_trips(capsys, tmp_path, make):
+    # the file carries the ray with a null end, and the CLI must select
+    # that same gap from it
+    p, gap = make()
+    assert np.isinf(gap.alpha) != np.isinf(gap.beta)
+    path = tmp_path / "ray.json"
+    path.write_text(dumps(problem_to_dict(p, gap=(gap.alpha, gap.beta))))
+    written = [clean_number(gap.alpha), clean_number(gap.beta)]
+    assert json.loads(path.read_text())["gap"] == written
+    for command in ("solve", "certify"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["gap"] == written
+        assert payload["x_norm"] == rl.solve_spectral(p, gap).x_norm
+
+
+def test_gap_hint_with_no_finite_end_exits_one(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"A": [[0.0]], "B": [[0.5]], "C": [[2.0]], "gap": [None, None]}))
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err == 'riccatilab: input error: "gap" must be [alpha, beta]\n'
 
 
 def test_malformed_json_exits_one(capsys, tmp_path):
@@ -288,9 +371,20 @@ def test_sweep_rejects_a_seed_outside_the_stream(capsys, monkeypatch, seed):
     assert err.startswith("riccatilab: input error: spec 0 is malformed: seed=")
 
 
-def test_cli_output_is_deterministic(capsys, example_file):
-    code1, out1, _ = run(capsys, "certify", example_file)
-    code2, out2, _ = run(capsys, "certify", example_file)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "spectral"],
+        ["solve", "--method", "contour"],
+        ["solve", "--method", "fixedpoint"],
+        ["certify"],
+        ["factorize"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[2:]),
+)
+def test_cli_output_is_deterministic(capsys, generated_file, argv):
+    code1, out1, _ = run(capsys, argv[0], generated_file, *argv[1:])
+    code2, out2, _ = run(capsys, argv[0], generated_file, *argv[1:])
     assert (code1, code2) == (0, 0)
     assert out1 == out2
 

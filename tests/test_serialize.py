@@ -47,11 +47,13 @@ def test_matrix_from_json_rejects_ragged_rows():
         matrix_from_json([[[1, 2, 3]]])
 
 
-def test_problem_round_trip_preserves_gap_hint():
+@pytest.mark.parametrize("hint", [(-1.0, 1.0), (-math.inf, 0.5), (0.5, math.inf)])
+def test_problem_round_trip_preserves_gap_hint(hint):
+    # a ray's infinite end is written as null and read back as infinite
     p = rl.example_problem(1.0, 0.5)
-    obj = problem_to_dict(p, gap=(-1.0, 1.0))
+    obj = json.loads(dumps(problem_to_dict(p, gap=hint)))
     q, gap = problem_from_dict(obj)
-    assert gap == (-1.0, 1.0)
+    assert gap == hint
     assert np.array_equal(p.A, q.A)
     assert np.array_equal(p.B, q.B)
     assert np.array_equal(p.C, q.C)
@@ -72,6 +74,7 @@ def test_solution_payload_shape():
     p = rl.example_problem(1.0, 0.5)
     sol = rl.solve_spectral(p, rl.select_gap(p))
     payload = solution_to_dict(sol)
+    assert set(payload) == {"method", "x_norm", "residual", "X"}
     assert payload["method"] == "spectral"
     assert payload["x_norm"] == pytest.approx(0.5, rel=1e-12)
     assert len(payload["X"]) == 2  # rows of the 2x1 solution
