@@ -17,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, LambdaOnSpectrum, LambdaOnSpectrumOfC
+from .errors import DimensionMismatch, HypothesisViolated, LambdaOnSpectrum, LambdaOnSpectrumOfC
 from .linalg import (
+    TOL_CERT,
     TOL_SPEC,
     EigDecomposition,
     as_eig,
@@ -140,6 +141,20 @@ class SpectralGap:
         if not self.is_finite:
             raise ValueError("infinite gap has no midpoint")
         return (self.alpha + self.beta) / 2.0
+
+
+def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, bool]:
+    """(threshold, holds) of the theorems' one hypothesis on a finite gap; a ray raises.
+
+    threshold = sqrt(max(d span, 0)), span |gap| (existence, enclosure) or
+    |gap| - d (contraction, squared shift); holds means sigma(A) is inside
+    the gap (margin tol_spec) and ||B|| < threshold - tol_cert.
+    """
+    if not gap.is_finite:
+        raise HypothesisViolated(f"the theorem needs a finite gap, not ({gap.alpha}, {gap.beta})")
+    threshold = math.sqrt(max(p.d * span, 0.0))
+    holds = bool(np.all(gap.contains(p.eig_A.values, TOL_SPEC))) and p.norm_B < threshold - TOL_CERT
+    return threshold, holds
 
 
 def assemble_H(p: BlockProblem) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, find_gaps
+from .block import BlockProblem, SpectralGap, _hypothesis, find_gaps
 from .errors import (
     DeltaNonpositive,
     HypothesisViolated,
@@ -26,10 +26,8 @@ from .errors import (
     RiccatiLabError,
 )
 from .factorization import enclosure_bounds
-from .linalg import TOL_SPEC, operator_norm
+from .linalg import TOL_CERT, TOL_SPEC, operator_norm
 from .solvers import RiccatiSolution, residual_acceptable, solve_spectral, uniqueness_class_check
-
-TOL_CERT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,24 +52,19 @@ def _certificate(
     return Certificate(theorem, hyp, bound, observed, margin, passed, details)
 
 
-def _sigma_a_interior(p: BlockProblem, gap: SpectralGap) -> bool:
-    return bool(np.all(gap.contains(p.eig_A.values, TOL_SPEC)))
-
-
 def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
     """The gap-midpoint frame of the theorems under ||B|| < sqrt(d (|gap| - d)).
 
     Returns (gamma, threshold, hypothesis, A - gamma, C - gamma,
     (A - gamma) B + B (C - gamma), d (|gap| - d) - ||B||^2).
     """
+    span = gap.length - p.d
+    threshold, hyp = _hypothesis(p, gap, span)
     gamma = gap.midpoint
-    d = p.d
     b = p.norm_B
-    threshold = math.sqrt(d * (gap.length - d))
-    hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
     Ash = p.A - gamma * np.eye(p.n_A)
     Csh = p.C - gamma * np.eye(p.n_C)
-    return gamma, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, d * (gap.length - d) - b * b
+    return gamma, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, p.d * span - b * b
 
 
 def gamma_center(sol: RiccatiSolution) -> float:
@@ -84,23 +77,19 @@ def certify_existence(
 ) -> Certificate:
     """Existence of the gap solution under ||B|| < sqrt(d |gap|).
 
-    The margin is hypothesis slack; passing additionally demands that the
-    provided solution is accurate, that sigma(A+BX) landed inside the gap
-    with sigma(C-B*X*) outside, and strictly interior at that.
+    The margin is hypothesis slack; passing additionally demands that the provided
+    solution is accurate, that sigma(A+BX) landed inside the gap with sigma(C-B*X*)
+    outside, and strictly interior at that.  A ray raises HypothesisViolated.
     """
-    if not gap.is_finite:
-        raise ValueError("existence certificate needs a finite gap")
-    d = p.d
+    threshold, hyp = _hypothesis(p, gap, gap.length)
     b = p.norm_B
-    threshold = math.sqrt(d * gap.length)
-    hyp = _sigma_a_interior(p, gap) and b < threshold - TOL_CERT
     res_ok = residual_acceptable(p, sol, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
     proper = bool(np.all(gap.contains(sol.z_eigs, TOL_SPEC)))
     return _certificate(
         "existence_1i", hyp, threshold, b,
         {
-            "d": d,
+            "d": p.d,
             "gap_length": gap.length,
             "residual": sol.residual,
             "residual_ok": res_ok,
@@ -118,7 +107,7 @@ def certify_contraction(
 
     The coupling norm ||A'B + BC'|| is evaluated in the frame shifted by
     the gap midpoint, where the bound is sharpest and shift-invariantly
-    stated.
+    stated.  A ray raises HypothesisViolated.
     """
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
     coupling = operator_norm(Bhat)
@@ -170,7 +159,7 @@ def certify_apriori(
 
     delta_tilde is how far the enclosure interval stays from the gap
     endpoints, a bound available before any solve.  Raises
-    HypothesisViolated (from the enclosure) when ||B||^2 >= d |gap|.
+    HypothesisViolated (from the enclosure) when the existence hypothesis fails.
     """
     bounds = enclosure_bounds(p, gap)
     a = p.eig_A.values
@@ -227,14 +216,10 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     [0, (|gap|/2 - d)^2 + ||B||^2].  Both claims are certified; the margin
     is the slack in the separation lower bound.
     """
-    if not gap.is_finite:
-        raise HypothesisViolated("squared shift needs a finite gap")
     gamma, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap)
     b = p.norm_B
     if not hyp:
-        raise HypothesisViolated(
-            f"||B||={b:.6g} not below sqrt(d(|gap|-d))={threshold:.6g}"
-        )
+        raise HypothesisViolated(f"fails at ||B||={b:.6g}, sqrt(d(|gap|-d))={threshold:.6g}")
     Ahat = Ash @ Ash + p.B @ p.B.conj().T
     Chat = Csh @ Csh + p.B.conj().T @ p.B
     sq = BlockProblem(A=Ahat, B=Bhat, C=Chat)
@@ -266,8 +251,9 @@ def certify_all(
     """Every certificate on one solved instance, in report order.
 
     Each theorem name is paired with its Certificate, or with the
-    exception that made the theorem inapplicable to the instance
-    (infinite gap, hypothesis not evaluable, not subordinated).
+    RiccatiLabError that made the theorem inapplicable to the instance
+    (HypothesisViolated, DeltaNonpositive, NotSubordinated); any other
+    exception is a fault and propagates.
     """
     # the certifiers are looked up by name when called, so rebinding one
     # of these module attributes (as a tracer does) is seen here
@@ -282,6 +268,6 @@ def certify_all(
     ):
         try:
             out.append((theorem, attempt()))
-        except (RiccatiLabError, ValueError) as err:
+        except RiccatiLabError as err:
             out.append((theorem, err))
     return out

@@ -145,7 +145,7 @@ def _factorize_payload(p: BlockProblem, gap: SpectralGap) -> dict:
     }
     try:
         bounds = enclosure_bounds(p, gap)
-    except (RiccatiLabError, ValueError) as err:
+    except RiccatiLabError as err:
         out["enclosure"] = None
         out["enclosure_error"] = type(err).__name__
         return out

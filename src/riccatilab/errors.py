@@ -50,6 +50,10 @@ class IterationDiverged(RiccatiLabError):
     """Fixed-point iteration left the trust region or ran out of steps."""
 
 
+class OutsideUniquenessClass(RiccatiLabError):
+    """A solver converged to a root that is not the requested gap's solution."""
+
+
 class ResidualTooLarge(RiccatiLabError):
     """An approximate solution is too inaccurate for the requested operation."""
 

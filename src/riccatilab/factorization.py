@@ -22,6 +22,7 @@ from .block import (
     BlockProblem,
     SpectralGap,
     _coupled_resolvent,
+    _hypothesis,
     _require_off_sigma_C,
     herglotz_batch,
 )
@@ -101,21 +102,16 @@ def verify_factorization(p: BlockProblem, sol, grid) -> float:
 def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     """Interval around sigma(A) guaranteed to contain sigma(A + BX).
 
-    Requires sigma(A) inside the gap and ||B||^2 < d * gap length; the
-    reach below sigma(A) is driven by the distance from sigma(A) to the
-    far endpoint beta, and symmetrically above.
+    Requires the existence hypothesis (sigma(A) inside a finite gap and
+    ||B|| < sqrt(d |gap|)), else raises HypothesisViolated; the reach
+    below sigma(A) is driven by the distance from sigma(A) to the far
+    endpoint beta, and symmetrically above.
     """
-    if not gap.is_finite:
-        raise HypothesisViolated("enclosure needs a finite gap")
-    a = p.eig_A.values
-    if not np.all(gap.contains(a, TOL_SPEC)):
-        raise HypothesisViolated("sigma(A) is not interior to the gap")
-    d = p.d
+    threshold, holds = _hypothesis(p, gap, gap.length)
     b = p.norm_B
-    if not b < math.sqrt(d * gap.length):
-        raise HypothesisViolated(
-            f"||B||={b:.6g} is not below sqrt(d |gap|)={math.sqrt(d * gap.length):.6g}"
-        )
+    if not holds:
+        raise HypothesisViolated(f"fails at ||B||={b:.6g}, sqrt(d |gap|)={threshold:.6g}")
+    a = p.eig_A.values
     delta_minus = b * math.tan(0.5 * math.atan2(2.0 * b, gap.beta - float(a[0])))
     delta_plus = b * math.tan(0.5 * math.atan2(2.0 * b, float(a[-1]) - gap.alpha))
     return EnclosureBounds(

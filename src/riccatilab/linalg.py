@@ -18,6 +18,8 @@ from .errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 HERM_TOL_FACTOR = 1e-10
 TOL_RES = 1e-9
 TOL_SPEC = 1e-8
+# absolute slack of every certificate verdict and theorem hypothesis
+TOL_CERT = 1e-9
 # relative rounding slack on the Frobenius brackets of a computed 2-norm;
 # far above the O(n eps) error of either norm at any practical size
 FRO_SLACK = 1e-8

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .block import BlockProblem
+from .block import BlockProblem, SpectralGap
 from .certificates import Certificate
 from .solvers import RiccatiSolution
 
@@ -108,7 +108,8 @@ def problem_from_dict(obj: dict) -> tuple[BlockProblem, tuple[float, float] | No
     """Decode {"A": ..., "B": ..., "C": ..., "gap": [alpha, beta]?}; validates shapes.
 
     A null gap end is infinite, as ``problem_to_dict`` writes a ray: null
-    alpha reads as -inf and null beta as +inf.  [null, null] is rejected.
+    alpha reads as -inf and null beta as +inf.  [null, null] is rejected,
+    and so is any hint without alpha < beta (reversed, empty or NaN).
     """
     if not isinstance(obj, dict):
         raise ValueError("problem JSON must be an object")
@@ -131,7 +132,9 @@ def problem_from_dict(obj: dict) -> tuple[BlockProblem, tuple[float, float] | No
     ):
         raise ValueError('"gap" must be [alpha, beta]')
     alpha, beta = gap
-    return p, (-math.inf if alpha is None else float(alpha), math.inf if beta is None else float(beta))
+    hint = (-math.inf if alpha is None else float(alpha), math.inf if beta is None else float(beta))
+    SpectralGap(*hint)  # raises ValueError unless alpha < beta
+    return p, hint
 
 
 def problem_to_dict(p: BlockProblem, gap: tuple[float, float] | None = None) -> dict:

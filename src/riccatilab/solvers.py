@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     IterationDiverged,
     NotAGraph,
+    OutsideUniquenessClass,
     QuadratureStall,
     ResidualTooLarge,
     SpectraTooClose,
@@ -307,7 +308,8 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     otherwise.  Stops on a relative step of TOL_FIX, raises
     IterationDiverged past MAX_ITER steps or norm 1e6.  Both tests are
     decided in the 2-norm; Frobenius brackets only spare the SVDs.  A
-    stop at a residual that is not residual_acceptable raises ResidualTooLarge.
+    stop at a residual that is not residual_acceptable raises ResidualTooLarge,
+    and one at another gap's root (uniqueness_class_check) OutsideUniquenessClass.
     """
     X = np.zeros((p.n_C, p.n_A), dtype=complex)
     Bstar = _Rotated(p.Bstar_in_eig_C)
@@ -322,6 +324,8 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
             sol = _solution(p, X, "fixedpoint")
             if not residual_acceptable(p, sol, sol.residual):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
+            if not uniqueness_class_check(p, sol, gap):
+                raise OutsideUniquenessClass(f"not the root of ({gap.alpha}, {gap.beta})")
             return sol
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
 

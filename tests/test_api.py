@@ -81,3 +81,27 @@ def test_every_error_class_is_raised_somewhere():
         and obj is not errors.RiccatiLabError
     ]
     assert classes and sorted(set(classes) - raised) == []
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    # a parameter the body ignores is an input the caller believes matters;
+    # self and cls are exempt, and a nested function reading it counts
+    unread = []
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.name}:{node.lineno} {name}({a.arg})"
+                for a in params if a.arg not in ("self", "cls") and a.arg not in read
+            ]
+    assert unread == []

@@ -11,6 +11,7 @@ from riccatilab.errors import (
     NotSubordinated,
 )
 from riccatilab.linalg import operator_norm
+from riccatilab.rng import SplitMix64
 from riccatilab.solvers import RiccatiSolution, residual
 
 
@@ -58,8 +59,53 @@ def test_existence_certificate_on_example():
 def test_existence_rejects_infinite_gap():
     p = rl.example_problem(1.0, 0.5)
     sol = rl.solve_spectral(p, rl.select_gap(p))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated):
         rl.certify_existence(p, rl.SpectralGap(-np.inf, 1.0), sol)
+
+
+def _existence_hypothesis(p, gap, sol):
+    try:
+        return rl.certify_existence(p, gap, sol).hypothesis_ok
+    except HypothesisViolated:
+        return False
+
+
+def _enclosure_exists(p, gap):
+    try:
+        rl.enclosure_bounds(p, gap)
+    except HypothesisViolated:
+        return False
+    return True
+
+
+def test_existence_and_enclosure_share_one_hypothesis():
+    # one rule decides both: the existence certificate's hypothesis holds
+    # exactly when the enclosure is defined, on interior, subordinated and
+    # overlapping instances with couplings on both sides of sqrt(d |gap|)
+    m = SplitMix64(20261018)
+    outcomes = []
+    for k in range(240):
+        placement = ("interior", "subordinated", "overlapping")[k % 3]
+        seed = m.next_u64()
+        n_A, n_C = 1 + m.next_u64() % 4, 2 + m.next_u64() % 7
+        alpha = 0.0 if placement == "subordinated" else -(0.5 + m.uniform())
+        beta = 0.5 + m.uniform()
+        d_target = (0.08 + 0.3 * m.uniform()) * (beta - alpha)
+        spec = rl.GenSpec(seed, n_A, n_C, (alpha, beta), d_target, 1.6 * m.uniform(), placement)
+        p = rl.generate(spec)
+        gap = rl.select_gap(p, (alpha + beta) / 2)
+        try:
+            sol = rl.solve_spectral(p, gap)
+        except rl.RiccatiLabError:
+            continue
+        hyp = _existence_hypothesis(p, gap, sol)
+        assert hyp == _enclosure_exists(p, gap), spec
+        outcomes.append(hyp)
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+    # within tol_cert below the threshold both refuse: one slack, not two
+    for b in (np.sqrt(2.0), np.sqrt(2.0) - 5e-10, np.sqrt(2.0) - 2e-9):
+        p, gap, sol = solved_example(1.0, b)
+        assert _existence_hypothesis(p, gap, sol) == _enclosure_exists(p, gap) == (b < np.sqrt(2.0) - 1e-9)
 
 
 def test_existence_holds_where_contraction_fails():
@@ -214,6 +260,23 @@ def test_squared_shift_rejects_weak_hypothesis():
         rl.squared_shift(p, gap)
 
 
+def test_sigma_A_beyond_the_gap_fails_the_hypothesis_without_a_crash():
+    # sigma(A) = {5} lies outside the gap (-1, 1), so d = 4 exceeds |gap|
+    # and d (|gap| - d) = -8: the threshold is 0, which no ||B|| is below
+    p = rl.BlockProblem(np.array([[5.0]]), np.array([[1.0, 1.0]]), np.diag([-1.0, 1.0]))
+    gap = rl.SpectralGap(-1.0, 1.0)
+    sol = rl.solve_spectral(p, gap)
+    assert sol.x_norm == pytest.approx(4.8009, abs=1e-4)
+    pairs = dict(rl.certify_all(p, gap, sol))
+    contraction = pairs["contraction_1ii"]
+    assert isinstance(contraction, rl.Certificate)
+    assert not contraction.hypothesis_ok and not contraction.passed
+    assert contraction.details["hypothesis_threshold"] == 0.0
+    assert isinstance(pairs["squared_subordination"], HypothesisViolated)
+    assert isinstance(pairs["apriori_bound"], HypothesisViolated)
+    assert not pairs["existence_1i"].hypothesis_ok
+
+
 def test_certificate_details_are_json_ready():
     from riccatilab.serialize import certificate_to_dict, dumps
 
@@ -251,8 +314,22 @@ def test_certify_all_on_a_ray_marks_finite_gap_theorems_inapplicable():
     assert not gap.is_finite
     pairs = dict(rl.certify_all(p, gap, rl.solve_spectral(p, gap)))
     for name in ("existence_1i", "contraction_1ii", "apriori_bound", "squared_subordination"):
-        assert isinstance(pairs[name], (ValueError, HypothesisViolated))
+        assert isinstance(pairs[name], HypothesisViolated)
     assert pairs["tan_theta_2"].passed and pairs["tan_2theta_dk"].passed
+
+
+def test_certify_all_lets_a_non_library_error_propagate(monkeypatch):
+    # only a RiccatiLabError means "not applicable"; a plain ValueError is
+    # a fault, and reporting it as a verdict would hide it
+    import riccatilab.certificates as certificates
+
+    def broken(p, gap, sol):
+        raise ValueError("math domain error")
+
+    p, gap, sol = solved_example()
+    monkeypatch.setattr(certificates, "certify_contraction", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        rl.certify_all(p, gap, sol)
 
 
 def test_certify_all_calls_certifiers_by_name(monkeypatch):

@@ -167,6 +167,25 @@ def test_solver_failure_exits_two(capsys, tmp_path):
     assert "IterationDiverged" in err or "iteration" in err.lower()
 
 
+def test_fixedpoint_root_of_another_gap_exits_two(capsys, example_file):
+    # --gap 5 names the ray (1, inf); the fixed point reaches the (-1, 1)
+    # root instead, which must not be printed under the ray's name
+    code, out, err = run(capsys, "solve", example_file, "--method", "fixedpoint", "--gap", "5")
+    assert (code, out) == (2, "")
+    assert "OutsideUniquenessClass" in err
+
+
+@pytest.mark.parametrize("hint", [[0.5, 0.2], [float("nan"), 1.0], [0.3, 0.3]])
+def test_gap_hint_without_alpha_below_beta_exits_one(capsys, tmp_path, hint):
+    # json reads NaN, so a NaN end reaches the decoder like any number
+    path = tmp_path / "problem.json"
+    problem = {"A": [[0.0]], "B": [[0.5, 0.0]], "C": [[-1.0, 0.0], [0.0, 1.0]], "gap": hint}
+    path.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error: empty gap")
+
+
 def test_gap_flag_overrides_hint(capsys, tmp_path):
     # C has gaps (-1, 1) and (1, 3); sigma(A) sits in the second
     p = rl.BlockProblem(np.array([[2.0]]), np.zeros((1, 3)), np.diag([-1.0, 1.0, 3.0]))

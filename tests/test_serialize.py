@@ -59,6 +59,16 @@ def test_problem_round_trip_preserves_gap_hint(hint):
     assert np.array_equal(p.C, q.C)
 
 
+@pytest.mark.parametrize("hint", [[0.5, 0.2], [math.nan, 1.0], [-1.0, math.nan], [0.3, 0.3]])
+def test_problem_from_dict_rejects_a_hint_without_alpha_below_beta(hint):
+    # a reversed hint would otherwise name a gap by its midpoint, and a
+    # NaN one would fail later as a point on no gap
+    obj = problem_to_dict(rl.example_problem(1.0, 0.5))
+    obj["gap"] = hint
+    with pytest.raises(ValueError, match="empty gap"):
+        problem_from_dict(obj)
+
+
 def test_problem_from_dict_requires_blocks():
     with pytest.raises(ValueError, match="lacks keys"):
         problem_from_dict({"A": [[0.0]], "B": [[0.0]]})

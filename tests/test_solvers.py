@@ -10,6 +10,7 @@ from riccatilab import solvers
 from riccatilab.errors import (
     IterationDiverged,
     NotAGraph,
+    OutsideUniquenessClass,
     QuadratureStall,
     ResidualTooLarge,
     SpectraTooClose,
@@ -357,6 +358,19 @@ def test_fixedpoint_rejects_a_converged_non_solution(monkeypatch):
     monkeypatch.setattr(solvers, "solve_sylvester", lambda Z, C, R: real_solve(Z, C, R) + 0.1)
     with pytest.raises(ResidualTooLarge):
         rl.solve_fixedpoint(p, rl.select_gap(p))
+
+
+def test_fixedpoint_refuses_the_root_of_another_gap():
+    # from X_0 = 0 the iteration settles on the (-1, 1) root, ||X|| = 0.5;
+    # asked for the ray (1, inf), whose root has ||X|| = 3, it must refuse
+    # rather than return that root under the ray's name
+    p = rl.example_problem(1.0, 0.5)
+    ray = rl.select_gap(p, 5.0)
+    assert (ray.alpha, ray.beta) == (1.0, np.inf)
+    assert rl.solve_spectral(p, ray).x_norm == pytest.approx(3.0, rel=1e-12)
+    with pytest.raises(OutsideUniquenessClass):
+        rl.solve_fixedpoint(p, ray)
+    assert rl.solve_fixedpoint(p, rl.select_gap(p)).x_norm == pytest.approx(0.5, rel=1e-12)
 
 
 def test_fixedpoint_reads_the_cached_rotated_coupling(monkeypatch):
