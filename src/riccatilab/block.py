@@ -48,7 +48,7 @@ def _readonly_eig(M: np.ndarray) -> EigDecomposition:
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
-    The spectra of A and C, B* in the eigenbasis of C, the operator norms
+    The spectra of A and C, B* and B in the eigenbasis of C, the operator norms
     of A, B and C and d = dist(sigma(A), sigma(C)) are computed on first
     use and cached, so every consumer of one problem shares them.
     """
@@ -86,6 +86,13 @@ class BlockProblem:
         G = U.conj().T @ self.B.conj().T
         G.flags.writeable = False
         return G
+
+    @cached_property
+    def B_in_eig_C(self) -> np.ndarray:
+        """B U = (U* B*)*, read-only, shape (nA, nC)."""
+        BU = self.Bstar_in_eig_C.conj().T
+        BU.flags.writeable = False
+        return BU
 
     @cached_property
     def norm_A(self) -> float:
@@ -228,7 +235,7 @@ def _coupled_resolvent(p: BlockProblem, lams: np.ndarray, UY: np.ndarray) -> np.
     its value does not depend on the other points of the batch.
     """
     c = p.eig_C.values
-    BU = p.Bstar_in_eig_C.conj().T
+    BU = p.B_in_eig_C
     return np.matmul(BU[None, :, :] / (c[None, None, :] - lams[:, None, None]), UY)
 
 

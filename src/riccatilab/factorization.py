@@ -67,10 +67,11 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap) -> np.ndarray:
 
     The real half spans the gap shrunk by tol_spec; the circle has radius
     equal to the gap length around its midpoint, dropping any point that
-    lands within tol_spec of sigma(C).
+    lands within tol_spec of sigma(C).  A ray has neither, and raises
+    HypothesisViolated, as the theorems do.
     """
     if not gap.is_finite:
-        raise ValueError("default grid needs a finite gap")
+        raise HypothesisViolated(f"the grid needs a finite gap, not ({gap.alpha}, {gap.beta})")
     half = GRID_POINTS // 2
     # inset a few tolerances so the endpoint eigenvalues of C stay clear
     inset = 8 * TOL_SPEC

@@ -134,43 +134,80 @@ def as_eig(M) -> EigDecomposition:
     return M if isinstance(M, EigDecomposition) else hermitian_eig(M)
 
 
-class _Rotated(NamedTuple):
-    """A right-hand side R of solve_sylvester given as U* R, where
-    C = U diag(c) U*; a loop over one C and one R rotates R once."""
+# n_A * n_C below which a Sylvester solve in C's eigenbasis goes row by row
+# (one batched solve over the n_C shifted systems); from here on, one eig(Z).
+# The crossover of the full fixed-point step, one BLAS thread (README).
+ROW_SOLVE_LIMIT = 512
 
-    UR: np.ndarray
+
+def _require_apart(z: np.ndarray, c: np.ndarray) -> None:
+    """The one overlap rule of the Sylvester kernel: min|z - c| <= TOL_SPEC raises."""
+    sep = np.abs(z - c[:, None]).min()
+    if sep <= TOL_SPEC:
+        raise SpectraOverlap(f"sigma(Z) and sigma(C) are {sep:.3e} apart")
+
+
+def _bauer_fike_floor(d: float, scale: float, E: np.ndarray) -> float:
+    """A lower bound on min|eigvals(A + E) - c|, for Hermitian A and C = U diag(c) U*.
+
+    d = dist(sigma(A), sigma(C)) and scale = ||A|| + ||C||.  Every
+    eigenvalue of A + E lies within ||E||_2 <= ||E||_F of sigma(A)
+    (Bauer-Fike, with A normal), and so does every eigenvalue eigvals
+    returns, up to its backward error and the rounding of sigma(A), sigma(C)
+    and A + E, all far inside the FRO_SLACK margin on ||A||, ||C|| and ||E||.
+    """
+    fro = math.sqrt(np.vdot(E, E).real)
+    return d - (1.0 + FRO_SLACK) * fro - FRO_SLACK * scale
+
+
+def _solve_in_eig_C(Z: np.ndarray, c: np.ndarray, G: np.ndarray, floor: float = -math.inf) -> np.ndarray:
+    """Solve Y Z - diag(c) Y = G for Y, raising SpectraOverlap when
+    min|sigma(Z) - c| <= TOL_SPEC.
+
+    This is X Z - C X = R in the eigenbasis of C = U diag(c) U*, with
+    Y = U* X and G = U* R.  While n_A n_C < ROW_SOLVE_LIMIT, row i is the
+    system Y_i (Z - c_i) = G_i, and all n_C of them go in one batched
+    solve; eigvals(Z) is skipped when floor, a lower bound on the
+    separation that the caller vouches for (_bauer_fike_floor), already
+    exceeds TOL_SPEC.  From the limit on, with Z = P diag(z) P^{-1},
+    (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z) instead of the n_C
+    factorizations, but Z must be diagonalizable, since a defective Z
+    gives a numerically singular P and a wrong Y without an error.
+    """
+    n_C, n_A = G.shape
+    if n_A * n_C < ROW_SOLVE_LIMIT:
+        if not floor > TOL_SPEC:
+            _require_apart(np.linalg.eigvals(Z), c)
+        shifted = Z.T[None, :, :] - c[:, None, None] * np.eye(n_A)
+        return np.linalg.solve(shifted, G[:, :, None])[:, :, 0]
+    z, P = np.linalg.eig(Z)
+    _require_apart(z, c)
+    W = (G @ P) / (z[None, :] - c[:, None])
+    return np.linalg.solve(P.T, W.T).T
 
 
 def solve_sylvester(Z, C, R) -> np.ndarray:
-    """Solve X Z - C X = R for X by double diagonalization.
+    """Solve X Z - C X = R for X in the eigenbasis of C.
 
     Z is a general square matrix (here always similar to a Hermitian one),
-    C is Hermitian, given as a matrix or as its EigDecomposition.  Writing
-    Z = P diag(z) P^{-1} and C = U diag(c) U*, the transformed unknown
-    Y = U* X P satisfies Y_ij (z_j - c_i) = (U* R P)_ij, so the solve is an
-    entrywise division in the joint eigenbasis.  R may also arrive as
-    _Rotated(U* R), which skips that one product.
+    C is Hermitian, given as a matrix or as its EigDecomposition
+    C = U diag(c) U*.  The unknown Y = U* X solves
+    Y Z - diag(c) Y = U* R, which _solve_in_eig_C takes row by row for
+    n_A n_C below ROW_SOLVE_LIMIT and by diagonalizing Z from there on;
+    X = U Y.  A Z within TOL_SPEC of sigma(C) raises SpectraOverlap.
 
-    Z must be diagonalizable: a defective Z gives a numerically singular P
-    and a wrong X without an error (Z = [[0, 1], [0, 0]], C = diag(-1, 1),
-    R = [[1, 0.3], [0.5, 1]]: residual 1.66, cond(P) ~ 1e292), so callers
-    that may meet one check the residual of X.
+    Only the diagonalizing path needs Z diagonalizable: there a defective
+    Z gives a numerically singular eigenvector matrix and a wrong X
+    without an error, so callers that may meet one check the residual of
+    X.  Row by row, Z = [[0, 1], [0, 0]], C = diag(-1, 1),
+    R = [[1, 0.3], [0.5, 1]] solves to a residual near machine epsilon.
     """
     Z = as_matrix(Z)
     c, U = C if isinstance(C, EigDecomposition) else np.linalg.eigh(require_hermitian(C, "C"))
-    rotated = isinstance(R, _Rotated)
-    R = as_matrix(R.UR if rotated else R)
+    R = as_matrix(R)
     n, m = c.shape[0], Z.shape[0]
     if Z.shape[0] != Z.shape[1]:
         raise DimensionMismatch(f"Z must be square, got {Z.shape}")
     if R.shape != (n, m):
         raise DimensionMismatch(f"R must be {n}x{m}, got {R.shape}")
-    z, P = np.linalg.eig(Z)
-    sep = np.min(np.abs(z[None, :] - c[:, None]))
-    if sep <= TOL_SPEC:
-        raise SpectraOverlap(f"sigma(Z) and sigma(C) are {sep:.3e} apart")
-    UR = R if rotated else U.conj().T @ R
-    Y = (UR @ P) / (z[None, :] - c[:, None])
-    # X = U Y P^{-1}, done as a solve on the right factor
-    return np.linalg.solve(P.T, (U @ Y).T).T
-
+    return U @ _solve_in_eig_C(Z, c, U.conj().T @ R)

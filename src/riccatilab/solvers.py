@@ -38,12 +38,12 @@ from .errors import (
 )
 from .linalg import (
     TOL_SPEC,
+    _bauer_fike_floor,
     _NormBracket,
-    _Rotated,
+    _solve_in_eig_C,
     _step_within,
     as_matrix,
     operator_norm,
-    solve_sylvester,
 )
 
 TOL_QUAD = 1e-12  # relative stop for contour node doubling
@@ -301,27 +301,41 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         X_prev = X_new
 
 
+def _fixedpoint_step(p: BlockProblem, Y: np.ndarray) -> np.ndarray:
+    """The next iterate in C's eigenbasis: Y' (A + (B U) Y) - diag(c) Y' = U* B*."""
+    E = p.B_in_eig_C @ Y
+    floor = _bauer_fike_floor(p.d, p.norm_A + p.norm_C, E)
+    return _solve_in_eig_C(p.A + E, p.eig_C.values, p.Bstar_in_eig_C, floor)
+
+
 def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     """Iterate X_{k+1} = Sylvester solve of X (A + B X_k) - C X = B* from X_0 = 0.
 
     Contracts when ||B|| is small against the gap; no convergence promise
-    otherwise.  Stops on a relative step of TOL_FIX, raises
+    otherwise.  The iterate lives in C's eigenbasis, C = U diag(c) U*:
+    Y_k = U* X_k and Z_k = A + (B U) Y_k, so each step solves
+    Y Z_k - diag(c) Y = U* B* with the cached B U and U* B*
+    (linalg._solve_in_eig_C: row by row on small blocks, where a defective
+    Z_k does no harm), and X = U Y is formed once, at the stop.  A Z_k
+    within tol_spec of sigma(C) raises SpectraOverlap; a Bauer-Fike bound
+    from d and ||(B U) Y_k||_F spares the eigvals of that test whenever
+    it settles it.  Stops on a relative step of TOL_FIX, raises
     IterationDiverged past MAX_ITER steps or norm 1e6.  Both tests are
-    decided in the 2-norm; Frobenius brackets only spare the SVDs.  A
-    stop at a residual that is not residual_acceptable raises ResidualTooLarge,
-    and one at another gap's root (uniqueness_class_check) OutsideUniquenessClass.
+    decided in the 2-norm, which U leaves unchanged; Frobenius brackets
+    only spare the SVDs.  A stop at a residual that is not
+    residual_acceptable raises ResidualTooLarge, and one at another gap's
+    root (uniqueness_class_check) OutsideUniquenessClass.
     """
-    X = np.zeros((p.n_C, p.n_A), dtype=complex)
-    Bstar = _Rotated(p.Bstar_in_eig_C)
+    Y = np.zeros((p.n_C, p.n_A), dtype=complex)
     for _ in range(MAX_ITER):
-        X_next = solve_sylvester(p.A + p.B @ X, p.eig_C, Bstar)
-        step = _NormBracket(X_next - X)
-        X = X_next
-        x_norm = _NormBracket(X)
-        if x_norm.exceeds(DIVERGE_NORM):
+        Y_next = _fixedpoint_step(p, Y)
+        step = _NormBracket(Y_next - Y)
+        Y = Y_next
+        y_norm = _NormBracket(Y)
+        if y_norm.exceeds(DIVERGE_NORM):
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
-        if _step_within(step, TOL_FIX, x_norm):
-            sol = _solution(p, X, "fixedpoint")
+        if _step_within(step, TOL_FIX, y_norm):
+            sol = _solution(p, p.eig_C.vectors @ Y, "fixedpoint")
             if not residual_acceptable(p, sol, sol.residual):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
             if not uniqueness_class_check(p, sol, gap):

@@ -371,6 +371,34 @@ def test_rotated_coupling_is_cached_read_only():
     assert np.array_equal(G, p.eig_C.vectors.conj().T @ p.B.conj().T)
     with pytest.raises(ValueError):
         G[0, 0] = 0.0
+    BU = p.B_in_eig_C
+    assert BU is p.B_in_eig_C
+    assert np.array_equal(BU, G.conj().T)
+    with pytest.raises(ValueError):
+        BU[0, 0] = 0.0
+
+
+def test_cached_coupling_keeps_the_gap_function_bit_for_bit():
+    # B U is read from the cache instead of conjugating U* B* per call;
+    # the coupled resolvent behind M, W and the factorization check must
+    # not move by a bit
+    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    sol = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    lams = rl.factorization_grid(p, rl.select_gap(p, 0.0))
+    c, U = p.eig_C
+
+    def coupled(UY):
+        BU = p.Bstar_in_eig_C.conj().T
+        return np.matmul(BU[None, :, :] / (c[None, None, :] - lams[:, None, None]), UY)
+
+    eye = np.eye(p.n_A)
+    assert np.array_equal(herglotz_batch(p, lams), lams[:, None, None] * eye - p.A + coupled(p.Bstar_in_eig_C))
+    W = eye - coupled(U.conj().T @ sol.X)
+    assert np.array_equal(rl.compute_W(p, sol.X, lams[3]), W[3])
+    M = herglotz_batch(p, lams)
+    diff = M - np.matmul(W, lams[:, None, None] * eye - sol.Z)
+    ratios = np.linalg.norm(diff, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
+    assert rl.verify_factorization(p, sol, lams) == float(np.max(ratios))
 
 
 def test_resolvents_of_C_take_no_dense_solve(monkeypatch):

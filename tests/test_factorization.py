@@ -54,6 +54,13 @@ def test_factorization_grid_count_parameter():
     assert np.allclose(np.abs(grid[25:] - gap.midpoint), gap.length)
 
 
+def test_factorization_grid_refuses_a_ray():
+    # a ray has no midpoint and no length to lay the grid on
+    p = rl.example_problem(1.0, 0.5)
+    with pytest.raises(HypothesisViolated, match="finite gap"):
+        rl.factorization_grid(p, rl.select_gap(p, 5.0))
+
+
 def test_verify_factorization_small_defect():
     p, gap, sol = solved_example()
     defect = rl.verify_factorization(p, sol, rl.factorization_grid(p, gap))

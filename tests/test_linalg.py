@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 import riccatilab as rl
 
+from riccatilab import linalg
 from riccatilab.errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 from riccatilab.linalg import (
     HERM_TOL_FACTOR,
-    _Rotated,
+    ROW_SOLVE_LIMIT,
+    TOL_SPEC,
+    _bauer_fike_floor,
+    _solve_in_eig_C,
     as_matrix,
     hermitian_eig,
     operator_norm,
@@ -275,18 +279,60 @@ def test_solve_sylvester_accepts_eig_decomposition():
     assert np.array_equal(solve_sylvester(Z, hermitian_eig(C), R), solve_sylvester(Z, C, R))
 
 
-def test_solve_sylvester_takes_a_rotated_right_hand_side():
-    rng = SplitMix64(6)
-    Z = random_hermitian(rng, 3) + 10.0 * np.eye(3) + 0.1 * rng.complex_normal_matrix(3, 3)
-    C = hermitian_eig(random_hermitian(rng, 5) - 10.0 * np.eye(5))
-    R = rng.complex_normal_matrix(5, 3)
-    rotated = _Rotated(C.vectors.conj().T @ R)
-    assert np.array_equal(solve_sylvester(Z, C, rotated), solve_sylvester(Z, C, R))
-    with pytest.raises(DimensionMismatch):
-        solve_sylvester(Z, C, _Rotated(rotated.UR[:, :2]))
-
-
 def test_solve_sylvester_rejects_overlap():
     with pytest.raises(SpectraOverlap):
         solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
 
+
+def test_solve_sylvester_solves_a_defective_Z_row_by_row(monkeypatch):
+    # Z = [[0, 1], [0, 0]] has one eigenvector, so diagonalizing it fails
+    # silently; the row path solves each shifted system directly
+    Z = np.array([[0.0, 1.0], [0.0, 0.0]])
+    C = np.diag([-1.0, 1.0])
+    R = np.array([[1.0, 0.3], [0.5, 1.0]])
+    assert Z.size < ROW_SOLVE_LIMIT
+    X = solve_sylvester(Z, C, R)
+    assert operator_norm(X @ Z - C @ X - R) <= 1e-15
+    monkeypatch.setattr(linalg, "ROW_SOLVE_LIMIT", 0)
+    X = solve_sylvester(Z, C, R)
+    assert operator_norm(X @ Z - C @ X - R) > 1.0
+
+
+def test_bauer_fike_screen_never_skips_a_refusal():
+    # A is Hermitian, so eigvals(A + E) stays within ||E||_F of sigma(A).
+    # E moves the eigenvalue of A nearest sigma(C) the fraction t of the
+    # way onto it, plus a non-normal part; t runs across 1 at the scale of
+    # TOL_SPEC and across [0, 1.2] at the scale of d.  The screen may
+    # skip eigvals only where the exact rule passes.
+    rng = SplitMix64(14)
+    skipped = refused = 0
+    for trial in range(400):
+        n_A, n_C = 1 + trial % 4, 1 + (trial // 4) % 4
+        A, C = random_hermitian(rng, n_A), random_hermitian(rng, n_C)
+        a, V = np.linalg.eigh(A)
+        c = np.linalg.eigvalsh(C)
+        gaps = np.abs(a[:, None] - c[None, :])
+        j, i = np.unravel_index(np.argmin(gaps), gaps.shape)
+        d = float(gaps[j, i])
+        if trial % 2:
+            t = 1.0 + (rng.uniform() - 0.5) * 10.0 * TOL_SPEC / d
+        else:
+            t = 1.2 * rng.uniform()
+        N = rng.complex_normal_matrix(n_A, n_A)
+        E = t * (c[i] - a[j]) * np.outer(V[:, j], V[:, j].conj())
+        E = E + (TOL_SPEC if trial % 3 else 0.1 * d) * rng.uniform() * N / np.linalg.norm(N)
+        floor = _bauer_fike_floor(d, operator_norm(A) + operator_norm(C), E)
+        sep = np.min(np.abs(np.linalg.eigvals(A + E)[None, :] - c[:, None]))
+        assert floor <= sep
+        G = rng.complex_normal_matrix(n_C, n_A)
+        outcomes = []
+        for bound in (floor, -np.inf):
+            try:
+                outcomes.append(_solve_in_eig_C(A + E, c, G, bound))
+            except SpectraOverlap:
+                outcomes.append(None)
+        assert (outcomes[0] is None) == (outcomes[1] is None)
+        assert outcomes[0] is None or np.array_equal(outcomes[0], outcomes[1])
+        skipped += floor > TOL_SPEC
+        refused += outcomes[1] is None
+    assert skipped > 100 and refused > 10

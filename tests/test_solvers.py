@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab import solvers
+from riccatilab import linalg, solvers
 from riccatilab.errors import (
     IterationDiverged,
     NotAGraph,
     OutsideUniquenessClass,
     QuadratureStall,
     ResidualTooLarge,
+    SpectraOverlap,
     SpectraTooClose,
     WrongSubspaceDimension,
 )
-from riccatilab.linalg import TOL_SPEC, operator_norm, solve_sylvester
+from riccatilab.linalg import ROW_SOLVE_LIMIT, TOL_SPEC, _solve_in_eig_C, operator_norm
 from riccatilab.solvers import (
     DIVERGE_NORM,
     MAX_ITER,
@@ -306,17 +307,18 @@ def test_fixedpoint_reports_divergence():
 
 
 def _exact_norm_fixedpoint(p):
-    """The fixed point with every stop and divergence test taken in the exact 2-norm."""
-    X = np.zeros((p.n_C, p.n_A), dtype=complex)
-    Bstar = p.B.conj().T
+    """The fixed point with every stop and divergence test taken in the exact
+    2-norm, and the overlap test always taken from eigvals."""
+    c, U = p.eig_C
+    Y = np.zeros((p.n_C, p.n_A), dtype=complex)
     for _ in range(MAX_ITER):
-        X_next = solve_sylvester(p.A + p.B @ X, p.C, Bstar)
-        step = operator_norm(X_next - X)
-        X = X_next
-        if operator_norm(X) > DIVERGE_NORM:
+        Y_next = _solve_in_eig_C(p.A + p.B_in_eig_C @ Y, c, p.Bstar_in_eig_C)
+        step = operator_norm(Y_next - Y)
+        Y = Y_next
+        if operator_norm(Y) > DIVERGE_NORM:
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
-        if step <= TOL_FIX * (1.0 + operator_norm(X)):
-            return X
+        if step <= TOL_FIX * (1.0 + operator_norm(Y)):
+            return U @ Y
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
 
 
@@ -328,8 +330,9 @@ def _outcome(run):
 
 
 def test_fixedpoint_follows_the_exact_norm_rule(battery500):
-    # the Frobenius pre-screen may only skip SVDs, never move a stop: the
-    # iterate sequence, the stopping step and every give-up must match
+    # the Frobenius pre-screen may only skip SVDs and the Bauer-Fike screen
+    # only eigvals, never move a stop: the iterate sequence, the stopping
+    # step and every give-up must match
     cases = [(p, gap) for _, p, gap, _ in battery500.items[:25]]
     cases.append(
         (
@@ -354,8 +357,8 @@ def test_fixedpoint_rejects_a_converged_non_solution(monkeypatch):
     # a matrix that does not solve the equation; the step test alone
     # would return it
     p = rl.example_problem(1.0, 0.4)
-    real_solve = solvers.solve_sylvester
-    monkeypatch.setattr(solvers, "solve_sylvester", lambda Z, C, R: real_solve(Z, C, R) + 0.1)
+    real_solve = solvers._solve_in_eig_C
+    monkeypatch.setattr(solvers, "_solve_in_eig_C", lambda *args: real_solve(*args) + 0.1)
     with pytest.raises(ResidualTooLarge):
         rl.solve_fixedpoint(p, rl.select_gap(p))
 
@@ -374,20 +377,73 @@ def test_fixedpoint_refuses_the_root_of_another_gap():
 
 
 def test_fixedpoint_reads_the_cached_rotated_coupling(monkeypatch):
-    # every iteration hands solve_sylvester the problem's cached U* B*
-    # instead of having it rotate B* again
-    import riccatilab.solvers as solvers
-    from riccatilab.linalg import _Rotated
-
+    # every step hands the kernel the problem's cached U* B* and spectrum
+    # of C, and forms Z from the cached B U and the last iterate, never
+    # rotating back to X in between
     p = rl.generate(rl.GenSpec(12, 3, 7, (-1.0, 1.0), 0.3, 0.4, "interior"))
-    rhs = []
-    real_solve = solvers.solve_sylvester
-    monkeypatch.setattr(
-        solvers, "solve_sylvester", lambda Z, C, R: rhs.append(R) or real_solve(Z, C, R)
-    )
-    rl.solve_fixedpoint(p, rl.select_gap(p, 0.0))
-    assert len(rhs) > 1
-    assert all(isinstance(R, _Rotated) and R.UR is p.Bstar_in_eig_C for R in rhs)
+    calls = []
+    real_solve = solvers._solve_in_eig_C
+
+    def spy(Z, c, G, floor):
+        calls.append((Z, c, G, real_solve(Z, c, G, floor)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(solvers, "_solve_in_eig_C", spy)
+    sol = rl.solve_fixedpoint(p, rl.select_gap(p, 0.0))
+    assert len(calls) > 1
+    assert all(c is p.eig_C.values and G is p.Bstar_in_eig_C for _, c, G, _ in calls)
+    assert np.array_equal(calls[0][0], p.A)
+    for (_, _, _, Y), (Z, _, _, _) in zip(calls, calls[1:]):
+        assert np.array_equal(Z, p.A + p.B_in_eig_C @ Y)
+    assert np.array_equal(sol.X, p.eig_C.vectors @ calls[-1][3])
+
+
+def _fixedpoint_steps(p, count):
+    """The first count iterates Y_k = U* X_k of the fixed point, from Y_0 = 0."""
+    Y = [np.zeros((p.n_C, p.n_A), dtype=complex)]
+    for _ in range(count):
+        Y.append(solvers._fixedpoint_step(p, Y[-1]))
+    return Y
+
+
+def _kernel_at_limit(limit, Z, c, G):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ROW_SOLVE_LIMIT", limit)
+        return _solve_in_eig_C(Z, c, G)
+
+
+def test_row_and_eig_kernels_agree_on_fixedpoint_steps(battery500):
+    # battery blocks are row-solved; the two larger ones sit at and past
+    # the limit, where the fixed point diagonalizes Z
+    problems = [p for _, p, _, _ in battery500.items[:40]]
+    problems += [
+        rl.generate(rl.GenSpec(5, 16, 32, (-1.0, 1.0), 0.3, 0.5, "interior")),
+        rl.generate(rl.GenSpec(6, 16, 48, (-1.0, 1.0), 0.3, 0.5, "interior")),
+    ]
+    assert min(p.n_A * p.n_C for p in problems) < ROW_SOLVE_LIMIT <= max(p.n_A * p.n_C for p in problems)
+    for p in problems:
+        c, G = p.eig_C.values, p.Bstar_in_eig_C
+        for Y in _fixedpoint_steps(p, 4):
+            Z = p.A + p.B_in_eig_C @ Y
+            rows, eig = _kernel_at_limit(np.inf, Z, c, G), _kernel_at_limit(0, Z, c, G)
+            assert operator_norm(rows - eig) <= 1e-13 * (1.0 + operator_norm(rows))
+
+
+def test_an_iterate_next_to_sigma_C_still_overlaps(battery500):
+    # push one eigenvalue of Z = A + (B U) Y to 1e-9 from sigma(C): the
+    # Bauer-Fike floor cannot clear it, so the row path takes eigvals and
+    # refuses the step
+    _, p, _, _ = next(item for item in battery500.items if item[1].n_A < item[1].n_C)
+    assert p.n_A * p.n_C < ROW_SOLVE_LIMIT
+    a, V = p.eig_A
+    c = p.eig_C.values
+    j, i = np.unravel_index(np.argmin(np.abs(a[:, None] - c[None, :])), (a.size, c.size))
+    E = (c[i] + 1e-9 - a[j]) * np.outer(V[:, j], V[:, j].conj())
+    Y = np.linalg.lstsq(p.B_in_eig_C, E, rcond=None)[0]
+    Z = p.A + p.B_in_eig_C @ Y
+    assert np.min(np.abs(np.linalg.eigvals(Z)[None, :] - c[:, None])) < 2e-9
+    with pytest.raises(SpectraOverlap):
+        solvers._fixedpoint_step(p, Y)
 
 
 def test_residual_acceptance_is_relative_to_the_scale():
