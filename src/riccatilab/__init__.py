@@ -40,7 +40,6 @@ from .factorization import (
 )
 from .geometry import (
     AngleReport,
-    Diagonalization,
     GraphProjection,
     block_diagonalize,
     graph_projection,
@@ -81,7 +80,6 @@ __all__ = [
     "BlockProblem",
     "Certificate",
     "Contour",
-    "Diagonalization",
     "EigDecomposition",
     "EnclosureBounds",
     "ExampleSpec",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, _hypothesis, find_gaps
+from .block import BlockProblem, SpectralGap, _hypothesis
 from .errors import (
     DeltaNonpositive,
     HypothesisViolated,
@@ -141,9 +141,9 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     delta = float(np.min(np.abs(z[:, None] - c[None, :])))
     if delta <= TOL_SPEC:
         raise DeltaNonpositive(f"dist(sigma(Z), sigma(C)) = {delta:.3e}")
-    # z is sorted, so its hull lies in a gap when both ends do
-    lo, hi = float(z[0]), float(z[-1])
-    in_one_gap = any(g.contains(lo) and g.contains(hi) for g in find_gaps(p.eig_C))
+    # z is sorted; its hull lies in one gap of C when no eigenvalue of C falls between
+    # its ends, which are over tol_spec from sigma(C) and so from every find_gaps cluster
+    in_one_gap = bool(np.searchsorted(c, z[0]) == np.searchsorted(c, z[-1]))
     res_ok = residual_acceptable(p, sol, sol.residual)
     b = p.norm_B
     return _certificate(

@@ -17,7 +17,7 @@ import numpy as np
 from .block import BlockProblem
 from .errors import ResidualTooLarge
 from .linalg import as_matrix, operator_norm
-from .solvers import _solution, residual_acceptable
+from .solvers import RiccatiSolution, residual_acceptable
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,6 @@ class AngleReport:
     theta_norm: float  # ||Theta||, largest principal angle
     sin_norm: float  # ||sin Theta|| = ||Q - P||
     tan_norm: float  # ||tan Theta|| = ||X||
-
-
-@dataclass(frozen=True)
-class Diagonalization:
-    V: np.ndarray  # graph transform [[I, -X*], [X, I]]
-    Z: np.ndarray  # A + B X
-    Zhat: np.ndarray  # C - B* X*
-    Lambda: np.ndarray  # Hermitian, similar to Z
-    LambdaHat: np.ndarray  # Hermitian, similar to Zhat
 
 
 def graph_projection(X) -> GraphProjection:
@@ -74,16 +65,14 @@ def operator_angle(proj: GraphProjection) -> AngleReport:
     )
 
 
-def block_diagonalize(p: BlockProblem, X) -> Diagonalization:
-    """Split H by the graph transform of X and symmetrize both halves.
+def block_diagonalize(p: BlockProblem, X) -> RiccatiSolution:
+    """The "given" RiccatiSolution of X, whose V splits H into Z and Zhat.
 
-    X must be an accurate solution: a Riccati residual above 1e-6 times
-    the natural scale means the off-diagonal blocks of V^{-1} H V would
-    not actually vanish, so the operation refuses to pretend.  Z, Zhat and
-    both compressions are read from the RiccatiSolution of X.
+    A residual that is not residual_acceptable raises ResidualTooLarge: the
+    off-diagonal blocks of V^{-1} H V would not vanish.  The solution also
+    carries the Hermitian compressions Lambda and LambdaHat of Z and Zhat.
     """
-    sol = _solution(p, as_matrix(X), "given")
+    sol = RiccatiSolution(p, X, "given")
     if not residual_acceptable(p, sol, sol.residual):
         raise ResidualTooLarge(f"Riccati residual {sol.residual:.3e} too large to diagonalize")
-    V = np.block([[np.eye(p.n_A), -sol.X.conj().T], [sol.X, np.eye(p.n_C)]])
-    return Diagonalization(V=V, Z=sol.Z, Zhat=sol.Zhat, Lambda=sol.Lambda, LambdaHat=sol.LambdaHat)
+    return sol

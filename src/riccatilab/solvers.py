@@ -20,7 +20,7 @@ compressions, whichever route produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,21 +57,41 @@ TOL_ACCEPT = 1e-6  # relative residual up to which a solution counts as accurate
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """A solution X with Z, Zhat and its residual.
+    """X for problem p, found by method; its residual, Z, Zhat and V derive from them.
+
+    X is kept as a read-only copy and its residual is computed at once, so a
+    misshapen X raises DimensionMismatch and no certificate reads a residual
+    X lacks.  Z = A + B X, Zhat = C - B* X* and the graph transform
+    V = [[I, -X*], [X, I]] are cached and read-only.
 
     The graph of X is invariant under H, so Z and Zhat are similar to the
     Hermitian compressions Lambda = S Z S^{-1} and LambdaHat = T Zhat T^{-1},
     S = (I + X*X)^{1/2} and T = (I + XX*)^{1/2} from one thin SVD of X;
     z_eigs and zhat_eigs are their eigvalsh.  This holds only for an accurate
-    X (S^2 Z - Z* S^2 = X* R - R* X for the residual R).  Every derived
-    value is cached and read-only: do not modify X, Z or Zhat in place.
+    X (S^2 Z - Z* S^2 = X* R - R* X for the residual R).
     """
 
+    p: BlockProblem = field(repr=False)
     X: np.ndarray
-    Z: np.ndarray  # A + B X
-    Zhat: np.ndarray  # C - B* X*
-    residual: float
     method: str
+    residual: float = field(init=False)
+
+    def __post_init__(self):
+        X = _read_only(np.array(self.X, dtype=complex))  # a copy: the caller's array may change
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "residual", residual(self.p, X))
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return _read_only(self.p.A + self.p.B @ self.X)
+
+    @cached_property
+    def Zhat(self) -> np.ndarray:
+        return _read_only(self.p.C - self.p.B.conj().T @ self.X.conj().T)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return _read_only(np.block([[np.eye(self.p.n_A), -self.X.conj().T], [self.X, np.eye(self.p.n_C)]]))
 
     @cached_property
     def x_norm(self) -> float:
@@ -152,13 +172,6 @@ def residual_acceptable(p: BlockProblem, X, res: float) -> bool:
     return res <= TOL_ACCEPT * residual_scale(p, X)
 
 
-def _solution(p: BlockProblem, X: np.ndarray, method: str) -> RiccatiSolution:
-    res = residual(p, X)  # first, so a misshapen X raises DimensionMismatch
-    Z = p.A + p.B @ X
-    Zhat = p.C - p.B.conj().T @ X.conj().T
-    return RiccatiSolution(X=X, Z=Z, Zhat=Zhat, residual=res, method=method)
-
-
 def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     """Read X off the spectral projection of H onto the gap eigenvalues.
 
@@ -191,7 +204,7 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     if smin <= TOL_SPEC:
         raise NotAGraph(f"projection block is singular (smin={smin:.3e})")
     X = np.linalg.solve(Q11.T, Q[p.n_A :, : p.n_A].T).T
-    return _solution(p, X, "spectral")
+    return RiccatiSolution(p, X, "spectral")
 
 
 def build_contour(z_spectrum, c_spectrum) -> Contour:
@@ -297,7 +310,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         if n >= 4 * START_NODES and rho**n <= TOL_QUAD:
             tol = TOL_QUAD * (1.0 - q) / q if q > 0.0 else math.inf
             if _step_within(_NormBracket(X_new - X_prev), tol, _NormBracket(X_new)):
-                return _solution(p, X_new, "contour")
+                return RiccatiSolution(p, X_new, "contour")
         X_prev = X_new
 
 
@@ -335,7 +348,7 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
         if y_norm.exceeds(DIVERGE_NORM):
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
         if _step_within(step, TOL_FIX, y_norm):
-            sol = _solution(p, p.eig_C.vectors @ Y, "fixedpoint")
+            sol = RiccatiSolution(p, p.eig_C.vectors @ Y, "fixedpoint")
             if not residual_acceptable(p, sol, sol.residual):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
             if not uniqueness_class_check(p, sol, gap):

@@ -12,7 +12,7 @@ from riccatilab.errors import (
 )
 from riccatilab.linalg import operator_norm
 from riccatilab.rng import SplitMix64
-from riccatilab.solvers import RiccatiSolution, residual
+from riccatilab.solvers import RiccatiSolution
 
 
 def solved_example(d=1.0, b=0.5):
@@ -163,11 +163,44 @@ def test_tan_theta_certificate_on_example():
 def test_tan_theta_needs_positive_delta():
     # Z and C share the eigenvalue 1 when X = 0 and sigma(A) meets sigma(C)
     p = rl.BlockProblem(np.array([[1.0]]), np.zeros((1, 2)), np.diag([1.0, -1.0]))
-    sol = rl.RiccatiSolution(
-        X=np.zeros((2, 1)), Z=p.A.copy(), Zhat=p.C.copy(), residual=0.0, method="handmade"
-    )
+    sol = rl.RiccatiSolution(p, np.zeros((2, 1)), "handmade")
     with pytest.raises(DeltaNonpositive):
         rl.certify_tan_theta(p, sol)
+
+
+def _hull_in_one_gap_of_C(a, c):
+    # B = 0 and X = 0 put sigma(Z) at sigma(A); the hull test as find_gaps states it
+    p = rl.BlockProblem(np.diag(a), np.zeros((len(a), len(c))), np.diag(c))
+    cert = rl.certify_tan_theta(p, RiccatiSolution(p, np.zeros((len(c), len(a))), "zero"))
+    lo, hi = min(a), max(a)
+    assert cert.hypothesis_ok == any(g.contains(lo) and g.contains(hi) for g in rl.find_gaps(p.C))
+    return cert.hypothesis_ok
+
+
+def test_tan_theta_refuses_a_hull_that_straddles_sigma_C():
+    assert _hull_in_one_gap_of_C([-1.0, -0.5], [0.0, 2.0])
+    assert not _hull_in_one_gap_of_C([-1.0, 1.0], [0.0, 2.0])
+    assert not _hull_in_one_gap_of_C([-1.0, 3.0], [0.0, 2.0])
+
+
+def test_tan_theta_hull_test_across_a_cluster_of_C_closer_than_tol_spec():
+    # 0 and 3e-9 are one cluster of find_gaps, as are 2 and 2 + 3e-9
+    c = [0.0, 3e-9, 2.0, 2.0 + 3e-9]
+    assert _hull_in_one_gap_of_C([0.5, 1.5], c)
+    assert _hull_in_one_gap_of_C([-1.0, -0.5], c)
+    assert not _hull_in_one_gap_of_C([-0.5, 0.5], c)
+    assert not _hull_in_one_gap_of_C([0.5, 2.5], c)
+
+
+def test_a_perturbed_solution_fails_existence():
+    # X + 1e-3 is no solution; its residual is derived from X, never supplied
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    assert rl.certify_existence(p, gap, sol).passed
+    existence = rl.certify_existence(p, gap, RiccatiSolution(p, sol.X + 1e-3, "perturbed"))
+    assert existence.details["residual"] > 1e-2
+    assert not existence.details["uniqueness_class"] and not existence.passed
 
 
 def test_tan_theta_on_overlapping_instances(overlapping100):
@@ -352,11 +385,7 @@ def test_certify_all_calls_certifiers_by_name(monkeypatch):
 
 def test_inaccurate_solution_is_reported_not_refused():
     p, gap, sol = solved_example()
-    X = sol.X + 0.1
-    bad = RiccatiSolution(
-        X=X, Z=p.A + p.B @ X, Zhat=p.C - p.B.conj().T @ X.conj().T,
-        residual=residual(p, X), method="perturbed",
-    )
+    bad = RiccatiSolution(p, sol.X + 0.1, "perturbed")
     existence = rl.certify_existence(p, gap, bad)
     assert existence.details["residual_ok"] is False and not existence.passed
     tan_theta = rl.certify_tan_theta(p, bad)

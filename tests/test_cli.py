@@ -10,7 +10,13 @@ import pytest
 import riccatilab as rl
 from riccatilab.cli import main
 from riccatilab.harness import realize
-from riccatilab.serialize import clean_number, dumps, problem_from_dict, problem_to_dict
+from riccatilab.serialize import (
+    clean_number,
+    dumps,
+    matrix_from_json,
+    problem_from_dict,
+    problem_to_dict,
+)
 
 
 @pytest.fixture()
@@ -82,6 +88,25 @@ def test_solve_payload_is_x_alone(capsys, monkeypatch, generated_file, method):
     assert np.array_equal(X, sol.X)
     np.testing.assert_allclose(p.A + p.B @ X, sol.Z, rtol=0, atol=1e-14)
     np.testing.assert_allclose(p.C - p.B.conj().T @ X.conj().T, sol.Zhat, rtol=0, atol=1e-14)
+
+
+def _outcomes(results):
+    return [(t, c if isinstance(c, rl.Certificate) else repr(c)) for t, c in results]
+
+
+def test_a_saved_X_certifies_as_the_solution_it_came_from(capsys, generated_file):
+    # X alone is saved; the solution rebuilt from it derives Z, Zhat and the
+    # residual, so every certificate reads what it reads in process
+    code, out, _ = run(capsys, "solve", generated_file, "--method", "spectral")
+    assert code == 0
+    payload = json.loads(out)
+    with open(generated_file, encoding="utf-8") as f:
+        p, _ = problem_from_dict(json.load(f))
+    gap = rl.SpectralGap(*payload["gap"])
+    saved = rl.RiccatiSolution(p, matrix_from_json(payload["X"]), "spectral")
+    ours = rl.solve_spectral(p, gap)
+    assert saved.residual == ours.residual
+    assert _outcomes(rl.certify_all(p, gap, saved)) == _outcomes(rl.certify_all(p, gap, ours))
 
 
 def test_solve_output_on_the_large_instance_stays_small(capsys, tmp_path):

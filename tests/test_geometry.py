@@ -9,6 +9,7 @@ import riccatilab as rl
 from riccatilab.errors import ResidualTooLarge
 from riccatilab.linalg import operator_norm
 from riccatilab.rng import SplitMix64
+from riccatilab.solvers import _compression
 
 
 def random_X(seed, rows, cols, scale=1.0):
@@ -121,6 +122,25 @@ def test_block_diagonalize_spectra_tile_sigma_H(battery500):
         # and the compressions are the ones the solution's spectra come from
         assert np.array_equal(np.linalg.eigvalsh(diag.Lambda), sol.z_eigs)
         assert np.array_equal(np.linalg.eigvalsh(diag.LambdaHat), sol.zhat_eigs)
+
+
+def test_block_diagonalize_returns_the_given_solution_with_the_closed_forms(battery500):
+    for s, p, gap, sol in battery500.items:
+        diag = rl.block_diagonalize(p, sol.X)
+        X = sol.X
+        assert diag.method == "given" and np.array_equal(diag.X, X)
+        Z = p.A + p.B @ X
+        Zhat = p.C - p.B.conj().T @ X.conj().T
+        U, sigma, Wh = np.linalg.svd(X, full_matrices=False)
+        r = np.sqrt(1.0 + sigma * sigma)
+        for got, want in (
+            (diag.V, np.block([[np.eye(p.n_A), -X.conj().T], [X, np.eye(p.n_C)]])),
+            (diag.Z, Z),
+            (diag.Zhat, Zhat),
+            (diag.Lambda, _compression(Z, Wh.conj().T, r)),
+            (diag.LambdaHat, _compression(Zhat, U, r)),
+        ):
+            assert np.array_equal(got, want)
 
 
 def test_block_diagonalize_inverse_closed_form():

@@ -8,6 +8,7 @@ import pytest
 import riccatilab as rl
 from riccatilab import linalg, solvers
 from riccatilab.errors import (
+    DimensionMismatch,
     IterationDiverged,
     NotAGraph,
     OutsideUniquenessClass,
@@ -529,6 +530,30 @@ def test_z_eigenvalues_are_the_gap_eigenvalues_of_H(battery500):
             assert np.max(np.abs(np.sort(z.real) - H_inside)) <= 1e-8 * (1 + operator_norm(sol.Z))
 
 
+def test_solution_is_built_from_p_X_and_method_alone():
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    X = rl.solve_spectral(p, rl.select_gap(p, 0.0)).X.copy()
+    sol = rl.RiccatiSolution(p, X, "mine")
+    assert sol.residual == rl.residual(p, X)
+    # a copy: changing the caller's array afterwards changes nothing
+    X[0, 0] += 1.0
+    assert sol.X[0, 0] != X[0, 0]
+    assert sol.residual == rl.residual(p, sol.X)
+    assert sol.V is sol.V and sol.Z is sol.Z and sol.Zhat is sol.Zhat
+    for frozen in (sol.X, sol.Z, sol.Zhat, sol.V):
+        with pytest.raises(ValueError):
+            frozen[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        rl.RiccatiSolution(p, X, "mine", 0.0)  # the residual is never an argument
+
+
+def test_solution_rejects_a_misshapen_X():
+    p = rl.example_problem(1.0, 0.5)
+    for X in (np.zeros((1, 2)), np.zeros((2, 1, 1))):
+        with pytest.raises(DimensionMismatch):
+            rl.RiccatiSolution(p, X, "mine")
+
+
 def test_uniqueness_class_accepts_the_gap_solution():
     p = rl.example_problem(1.0, 0.8)
     gap = rl.select_gap(p)
@@ -545,10 +570,7 @@ def test_uniqueness_class_rejects_the_complementary_root():
     x_wrong = (d + np.sqrt(d * d + 4 * b * b)) / (2 * b)
     X = np.array([[x_wrong]])
     assert rl.residual(p, X) <= 1e-12
-    bad = rl.RiccatiSolution(
-        X=X, Z=p.A + p.B @ X, Zhat=p.C - p.B.conj().T @ X.conj().T,
-        residual=rl.residual(p, X), method="handmade",
-    )
+    bad = rl.RiccatiSolution(p, X, "handmade")
     assert not rl.uniqueness_class_check(p, bad, gap)
 
 
@@ -559,7 +581,8 @@ def test_uniqueness_class_rejects_a_perturbed_solution():
     gap = rl.select_gap(p, 0.0)
     sol = rl.solve_spectral(p, gap)
     assert rl.uniqueness_class_check(p, sol, gap)
-    bad = solvers._solution(p, sol.X + 1e-3 * np.ones_like(sol.X), "perturbed")
+    bad = rl.RiccatiSolution(p, sol.X + 1e-3 * np.ones_like(sol.X), "perturbed")
+    assert bad.residual == rl.residual(p, bad.X) > 1e-2
     assert not residual_acceptable(p, bad, bad.residual)
     assert np.all(gap.contains(bad.z_eigs, TOL_SPEC))
     assert not np.any(gap.contains(bad.zhat_eigs, TOL_SPEC))
