@@ -16,7 +16,6 @@ from .block import (
     herglotz_M,
     resolvent_H,
     select_gap,
-    spectrum_identity_check,
 )
 from .certificates import (
     Certificate,
@@ -122,7 +121,6 @@ __all__ = [
     "solve_fixedpoint",
     "solve_spectral",
     "solve_sylvester",
-    "spectrum_identity_check",
     "squared_shift",
     "sweep",
     "uniqueness_class_check",

@@ -278,47 +278,3 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
     out[nA:, nA:] = Cres
     return out - col @ np.linalg.solve(M, row)
 
-
-@dataclass(frozen=True)
-class SpectrumIdentityResult:
-    ok: bool
-    checked: int
-    skipped: int
-    mismatches: list
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def spectrum_identity_check(
-    p: BlockProblem, gap: SpectralGap, grid: np.ndarray
-) -> SpectrumIdentityResult:
-    """Confirm that M(lambda) is singular exactly at eigenvalues of H.
-
-    Within the gap (and more generally in rho(C)) the zeros of det M are
-    the eigenvalues of H.  Each grid point is classified by its distance
-    to sigma(H): near points must make M singular, far points must not,
-    and a thin annulus in between is skipped because the two scale-aware
-    thresholds need not agree there.  Eigenvalues of H inside the gap are
-    appended to the grid so the singular side is always exercised.
-    """
-    H = assemble_H(p)
-    h = hermitian_eig(H).values
-    tol_near = TOL_SPEC * (1.0 + operator_norm(H))
-
-    pts = np.concatenate([np.asarray(grid, dtype=complex).ravel(), h[gap.contains(h)]])
-    _require_off_sigma_C(p, pts, "grid point ")
-
-    dist = np.min(np.abs(h[None, :] - pts[:, None]), axis=1)
-    skip = (0.01 * tol_near <= dist) & (dist <= 100.0 * tol_near)
-    pts, dist = pts[~skip], dist[~skip]
-    M = herglotz_batch(p, pts)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    smin = np.linalg.svd(M, compute_uv=False)[:, -1]
-    singular = smin < TOL_SPEC * (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
-    wrong = np.flatnonzero(singular != (dist < tol_near))
-    mismatches = [(complex(pts[k]), float(dist[k]), float(smin[k])) for k in wrong]
-    return SpectrumIdentityResult(
-        ok=not mismatches, checked=pts.size, skipped=len(skip) - pts.size, mismatches=mismatches
-    )

@@ -32,7 +32,6 @@ from .linalg import TOL_SPEC, as_matrix
 logger = logging.getLogger(__name__)
 
 GRID_POINTS = 50  # of factorization_grid: half across the gap, half on a circle
-SIGN_SAMPLES = 20  # per side of the enclosure, in sign_conditions
 
 
 @dataclass(frozen=True)
@@ -126,20 +125,30 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
 def sign_conditions(p: BlockProblem, gap: SpectralGap, bounds: EnclosureBounds) -> bool:
     """M(lambda) negative definite left of the enclosure, positive right of it.
 
-    Samples SIGN_SAMPLES equispaced interior points of (alpha, lower) and of
-    (upper, beta), one batch a side, and checks eigenvalue signs.  An empty
-    side passes vacuously with a log note, as when sigma(A) hugs an endpoint.
+    On the real gap M'(lambda) = I + B (C - lambda)^{-2} B* >= I, so M
+    increases there: negative definite at a point of (alpha, lower) makes it
+    negative definite at every point further left, and positive definite at
+    a point of (upper, beta) makes it so further right.  Each side is
+    therefore decided at one point, 1/21 of its length away from the
+    enclosure (the enclosure can touch sigma(Z), where M is singular), both
+    in one batch.  An empty side passes vacuously with a log note, as when
+    sigma(A) hugs an endpoint.  A ray raises HypothesisViolated, as the
+    enclosure does.
     """
-    ts = (np.arange(SIGN_SAMPLES) + 1.0) / (SIGN_SAMPLES + 1.0)
-    ok = True
-    for lo, hi, side, sign in (
-        (gap.alpha, bounds.lower, "left", -1.0),
-        (bounds.upper, gap.beta, "right", 1.0),
+    if not gap.is_finite:
+        raise HypothesisViolated(
+            f"the sign conditions need a finite gap, not ({gap.alpha}, {gap.beta})"
+        )
+    lams, signs = [], []
+    for lo, hi, t, side, sign in (
+        (gap.alpha, bounds.lower, 20.0 / 21.0, "left", -1.0),
+        (bounds.upper, gap.beta, 1.0 / 21.0, "right", 1.0),
     ):
         if not (hi - lo > 4 * TOL_SPEC):
             logger.info("sign interval on the %s side is empty, skipping", side)
             continue
-        M = herglotz_batch(p, (lo + (hi - lo) * ts).astype(complex))
-        w = np.linalg.eigvalsh((M + M.conj().transpose(0, 2, 1)) / 2.0)
-        ok &= bool(np.all(sign * w > 0))
-    return ok
+        lams.append(lo + (hi - lo) * t)
+        signs.append(sign)
+    M = herglotz_batch(p, np.array(lams, dtype=complex))
+    w = np.linalg.eigvalsh((M + M.conj().transpose(0, 2, 1)) / 2.0)
+    return bool(np.all(np.array(signs)[:, None] * w > 0))

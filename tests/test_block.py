@@ -211,11 +211,6 @@ ON_SIGMA_C = [
         lambda p, gap, sol, pts: rl.verify_factorization(p, sol, pts),
         "grid point ",
     ),
-    (
-        "spectrum_identity_check",
-        lambda p, gap, sol, pts: rl.spectrum_identity_check(p, gap, pts),
-        "grid point ",
-    ),
 ]
 
 
@@ -240,73 +235,32 @@ def test_resolvent_rejects_lambda_on_spectrum():
         rl.resolvent_H(p, lam)
 
 
-def test_spectrum_identity_on_generated_instance():
-    spec = rl.GenSpec(seed=5153, n_A=2, n_C=6, gap=(-1.0, 1.0), d_target=0.4, b_ratio=0.6)
-    p = rl.generate(spec)
-    gap = rl.select_gap(p, 0.0)
-    grid = np.linspace(gap.alpha + 0.05, gap.beta - 0.05, 40)
-    result = rl.spectrum_identity_check(p, gap, grid)
-    assert result
-    assert result.ok
-    assert result.mismatches == []
-    # the gap eigenvalues of H are appended to the grid, so at least those
-    # were classified as singular points of M
-    assert result.checked > 0
-
-
-def test_spectrum_identity_skips_ambiguous_points():
-    p = small_problem()
-    gap = rl.select_gap(p, 0.0)
-    H = rl.assemble_H(p)
-    inside = [x for x in np.linalg.eigvalsh(H) if gap.contains(x)]
-    # a point in the skip annulus around an eigenvalue: close enough to be
-    # ambiguous, too far to demand singularity
-    grid = np.array([inside[0] + 10 * TOL_SPEC * (1 + operator_norm(H))])
-    result = rl.spectrum_identity_check(p, gap, grid)
-    assert result.ok
-    assert result.skipped >= 1
-
-
-def pointwise_spectrum_identity(p, gap, grid):
-    """spectrum_identity_check classifying one point at a time."""
-    H = rl.assemble_H(p)
-    h = np.linalg.eigh(H)[0]
-    tol_near = TOL_SPEC * (1.0 + operator_norm(H))
-    pts = np.concatenate([np.asarray(grid, dtype=complex).ravel(), h[gap.contains(h)]])
-    mismatches = []
-    checked = skipped = 0
-    for lam, Mk in zip(pts, herglotz_batch(p, pts)):
-        dist = float(np.min(np.abs(h - lam)))
-        if 0.01 * tol_near <= dist <= 100.0 * tol_near:
-            skipped += 1
-            continue
-        smin = float(np.linalg.svd(Mk, compute_uv=False)[-1])
-        singular = smin < TOL_SPEC * (1.0 + operator_norm(Mk))
-        checked += 1
-        if singular != (dist < tol_near):
-            mismatches.append((complex(lam), dist, smin))
-    return not mismatches, checked, skipped, mismatches
-
-
-def test_spectrum_identity_check_equals_the_pointwise_loop(battery500):
-    # points across the gap, off the axis, and around each eigenvalue of H
-    # in the gap: inside the skip annulus, just outside it on both sides
+def test_gap_eigenvalues_of_H_are_counted_by_the_inertia_of_M(battery500):
+    # In(H - t) = In(C - t) + In(-M(t)) (Haynsworth), and C has no eigenvalue
+    # in the gap, so #sigma(H) in (a, b) = nu(M(a)) + pi(M(b)) - n_A for a < b
+    # there; M(b) - M(a) = (b - a)(I + B (C - a)^{-1} (C - b)^{-1} B*) >= b - a
+    # is the monotonicity that lets one point decide each side of an enclosure
     for _, p, gap, _ in battery500.items[:50]:
-        H = rl.assemble_H(p)
-        h = np.linalg.eigvalsh(H)
-        tol_near = TOL_SPEC * (1.0 + operator_norm(H))
+        h = np.linalg.eigvalsh(rl.assemble_H(p))
         inside = h[gap.contains(h)]
-        grid = np.concatenate([
-            np.linspace(gap.alpha + 0.01, gap.beta - 0.01, 15),
-            [gap.midpoint + 0.3j, gap.alpha - 2.0 + 1.0j],
-            inside + 10 * tol_near,
-            inside - 0.005 * tol_near,
-            inside + 200 * tol_near,
-        ])
-        result = rl.spectrum_identity_check(p, gap, grid)
-        expected = pointwise_spectrum_identity(p, gap, grid)
-        assert (bool(result), result.checked, result.skipped, result.mismatches) == expected
-        assert result.skipped >= inside.size
+        offset = 1e-4 * gap.length
+        lams = np.sort(np.concatenate([
+            np.linspace(gap.alpha, gap.beta, 11)[1:-1],
+            inside - offset,
+            inside + offset,
+        ]))
+        lams = lams[gap.contains(lams, offset)]
+        M = herglotz_batch(p, lams.astype(complex))
+        w = np.linalg.eigvalsh(M)
+        neg = np.count_nonzero(w < 0, axis=1)
+        pos = np.count_nonzero(w > 0, axis=1)
+        norms = np.linalg.norm(M, 2, axis=(1, 2))
+        for i, j in zip(*np.triu_indices(lams.size, 1)):
+            a, b = lams[i], lams[j]
+            count = np.count_nonzero((a < h) & (h < b))
+            assert count == neg[i] + pos[j] - p.n_A
+            slack = 1e-13 * (1.0 + max(norms[i], norms[j]))
+            assert np.linalg.eigvalsh(M[j] - M[i])[0] >= (b - a) - slack
 
 
 def dense_herglotz(p, lam):

@@ -176,6 +176,15 @@ def test_sign_conditions_vacuous_side_logs(caplog):
     assert any("empty" in rec.message for rec in caplog.records)
 
 
+def test_sign_conditions_refuse_a_ray():
+    # the left side of a ray has no finite point to decide it at
+    p = rl.example_problem(1.0, 0.5)
+    ray = rl.select_gap(p, 5.0)
+    assert not ray.is_finite
+    with pytest.raises(HypothesisViolated, match="finite gap"):
+        rl.sign_conditions(p, ray, rl.EnclosureBounds(0.0, 0.0, 1.5, 2.0))
+
+
 def pointwise_sign_conditions(p, gap, bounds):
     """sign_conditions checking the 20 samples of each side one at a time."""
     ok = True

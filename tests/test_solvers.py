@@ -7,6 +7,7 @@ import pytest
 
 import riccatilab as rl
 from riccatilab import linalg, solvers
+from riccatilab.block import herglotz_batch
 from riccatilab.errors import (
     DimensionMismatch,
     IterationDiverged,
@@ -587,6 +588,30 @@ def test_uniqueness_class_rejects_a_perturbed_solution():
     assert np.all(gap.contains(bad.z_eigs, TOL_SPEC))
     assert not np.any(gap.contains(bad.zhat_eigs, TOL_SPEC))
     assert not rl.uniqueness_class_check(p, bad, gap)
+
+
+def test_uniqueness_class_needs_sigma_Zhat_not_the_inertia_of_M(battery500):
+    # the neighbouring gap's root plus 3e-3 is 3,500 times the size of the
+    # true root, yet its residual is acceptable at the scale (1 + ||X||)^2 and
+    # its compression puts sigma(Z) inside the gap; M(alpha+) < 0 < M(beta-)
+    # is a property of the problem alone, so a rule reading only the inertia
+    # of M there (with sigma(Z) and the residual) would take this X, while
+    # sigma(Zhat) has an eigenvalue in the gap and rejects it
+    _, p, gap, sol = battery500.items[368]
+    assert (p.n_A, p.n_C) == (1, 12)
+    gaps = rl.find_gaps(p.eig_C)
+    near = gaps[gaps.index(gap) + 1]
+    assert near.alpha == gap.beta and near.length < 0.02
+    X = rl.solve_spectral(p, near).X + 3e-3 * np.ones((p.n_C, p.n_A))
+    bad = rl.RiccatiSolution(p, X, "handmade")
+    assert bad.x_norm > 3000 * sol.x_norm
+    assert residual_acceptable(p, bad, bad.residual)
+    assert np.all(gap.contains(bad.z_eigs, TOL_SPEC))
+    M = herglotz_batch(p, np.array([gap.alpha + TOL_SPEC, gap.beta - TOL_SPEC], dtype=complex))
+    assert M[0, 0, 0].real < 0 < M[1, 0, 0].real
+    assert np.any(gap.contains(bad.zhat_eigs, TOL_SPEC))
+    assert not rl.uniqueness_class_check(p, bad, gap)
+    assert not rl.certify_existence(p, gap, bad).passed
 
 
 def test_cross_method_agreement_sampled(battery500):
