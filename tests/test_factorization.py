@@ -176,6 +176,38 @@ def test_sign_conditions_vacuous_side_logs(caplog):
     assert any("empty" in rec.message for rec in caplog.records)
 
 
+def test_sign_conditions_decide_each_side_at_its_point_nearest_the_enclosure(monkeypatch):
+    # one batch of two points: the 20th of 20 samples of (alpha, lower) and
+    # the 1st of (upper, beta), where M is closest to losing its sign
+    p, gap, sol = solved_example()
+    enc = rl.enclosure_bounds(p, gap)
+    seen = []
+
+    def recording_batch(p, lams):
+        seen.append(np.array(lams))
+        return herglotz_batch(p, lams)
+
+    monkeypatch.setattr(rl.factorization, "herglotz_batch", recording_batch)
+    assert rl.sign_conditions(p, gap, enc)
+    assert len(seen) == 1
+    expected = [
+        gap.alpha + (enc.lower - gap.alpha) * 20.0 / 21.0,
+        enc.upper + (gap.beta - enc.upper) * (1.0 / 21.0),
+    ]
+    np.testing.assert_array_equal(seen[0], np.array(expected, dtype=complex))
+
+
+def test_sign_conditions_both_sides_empty_pass_vacuously(caplog):
+    # an enclosure spanning the whole gap leaves no point on either side
+    p, gap, sol = solved_example()
+    enc = rl.EnclosureBounds(0.0, 0.0, gap.alpha, gap.beta)
+    with caplog.at_level(logging.INFO, logger="riccatilab.factorization"):
+        assert rl.sign_conditions(p, gap, enc)
+    sides = [rec.message for rec in caplog.records if "empty" in rec.message]
+    assert len(sides) == 2
+    assert "left" in sides[0] and "right" in sides[1]
+
+
 def test_sign_conditions_refuse_a_ray():
     # the left side of a ray has no finite point to decide it at
     p = rl.example_problem(1.0, 0.5)
