@@ -332,28 +332,39 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     Z_k does no harm), and X = U Y is formed once, at the stop.  A Z_k
     within tol_spec of sigma(C) raises SpectraOverlap; a Bauer-Fike bound
     from d and ||(B U) Y_k||_F spares the eigvals of that test whenever
-    it settles it.  Stops on a relative step of TOL_FIX, raises
-    IterationDiverged past MAX_ITER steps or norm 1e6.  Both tests are
-    decided in the 2-norm, which U leaves unchanged; Frobenius brackets
-    only spare the SVDs.  A stop at a residual that is not
-    residual_acceptable raises ResidualTooLarge, and one at another gap's
-    root (uniqueness_class_check) OutsideUniquenessClass.
+    it settles it.  Stops on a relative step of TOL_FIX.  Raises
+    IterationDiverged past norm 1e6, at a period-2 cycle, or past MAX_ITER
+    steps.  A cycle is Y_k within TOL_FIX of Y_{k-2} (relative, as the
+    stop) while the step Y_k - Y_{k-1} is not within sqrt(TOL_FIX): the
+    guard keeps oscillating convergers, whose two-step difference falls
+    below TOL_FIX a few steps before their step does.  A linearly
+    oscillating sequence that passes both tests keeps at least
+    1 - sqrt(TOL_FIX) of its error per step, far too much to stop within
+    MAX_ITER.  Every test is decided in the 2-norm, which U leaves
+    unchanged; Frobenius brackets only spare the SVDs.  A stop at a
+    residual that is not residual_acceptable raises ResidualTooLarge, and
+    one at another gap's root (uniqueness_class_check)
+    OutsideUniquenessClass.
     """
-    Y = np.zeros((p.n_C, p.n_A), dtype=complex)
-    for _ in range(MAX_ITER):
+    Y_back = Y = np.zeros((p.n_C, p.n_A), dtype=complex)  # Y_{k-2} and Y_{k-1} at step k
+    for k in range(1, MAX_ITER + 1):
         Y_next = _fixedpoint_step(p, Y)
         step = _NormBracket(Y_next - Y)
-        Y = Y_next
-        y_norm = _NormBracket(Y)
+        y_norm = _NormBracket(Y_next)
         if y_norm.exceeds(DIVERGE_NORM):
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
         if _step_within(step, TOL_FIX, y_norm):
-            sol = RiccatiSolution(p, p.eig_C.vectors @ Y, "fixedpoint")
+            sol = RiccatiSolution(p, p.eig_C.vectors @ Y_next, "fixedpoint")
             if not residual_acceptable(p, sol, sol.residual):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
             if not uniqueness_class_check(p, sol, gap):
                 raise OutsideUniquenessClass(f"not the root of ({gap.alpha}, {gap.beta})")
             return sol
+        if _step_within(_NormBracket(Y_next - Y_back), TOL_FIX, y_norm) and not _step_within(
+            step, math.sqrt(TOL_FIX), y_norm
+        ):
+            raise IterationDiverged(f"period-2 cycle at step {k}")
+        Y_back, Y = Y, Y_next
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
 
 

@@ -192,6 +192,16 @@ def test_solver_failure_exits_two(capsys, tmp_path):
     assert "IterationDiverged" in err or "iteration" in err.lower()
 
 
+def test_fixedpoint_cycle_exits_two(capsys, tmp_path, battery500):
+    # battery item 18 settles into a period-2 cycle: a give-up, not a result
+    _, p, gap, _ = battery500.items[18]
+    path = tmp_path / "cycles.json"
+    path.write_text(dumps(problem_to_dict(p, gap=(gap.alpha, gap.beta))))
+    code, out, err = run(capsys, "solve", str(path), "--method", "fixedpoint")
+    assert (code, out) == (2, "")
+    assert "IterationDiverged" in err and "period-2 cycle" in err
+
+
 def test_fixedpoint_root_of_another_gap_exits_two(capsys, example_file):
     # --gap 5 names the ray (1, inf); the fixed point reaches the (-1, 1)
     # root instead, which must not be printed under the ray's name

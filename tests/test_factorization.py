@@ -1,6 +1,7 @@
 """Gap function factorization M = W (lambda - Z) and the spectral enclosure."""
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import riccatilab as rl
 from riccatilab.block import herglotz_batch
 from riccatilab.errors import HypothesisViolated, LambdaOnSpectrumOfC
+from riccatilab.factorization import _w_batch
 from riccatilab.linalg import TOL_SPEC, operator_norm
 
 
@@ -76,6 +78,83 @@ def test_verify_factorization_rejects_grid_on_sigma_C():
 def test_verify_factorization_empty_grid_has_no_defect():
     p, gap, sol = solved_example()
     assert rl.verify_factorization(p, sol, np.array([], dtype=complex)) == 0.0
+
+
+def _all_points_defect(p, sol, grid):
+    """verify_factorization's maximum with the exact 2-norms taken at every point."""
+    lams = np.asarray(grid, dtype=complex)
+    M = herglotz_batch(p, lams)
+    pencil = lams[:, None, None] * np.eye(p.n_A, dtype=complex) - sol.Z[None, :, :]
+    diff = M - np.matmul(_w_batch(p, sol.X, lams), pencil)
+    ratios = np.linalg.norm(diff, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
+    return float(np.max(ratios))
+
+
+def test_verify_factorization_equals_the_all_points_rule(monkeypatch, battery500):
+    # the Frobenius brackets only choose where the 2-norms are taken, so the
+    # maximum is the all-points one, bit for bit: at the spectral X and at
+    # X + 1e-6, whose defect is large and peaks elsewhere; n_A = 64 has the
+    # widest bracket, a factor sqrt(64) per norm
+    cases = [(p, gap, sol) for _, p, gap, sol in battery500.items]
+    for n_A in (16, 64):
+        p = rl.generate(rl.GenSpec(11, n_A, 3 * n_A, (-1.0, 1.0), 0.3, 0.5, "interior"))
+        gap = rl.select_gap(p, 0.0)
+        cases.append((p, gap, rl.solve_spectral(p, gap)))
+    real_norm = np.linalg.norm
+    normed = []  # matrices per 2-norm batch: one batch of defects and one of M per call
+
+    def spy(x, *args, **kwargs):
+        normed.append(len(x))
+        return real_norm(x, *args, **kwargs)
+
+    points = 0
+    for p, gap, sol in cases:
+        grid = rl.factorization_grid(p, gap)
+        for s in (sol, rl.RiccatiSolution(p, sol.X + 1e-6, "perturbed")):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "norm", spy)
+                got = rl.verify_factorization(p, s, grid)
+            assert got == _all_points_defect(p, s, grid)
+            points += 2 * grid.size
+    assert sum(normed) < 0.2 * points
+
+
+def test_verify_factorization_takes_every_2_norm_when_a_frobenius_norm_overflows():
+    # at lambda = 1e160 the squared Frobenius norm of M overflows to inf
+    # while its 2-norm is finite: no bracket, every point goes to the 2-norms
+    p, gap, sol = solved_example()
+    grid = np.array([0.3, 1e160, -0.2 + 0.5j])
+    assert rl.verify_factorization(p, sol, grid) == _all_points_defect(p, sol, grid)
+
+
+def test_verify_factorization_refuses_a_non_finite_defect():
+    p, gap, sol = solved_example()
+    nan_X = SimpleNamespace(X=np.full_like(sol.X, np.nan), Z=sol.Z)
+    with pytest.raises(ValueError, match="non-finite"):
+        rl.verify_factorization(p, nan_X, rl.factorization_grid(p, gap))
+
+
+@pytest.mark.parametrize("seed, n_A, n_C", [(5, 3, 6), (11, 16, 48)])
+def test_factorization_defect_is_the_residual_through_the_resolvent_of_C(seed, n_A, n_C):
+    # with R = X A - C X + X B X - B*, X Z = C X + B* + R for Z = A + B X,
+    # so M(lambda) - W(lambda)(lambda - Z) = -B (C - lambda)^{-1} R exactly,
+    # and its norm is at most ||B|| ||R|| / dist(lambda, sigma(C)); X + 1e-6
+    # makes R, and near sigma(C) the defect, large
+    p = rl.generate(rl.GenSpec(seed, n_A, n_C, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    gap = rl.select_gap(p, 0.0)
+    X = rl.solve_spectral(p, gap).X + 1e-6
+    Z = p.A + p.B @ X
+    R = X @ p.A - p.C @ X + X @ p.B @ X - p.B.conj().T
+    largest = 0.0
+    for lam in rl.factorization_grid(p, gap):
+        M = rl.herglotz_M(p, lam)
+        D = M - rl.compute_W(p, X, lam) @ (lam * np.eye(n_A) - Z)
+        identity = -p.B @ np.linalg.solve(p.C - lam * np.eye(n_C), R)
+        assert operator_norm(D - identity) <= 1e-11 * (1.0 + operator_norm(M))
+        dist = float(np.min(np.abs(p.eig_C.values - lam)))
+        assert operator_norm(D) <= p.norm_B * operator_norm(R) / dist
+        largest = max(largest, operator_norm(D))
+    assert largest > 1.0
 
 
 def test_verify_factorization_names_first_point_on_sigma_C():
