@@ -240,16 +240,18 @@ def _prepare(args):
 
     if args.command == "sweep":
         specs = _parse_specs(_read_json(args.specs))
-        out_path = args.out
+        # opened here, so a path that cannot be written is malformed input
+        # before any instance is computed
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
 
         def run_sweep():
-            result = sweep(specs)
-            if out_path is None:
-                result.write_csv(sys.stdout)
-            else:
-                with open(out_path, "w", encoding="utf-8") as f:
-                    result.write_csv(f)
-                print(f"rows={len(result.rows)}")
+            if out is None:
+                sweep(specs).write_csv(sys.stdout)
+                return
+            with out:
+                result = sweep(specs)
+                result.write_csv(out)
+            print(f"rows={len(result.rows)}")
 
         return run_sweep
 

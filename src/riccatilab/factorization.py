@@ -85,7 +85,7 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap) -> np.ndarray:
 def verify_factorization(p: BlockProblem, sol, grid) -> float:
     """Max normalized defect ||M(lam) - W(lam)(lam - Z)|| / (1 + ||M(lam)||) on the grid.
 
-    Frobenius norms bracket each point's ratio, as in linalg._NormBracket
+    The defect is a 2-norm.  Frobenius norms bracket each point's ratio
     (||.||_F / sqrt(n_A) <= ||.||_2 <= ||.||_F, widened by FRO_SLACK), and
     the exact 2-norms are taken only at the points whose upper bracket
     reaches the largest lower bracket: the maximizer is always among

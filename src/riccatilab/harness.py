@@ -62,11 +62,14 @@ class GenSpec:
             raise InfeasibleSpec(f"b_ratio={self.b_ratio} must be finite and nonnegative")
         if self.placement not in PLACEMENTS:
             raise InfeasibleSpec(f"unknown placement {self.placement!r}")
+        if self.placement != "subordinated" and self.n_C < 2:
+            raise InfeasibleSpec("a finite gap needs n_C >= 2 to hit both endpoints")
 
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """One member of the closed-form sharpness family (see example_problem)."""
+    """One member of the closed-form sharpness family (see example_problem);
+    its closed-form X must have finite entries b / (sqrt2 d)."""
 
     d: float
     b: float
@@ -76,6 +79,8 @@ class ExampleSpec:
             raise InfeasibleSpec(f"d={self.d} must be finite and positive")
         if not 0 <= self.b < math.inf:
             raise InfeasibleSpec(f"b={self.b} must be finite and nonnegative")
+        if not math.isfinite(self.b / (math.sqrt(2.0) * self.d)):
+            raise InfeasibleSpec(f"d={self.d}, b={self.b}: the entry b/(sqrt2 d) of X overflows")
 
 
 SweepSpec = Union[GenSpec, ExampleSpec]
@@ -123,8 +128,6 @@ def generate(spec: GenSpec) -> BlockProblem:
     if spec.placement == "subordinated":
         c_eigs = [beta] + [beta + spread * u for u in _spread_uniforms(rng, spec.n_C - 1)]
     else:
-        if spec.n_C < 2:
-            raise InfeasibleSpec("a finite gap needs n_C >= 2 to hit both endpoints")
         k_lo = 1 + rng.next_u64() % (spec.n_C - 1)
         k_hi = spec.n_C - k_lo
         c_eigs = [alpha] + [alpha - spread * u for u in _spread_uniforms(rng, k_lo - 1)]
@@ -220,28 +223,23 @@ def _cell(value) -> str:
 def sweep(spec_grid: Iterable[SweepSpec]) -> SweepResult:
     """Solve and certify every spec; one row per instance, failures tagged.
 
-    The spectral solver provides the X fed to every certifier.  When it
-    fails, the error class name lands in the status column and every
-    solution-dependent cell stays empty; certificate cells also stay empty
+    The spectral solver provides the X fed to every certifier.  When
+    building the instance (realize) or the solve fails, the error class
+    name lands in the status column and every cell the failed step would
+    have produced stays empty; certificate cells also stay empty
     whenever their theorem does not apply to the instance (infinite gap,
     hypothesis not evaluable, not subordinated), as certify_all reports.
     """
     rows = []
     for spec in spec_grid:
-        p, gap = realize(spec)
         alpha, beta = (spec.gap if isinstance(spec, GenSpec) else (-spec.d, spec.d))
         row = dict.fromkeys(CSV_COLUMNS)
-        row.update(
-            seed=spec.seed if isinstance(spec, GenSpec) else None,
-            n_A=p.n_A,
-            n_C=p.n_C,
-            alpha=float(alpha),
-            beta=float(beta),
-            d=p.d,
-            b=p.norm_B,
-        )
+        seed = spec.seed if isinstance(spec, GenSpec) else None
+        row.update(seed=seed, alpha=float(alpha), beta=float(beta))
         rows.append(row)
         try:
+            p, gap = realize(spec)
+            row.update(n_A=p.n_A, n_C=p.n_C, d=p.d, b=p.norm_B)
             sol = solve_spectral(p, gap)
         except RiccatiLabError as err:
             row["status"] = type(err).__name__

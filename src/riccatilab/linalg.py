@@ -20,8 +20,9 @@ TOL_RES = 1e-9
 TOL_SPEC = 1e-8
 # absolute slack of every certificate verdict and theorem hypothesis
 TOL_CERT = 1e-9
-# relative rounding slack on the Frobenius brackets of a computed 2-norm;
-# far above the O(n eps) error of either norm at any practical size
+# relative rounding slack wherever a Frobenius norm bounds a 2-norm (the
+# Hermiticity pre-screen, verify_factorization's brackets, the Bauer-Fike
+# floor); far above the O(n eps) error of either norm at any practical size
 FRO_SLACK = 1e-8
 
 
@@ -47,61 +48,20 @@ def operator_norm(M) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-class _NormBracket:
-    """operator_norm(M), bracketed by ||M||_F / sqrt(min(m, n)) <= ||M||_2 <= ||M||_F.
-
-    The exact 2-norm (one SVD) is taken only when a comparison falls
-    inside the bracket, so every decision equals the one operator_norm
-    would give.  A non-finite Frobenius norm goes straight to
-    operator_norm, which raises on non-finite entries as before.
-    """
-
-    __slots__ = ("M", "lo", "hi", "exact")
-
-    def __init__(self, M: np.ndarray):
-        self.M = M
-        self.exact = False
-        fro = math.sqrt(np.vdot(M, M).real)  # Frobenius norm
-        if math.isfinite(fro):
-            self.lo = fro / math.sqrt(min(M.shape)) * (1.0 - FRO_SLACK)
-            self.hi = fro * (1.0 + FRO_SLACK)
-        else:
-            self.settle()
-
-    def settle(self) -> float:
-        """The exact operator_norm(M), computed once."""
-        if not self.exact:
-            self.lo = self.hi = operator_norm(self.M)
-            self.exact = True
-        return self.hi
-
-    def exceeds(self, bound: float) -> bool:
-        """operator_norm(M) > bound."""
-        if self.lo > bound:
-            return True
-        return self.hi > bound and self.settle() > bound
-
-
-def _step_within(step: _NormBracket, tol: float, ref: _NormBracket) -> bool:
-    """operator_norm(step) <= tol * (1 + operator_norm(ref)), as a stop rule.
-
-    Rounding is monotone, so comparing the outer bracket ends settles the
-    test whenever they agree; otherwise both norms are taken exactly.
-    """
-    if step.hi <= tol * (1.0 + ref.lo):
-        return True
-    if step.lo > tol * (1.0 + ref.hi):
-        return False
-    return step.settle() <= tol * (1.0 + ref.settle())
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F: inf when it overflows, nan on non-finite entries."""
+    return math.sqrt(np.vdot(M, M).real)
 
 
 def require_hermitian(M, what: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry within tolerance, return the symmetrized copy.
 
-    The test is ||M - M*||_2 <= HERM_TOL_FACTOR (1 + ||M||_2).  Frobenius
-    brackets of both norms decide it without an SVD whenever they can (an
-    exact zero defect always passes); only an undecided comparison takes
-    the 2-norms, so every verdict is the one the 2-norms alone would give.
+    The test is ||M - M*||_2 <= HERM_TOL_FACTOR (1 + ||M||_2).  An exact
+    zero defect passes at once, and so does one that passes with the
+    bounds ||M - M*||_F >= ||M - M*||_2 on the left and
+    ||M||_F / sqrt(n) <= ||M||_2 on the right, each widened by FRO_SLACK.
+    Every other case, and an overflowing Frobenius norm, takes the two
+    2-norms, so every verdict is the one they alone give.
     Symmetrizing after the check keeps eigh's input exactly Hermitian, so
     results do not depend on which triangle LAPACK happens to read.
     """
@@ -112,9 +72,12 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
         raise ValueError(f"{what} has non-finite entries")
     D = M - M.conj().T
     if D.any():
-        defect = _NormBracket(D)
-        if not _step_within(defect, HERM_TOL_FACTOR, _NormBracket(M)):
-            raise NonHermitianInput(f"{what} deviates from Hermitian by {defect.settle():.3e}")
+        fro_D, fro_M = _frobenius(D), _frobenius(M)
+        lo_M = fro_M / math.sqrt(M.shape[0]) * (1.0 - FRO_SLACK)
+        if not (math.isfinite(fro_M) and fro_D * (1.0 + FRO_SLACK) <= HERM_TOL_FACTOR * (1.0 + lo_M)):
+            defect = operator_norm(D)
+            if defect > HERM_TOL_FACTOR * (1.0 + operator_norm(M)):
+                raise NonHermitianInput(f"{what} deviates from Hermitian by {defect:.3e}")
     return (M + M.conj().T) / 2.0
 
 
@@ -156,8 +119,7 @@ def _bauer_fike_floor(d: float, scale: float, E: np.ndarray) -> float:
     returns, up to its backward error and the rounding of sigma(A), sigma(C)
     and A + E, all far inside the FRO_SLACK margin on ||A||, ||C|| and ||E||.
     """
-    fro = math.sqrt(np.vdot(E, E).real)
-    return d - (1.0 + FRO_SLACK) * fro - FRO_SLACK * scale
+    return d - (1.0 + FRO_SLACK) * _frobenius(E) - FRO_SLACK * scale
 
 
 def _solve_in_eig_C(Z: np.ndarray, c: np.ndarray, G: np.ndarray, floor: float = -math.inf) -> np.ndarray:

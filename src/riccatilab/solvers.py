@@ -39,9 +39,8 @@ from .errors import (
 from .linalg import (
     TOL_SPEC,
     _bauer_fike_floor,
-    _NormBracket,
+    _frobenius,
     _solve_in_eig_C,
-    _step_within,
     as_matrix,
     operator_norm,
 )
@@ -265,7 +264,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
     the circle of radius r the error of N nodes decays like rho^N with
     rho = max(r_Z / r, r / r_C) (Trefethen & Weideman, SIAM Review 2014).
     Nodes double from START_NODES, and X_2N is accepted once
-    ||X_2N - X_N|| rho^N / (1 - rho^N) <= TOL_QUAD (1 + ||X_2N||), with
+    ||X_2N - X_N||_F rho^N / (1 - rho^N) <= TOL_QUAD (1 + ||X_2N||_F), with
     rho^(2N) <= TOL_QUAD and at least two doublings made.  A circle that
     does not separate the spectra (rho >= 1) raises SpectraTooClose, and a
     rho too close to 1 for any level up to MAX_NODES raises QuadratureStall,
@@ -309,7 +308,7 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         X_new = U @ total / n
         if n >= 4 * START_NODES and rho**n <= TOL_QUAD:
             tol = TOL_QUAD * (1.0 - q) / q if q > 0.0 else math.inf
-            if _step_within(_NormBracket(X_new - X_prev), tol, _NormBracket(X_new)):
+            if _frobenius(X_new - X_prev) <= tol * (1.0 + _frobenius(X_new)):
                 return RiccatiSolution(p, X_new, "contour")
         X_prev = X_new
 
@@ -340,29 +339,27 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     below TOL_FIX a few steps before their step does.  A linearly
     oscillating sequence that passes both tests keeps at least
     1 - sqrt(TOL_FIX) of its error per step, far too much to stop within
-    MAX_ITER.  Every test is decided in the 2-norm, which U leaves
-    unchanged; Frobenius brackets only spare the SVDs.  A stop at a
-    residual that is not residual_acceptable raises ResidualTooLarge, and
-    one at another gap's root (uniqueness_class_check)
-    OutsideUniquenessClass.
+    MAX_ITER.  These stop rules are heuristics, decided in the Frobenius
+    norm, which U leaves unchanged and which takes no SVD; the residual and
+    x_norm of the result stay 2-norms.  A stop at a residual that is not
+    residual_acceptable raises ResidualTooLarge, and one at another gap's
+    root (uniqueness_class_check) OutsideUniquenessClass.
     """
     Y_back = Y = np.zeros((p.n_C, p.n_A), dtype=complex)  # Y_{k-2} and Y_{k-1} at step k
     for k in range(1, MAX_ITER + 1):
         Y_next = _fixedpoint_step(p, Y)
-        step = _NormBracket(Y_next - Y)
-        y_norm = _NormBracket(Y_next)
-        if y_norm.exceeds(DIVERGE_NORM):
+        step, y_norm = _frobenius(Y_next - Y), _frobenius(Y_next)
+        if not y_norm <= DIVERGE_NORM:  # a nan iterate diverged too
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
-        if _step_within(step, TOL_FIX, y_norm):
+        if step <= TOL_FIX * (1.0 + y_norm):
             sol = RiccatiSolution(p, p.eig_C.vectors @ Y_next, "fixedpoint")
             if not residual_acceptable(p, sol, sol.residual):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
             if not uniqueness_class_check(p, sol, gap):
                 raise OutsideUniquenessClass(f"not the root of ({gap.alpha}, {gap.beta})")
             return sol
-        if _step_within(_NormBracket(Y_next - Y_back), TOL_FIX, y_norm) and not _step_within(
-            step, math.sqrt(TOL_FIX), y_norm
-        ):
+        cycle = _frobenius(Y_next - Y_back) <= TOL_FIX * (1.0 + y_norm)
+        if cycle and step > math.sqrt(TOL_FIX) * (1.0 + y_norm):
             raise IterationDiverged(f"period-2 cycle at step {k}")
         Y_back, Y = Y, Y_next
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")

@@ -328,7 +328,10 @@ def test_example_rejects_bad_parameters(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("d, b", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5"), ("1", "inf")])
+# the last pair is finite, but the closed-form entry b / (sqrt2 d) of X is not
+@pytest.mark.parametrize(
+    "d, b", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5"), ("1", "inf"), ("1e-310", "1e10")]
+)
 def test_example_rejects_non_finite_parameters(capsys, d, b):
     code, out, err = run(capsys, "example", "--d", d, "--b", b)
     assert (code, out) == (1, "")
@@ -414,6 +417,35 @@ def test_sweep_rejects_malformed_spec(capsys, tmp_path):
     spec_path.write_text(json.dumps([{"family": "example", "d": 1.0}]))  # b missing
     code, _, err = run(capsys, "sweep", str(spec_path))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"seed": 7, "n_A": 2, "n_C": 1, "gap": [-1.0, 1.0], "d_target": 0.3, "b_ratio": 0.5},
+        {"seed": 7, "n_A": 2, "n_C": 1, "gap": [-1.0, 1.0], "d_target": 0.3, "b_ratio": 0.5,
+         "placement": "overlapping"},
+        {"family": "example", "d": 1e-310, "b": 1e10},
+    ],
+    ids=["interior_n_C_1", "overlapping_n_C_1", "example_overflow"],
+)
+def test_sweep_reports_an_infeasible_row_as_malformed(capsys, monkeypatch, row):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([row])))
+    code, out, err = run(capsys, "sweep", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error: spec 0 is malformed: ")
+
+
+@pytest.mark.parametrize("target", ["missing_dir/rows.csv", "."], ids=["no_such_dir", "a_directory"])
+def test_sweep_out_that_cannot_be_opened_is_an_input_error(capsys, monkeypatch, tmp_path, target):
+    calls = []
+    monkeypatch.setattr("riccatilab.cli.sweep", lambda specs: calls.append(specs))
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps([{"family": "example", "d": 1.0, "b": 0.5}]))
+    code, out, err = run(capsys, "sweep", str(spec_path), "--out", str(tmp_path / target))
+    assert (code, out) == (1, "")
+    assert err.startswith("riccatilab: input error: ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])

@@ -406,3 +406,16 @@ def test_sweep_csv_empty_cells_for_missing_values():
     assert len(cells) == len(CSV_COLUMNS)
     assert cells[CSV_COLUMNS.index("x_norm")] == ""
     assert cells[CSV_COLUMNS.index("status")] == "WrongSubspaceDimension"
+
+
+def test_sweep_tags_an_instance_that_cannot_be_built():
+    # at d = 1e-9 the two eigenvalues of C merge into one cluster around
+    # the gap point, so select_gap raises; the row carries the error name,
+    # the spec's own cells and nothing else, and the sweep goes on
+    good = [rl.ExampleSpec(d=1.0, b=0.5), rl.ExampleSpec(d=1.0, b=0.25)]
+    rows = rl.sweep([good[0], rl.ExampleSpec(d=1e-9, b=0.5), good[1]]).rows
+    assert [row["status"] for row in rows] == ["ok", "LambdaOnSpectrumOfC", "ok"]
+    assert [rows[0], rows[2]] == rl.sweep(good).rows
+    filled = {col for col, value in rows[1].items() if value is not None}
+    assert filled == {"alpha", "beta", "status"}
+    assert (rows[1]["alpha"], rows[1]["beta"]) == (-1e-9, 1e-9)

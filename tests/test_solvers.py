@@ -308,23 +308,27 @@ def test_fixedpoint_reports_divergence():
         rl.solve_fixedpoint(p, rl.SpectralGap(-1.0, 1.0))
 
 
-def _exact_norm_fixedpoint(p, cycles=True):
+def _fro(M):
+    return np.linalg.norm(M, "fro")
+
+
+def _frobenius_rule_fixedpoint(p, cycles=True):
     """The fixed point with every stop, cycle and divergence test taken in
-    the exact 2-norm, and the overlap test always taken from eigvals; with
+    the Frobenius norm, and the overlap test always taken from eigvals; with
     cycles=False, the rule without the period-2 cycle stop."""
     c, U = p.eig_C
     Y_back = Y = np.zeros((p.n_C, p.n_A), dtype=complex)
     for k in range(1, MAX_ITER + 1):
         Y_next = _solve_in_eig_C(p.A + p.B_in_eig_C @ Y, c, p.Bstar_in_eig_C)
-        step = operator_norm(Y_next - Y)
-        y_norm = operator_norm(Y_next)
+        step = _fro(Y_next - Y)
+        y_norm = _fro(Y_next)
         if y_norm > DIVERGE_NORM:
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
         if step <= TOL_FIX * (1.0 + y_norm):
             return U @ Y_next
         if (
             cycles
-            and operator_norm(Y_next - Y_back) <= TOL_FIX * (1.0 + y_norm)
+            and _fro(Y_next - Y_back) <= TOL_FIX * (1.0 + y_norm)
             and not step <= np.sqrt(TOL_FIX) * (1.0 + y_norm)
         ):
             raise IterationDiverged(f"period-2 cycle at step {k}")
@@ -339,10 +343,9 @@ def _outcome(run):
         return str(err)
 
 
-def test_fixedpoint_follows_the_exact_norm_rule(battery500):
-    # the Frobenius pre-screen may only skip SVDs and the Bauer-Fike screen
-    # only eigvals, never move a stop: the iterate sequence, the stopping
-    # step and every give-up must match
+def test_fixedpoint_follows_the_frobenius_norm_rule(battery500):
+    # the Bauer-Fike screen may only skip eigvals, never move a stop: the
+    # iterate sequence, the stopping step and every give-up must match
     cases = [(p, gap) for _, p, gap, _ in battery500.items[:25]]
     cases.append(
         (
@@ -352,7 +355,7 @@ def test_fixedpoint_follows_the_exact_norm_rule(battery500):
     )
     gave_up = []
     for p, gap in cases:
-        expected = _outcome(lambda: _exact_norm_fixedpoint(p))
+        expected = _outcome(lambda: _frobenius_rule_fixedpoint(p))
         got = _outcome(lambda: rl.solve_fixedpoint(p, gap).X)
         if isinstance(expected, str):
             gave_up.append(expected)
@@ -360,7 +363,7 @@ def test_fixedpoint_follows_the_exact_norm_rule(battery500):
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
     assert len(gave_up) >= 2
-    # item 18 cycles; the cycle stop, too, is decided as in the 2-norm
+    # item 18 cycles; the cycle stop, too, is decided in the Frobenius norm
     assert any(msg.startswith("period-2 cycle at step ") for msg in gave_up)
 
 
@@ -374,7 +377,7 @@ def test_fixedpoint_stops_cycles_and_keeps_every_convergence(battery500):
     gave_up = [got.split(" at step ")[0] for got in outcomes if isinstance(got, str)]
     assert (len(converged), gave_up.count("period-2 cycle"), gave_up.count(at_limit)) == (474, 22, 4)
     for i in converged:
-        assert np.array_equal(outcomes[i], _exact_norm_fixedpoint(battery500.items[i][1], cycles=False))
+        assert np.array_equal(outcomes[i], _frobenius_rule_fixedpoint(battery500.items[i][1], cycles=False))
 
 
 def test_fixedpoint_cycle_stop_spares_an_oscillating_converger(battery500):
@@ -385,14 +388,30 @@ def test_fixedpoint_cycle_stop_spares_an_oscillating_converger(battery500):
     Y = _fixedpoint_steps(p, MAX_ITER)
     near_cycle = []
     for k in range(2, MAX_ITER + 1):
-        scale = 1.0 + operator_norm(Y[k])
-        step = operator_norm(Y[k] - Y[k - 1])
+        scale = 1.0 + _fro(Y[k])
+        step = _fro(Y[k] - Y[k - 1])
         if step <= TOL_FIX * scale:
             break
-        if operator_norm(Y[k] - Y[k - 2]) <= TOL_FIX * scale:
+        if _fro(Y[k] - Y[k - 2]) <= TOL_FIX * scale:
             near_cycle.append(step / scale)
     assert near_cycle and max(near_cycle) < np.sqrt(TOL_FIX)
     assert np.array_equal(rl.solve_fixedpoint(p, battery500.items[0][2]).X, p.eig_C.vectors @ Y[k])
+
+
+def test_fixedpoint_takes_svds_only_for_the_norms_of_its_result(battery500, monkeypatch):
+    # the stop rules take no SVD: a give-up takes none, and a converged
+    # solve only its residual, x_norm and the compressions' thin SVD
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    counts = {True: [], False: []}  # SVDs per solve, by whether it gave up
+    for _, p, gap, _ in battery500.items:
+        p.norm_A, p.norm_B, p.norm_C  # cached problem data, read once per problem
+        calls.clear()
+        gave_up = isinstance(_outcome(lambda: rl.solve_fixedpoint(p, gap)), str)
+        counts[gave_up].append(len(calls))
+    assert (len(counts[False]), len(counts[True])) == (474, 26)
+    assert max(counts[True]) == 0 and max(counts[False]) <= 3
 
 
 def test_fixedpoint_rejects_a_converged_non_solution(monkeypatch):
