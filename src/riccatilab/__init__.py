@@ -54,12 +54,7 @@ from .harness import (
     realize,
     sweep,
 )
-from .linalg import (
-    EigDecomposition,
-    hermitian_eig,
-    operator_norm,
-    solve_sylvester,
-)
+from .linalg import EigDecomposition, operator_norm
 from .rng import SplitMix64
 from .solvers import (
     Contour,
@@ -109,7 +104,6 @@ __all__ = [
     "generate",
     "graph_projection",
     "herglotz_M",
-    "hermitian_eig",
     "realize",
     "operator_angle",
     "operator_norm",
@@ -120,7 +114,6 @@ __all__ = [
     "solve_contour",
     "solve_fixedpoint",
     "solve_spectral",
-    "solve_sylvester",
     "squared_shift",
     "sweep",
     "uniqueness_class_check",

@@ -22,26 +22,17 @@ from .linalg import (
     TOL_CERT,
     TOL_SPEC,
     EigDecomposition,
-    as_eig,
+    _read_only,
     as_matrix,
-    hermitian_eig,
     operator_norm,
     require_hermitian,
 )
 
 
-def _readonly(M: np.ndarray) -> np.ndarray:
-    out = np.array(M, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
 def _readonly_eig(M: np.ndarray) -> EigDecomposition:
-    # M is exactly Hermitian already, so this equals hermitian_eig(M) bit for bit
+    # M is exactly Hermitian already (require_hermitian symmetrized it)
     w, v = np.linalg.eigh(M)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return EigDecomposition(values=w, vectors=v)
+    return EigDecomposition(values=_read_only(w), vectors=_read_only(v))
 
 
 @dataclass(frozen=True)
@@ -67,9 +58,10 @@ class BlockProblem:
             raise DimensionMismatch(
                 f"B must be {A.shape[0]}x{C.shape[0]}, got {B.shape}"
             )
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "B", _readonly(B))
-        object.__setattr__(self, "C", _readonly(C))
+        # require_hermitian returned fresh arrays; B may still be the caller's
+        object.__setattr__(self, "A", _read_only(A))
+        object.__setattr__(self, "B", _read_only(np.array(B)))
+        object.__setattr__(self, "C", _read_only(C))
 
     @cached_property
     def eig_A(self) -> EigDecomposition:
@@ -108,7 +100,7 @@ class BlockProblem:
 
     @cached_property
     def d(self) -> float:
-        return dist_spectra(self.eig_A, self.eig_C)
+        return dist_spectra(self.eig_A.values, self.eig_C.values)
 
     @property
     def n_A(self) -> int:
@@ -169,16 +161,16 @@ def assemble_H(p: BlockProblem) -> np.ndarray:
     return np.block([[p.A, p.B], [p.B.conj().T, p.C]])
 
 
-def find_gaps(C) -> list[SpectralGap]:
+def find_gaps(w) -> list[SpectralGap]:
     """All maximal open intervals in the complement of sigma(C).
 
-    C is a Hermitian matrix or its EigDecomposition.  Eigenvalues closer
-    than tol_spec are merged into one cluster (their mean represents
-    them), so fake hairline gaps never appear.  The two infinite rays come
-    first and last; the finite gaps tile the convex hull of the spectrum
-    in between.
+    w is sigma(C) as a 1-d array in ascending order, as p.eig_C.values
+    holds it.  Eigenvalues closer than tol_spec are merged into one
+    cluster (their mean represents them), so fake hairline gaps never
+    appear.  The two infinite rays come first and last; the finite gaps
+    tile the convex hull of the spectrum in between.
     """
-    w = as_eig(C).values
+    w = _spectrum(w)
     reps: list[float] = []
     cluster = [float(w[0])]
     for x in w[1:]:
@@ -195,10 +187,18 @@ def find_gaps(C) -> list[SpectralGap]:
     return gaps
 
 
-def dist_spectra(A, C) -> float:
-    """dist(sigma(A), sigma(C)) for Hermitian A and C, or their EigDecompositions."""
-    a = as_eig(A).values
-    c = as_eig(C).values
+def _spectrum(w) -> np.ndarray:
+    """w as an array, refused unless it is 1-d: a matrix is not its spectrum."""
+    w = np.asarray(w)
+    if w.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-d array of eigenvalues, got ndim={w.ndim}")
+    return w
+
+
+def dist_spectra(a, c) -> float:
+    """min |a_i - c_j| over two nonempty 1-d eigenvalue arrays, real or complex: the
+    one spectral distance (p.d, tan-theta delta, contour separation, sigma(H) test)."""
+    a, c = _spectrum(a), _spectrum(c)
     return float(np.min(np.abs(a[:, None] - c[None, :])))
 
 
@@ -211,7 +211,7 @@ def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
     if point is None:
         a = p.eig_A.values
         point = float(a[0] + a[-1]) / 2.0
-    for gap in find_gaps(p.eig_C):
+    for gap in find_gaps(p.eig_C.values):
         if gap.contains(point):
             return gap
     raise LambdaOnSpectrumOfC(f"point {point} is not interior to any gap of C")
@@ -262,12 +262,13 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
 
     The representation inverts only the small nA block M(lambda); the
     resolvent of C comes from its cached eigenbasis.  It is exact wherever
-    lambda avoids both spectra.
+    lambda avoids both spectra: a lambda within tol_spec of sigma(C)
+    raises LambdaOnSpectrumOfC, and one within tol_spec of sigma(H), the
+    eigvalsh of the exactly Hermitian assemble_H(p), LambdaOnSpectrum.
     """
     lam = complex(lam)
     M = herglotz_M(p, lam)
-    h = hermitian_eig(assemble_H(p)).values
-    if np.min(np.abs(h - lam)) <= TOL_SPEC:
+    if dist_spectra(np.linalg.eigvalsh(assemble_H(p)), np.array([lam])) <= TOL_SPEC:
         raise LambdaOnSpectrum(f"lambda={lam} is within tol of sigma(H)")
     nA, nC = p.n_A, p.n_C
     c, U = p.eig_C

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, _hypothesis
+from .block import BlockProblem, SpectralGap, _hypothesis, dist_spectra
 from .errors import (
     DeltaNonpositive,
     HypothesisViolated,
@@ -138,7 +138,7 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     """
     z = sol.z_eigs
     c = p.eig_C.values
-    delta = float(np.min(np.abs(z[:, None] - c[None, :])))
+    delta = dist_spectra(z, c)
     if delta <= TOL_SPEC:
         raise DeltaNonpositive(f"dist(sigma(Z), sigma(C)) = {delta:.3e}")
     # z is sorted; its hull lies in one gap of C when no eigenvalue of C falls between

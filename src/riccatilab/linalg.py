@@ -1,8 +1,9 @@
 """Dense Hermitian linear algebra kernels.
 
 Everything downstream (block assembly, Riccati solvers, certificates)
-funnels through the four operations here, so the scale-aware tolerances
-are defined once in this module and imported everywhere else.
+validates its matrices and takes its 2-norms here, and the fixed point
+solves its Sylvester steps here, so the tolerances are defined once in
+this module and imported everywhere else.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 
-# Relative tolerance factors; absolute tolerances below scale with 1 + ||M||.
+# relative: the Hermiticity test allows a defect of HERM_TOL_FACTOR (1 + ||M||)
 HERM_TOL_FACTOR = 1e-10
-TOL_RES = 1e-9
+# absolute distance below which two eigenvalues, or a point and a spectrum, touch
 TOL_SPEC = 1e-8
 # absolute slack of every certificate verdict and theorem hypothesis
 TOL_CERT = 1e-9
@@ -46,6 +47,12 @@ def operator_norm(M) -> float:
         raise ValueError("matrix has non-finite entries")
     s = np.linalg.svd(M, compute_uv=False)  # what norm(M, 2) maximizes, minus its dispatch
     return float(s[0]) if s.size else 0.0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a itself, with writes to it refused from now on."""
+    a.flags.writeable = False
+    return a
 
 
 def _frobenius(M: np.ndarray) -> float:
@@ -79,22 +86,6 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
             if defect > HERM_TOL_FACTOR * (1.0 + operator_norm(M)):
                 raise NonHermitianInput(f"{what} deviates from Hermitian by {defect:.3e}")
     return (M + M.conj().T) / 2.0
-
-
-def hermitian_eig(M) -> EigDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, values ascending."""
-    Ms = require_hermitian(M)
-    w, v = np.linalg.eigh(Ms)
-    return EigDecomposition(values=w, vectors=v)
-
-
-def as_eig(M) -> EigDecomposition:
-    """M itself when it already is an EigDecomposition, else hermitian_eig(M).
-
-    Lets spectrum consumers take a problem's cached decomposition in place
-    of the matrix, skipping the validation and eigh it already went through.
-    """
-    return M if isinstance(M, EigDecomposition) else hermitian_eig(M)
 
 
 # n_A * n_C below which a Sylvester solve in C's eigenbasis goes row by row
@@ -146,30 +137,3 @@ def _solve_in_eig_C(Z: np.ndarray, c: np.ndarray, G: np.ndarray, floor: float = 
     _require_apart(z, c)
     W = (G @ P) / (z[None, :] - c[:, None])
     return np.linalg.solve(P.T, W.T).T
-
-
-def solve_sylvester(Z, C, R) -> np.ndarray:
-    """Solve X Z - C X = R for X in the eigenbasis of C.
-
-    Z is a general square matrix (here always similar to a Hermitian one),
-    C is Hermitian, given as a matrix or as its EigDecomposition
-    C = U diag(c) U*.  The unknown Y = U* X solves
-    Y Z - diag(c) Y = U* R, which _solve_in_eig_C takes row by row for
-    n_A n_C below ROW_SOLVE_LIMIT and by diagonalizing Z from there on;
-    X = U Y.  A Z within TOL_SPEC of sigma(C) raises SpectraOverlap.
-
-    Only the diagonalizing path needs Z diagonalizable: there a defective
-    Z gives a numerically singular eigenvector matrix and a wrong X
-    without an error, so callers that may meet one check the residual of
-    X.  Row by row, Z = [[0, 1], [0, 0]], C = diag(-1, 1),
-    R = [[1, 0.3], [0.5, 1]] solves to a residual near machine epsilon.
-    """
-    Z = as_matrix(Z)
-    c, U = C if isinstance(C, EigDecomposition) else np.linalg.eigh(require_hermitian(C, "C"))
-    R = as_matrix(R)
-    n, m = c.shape[0], Z.shape[0]
-    if Z.shape[0] != Z.shape[1]:
-        raise DimensionMismatch(f"Z must be square, got {Z.shape}")
-    if R.shape != (n, m):
-        raise DimensionMismatch(f"R must be {n}x{m}, got {R.shape}")
-    return U @ _solve_in_eig_C(Z, c, U.conj().T @ R)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .block import BlockProblem, SpectralGap, assemble_H
+from .block import BlockProblem, SpectralGap, assemble_H, dist_spectra
 from .errors import (
     DimensionMismatch,
     IterationDiverged,
@@ -40,6 +40,7 @@ from .linalg import (
     TOL_SPEC,
     _bauer_fike_floor,
     _frobenius,
+    _read_only,
     _solve_in_eig_C,
     as_matrix,
     operator_norm,
@@ -119,11 +120,6 @@ class RiccatiSolution:
     @cached_property
     def zhat_eigs(self) -> np.ndarray:
         return _read_only(np.linalg.eigvalsh(self.LambdaHat))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _compression(M: np.ndarray, V: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -216,7 +212,7 @@ def build_contour(z_spectrum, c_spectrum) -> Contour:
     c = np.asarray(c_spectrum, dtype=float).ravel()
     if z.size == 0 or c.size == 0:
         raise ValueError("both spectra must be nonempty")
-    sep = float(np.min(np.abs(z[:, None] - c[None, :])))
+    sep = dist_spectra(z, c)
     if sep <= 2 * TOL_SPEC:
         raise SpectraTooClose(f"spectra are only {sep:.3e} apart")
     center = (z.max() + z.min()) / 2.0

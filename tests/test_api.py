@@ -1,6 +1,8 @@
 """The public API: what riccatilab exports must exist."""
 
 import ast
+import os
+import re
 from pathlib import Path
 
 import riccatilab as rl
@@ -105,3 +107,16 @@ def test_no_function_has_a_parameter_it_never_reads():
                 for a in params if a.arg not in ("self", "cls") and a.arg not in read
             ]
     assert unread == []
+
+
+def test_every_python_block_of_the_readme_runs(monkeypatch):
+    # in order, in one fresh namespace, as a reader would paste them; the
+    # blocks start the CLI with sys.executable, which must import this tree
+    src = str(Path(rl.__file__).parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    readme = Path(rl.__file__).parents[2] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

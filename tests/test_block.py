@@ -46,9 +46,9 @@ def test_block_problem_caches_its_spectra():
     assert p.eig_C is p.eig_C
     assert p.eig_A is p.eig_A
     for cached, M in ((p.eig_A, p.A), (p.eig_C, p.C)):
-        fresh = rl.hermitian_eig(M)
-        assert np.array_equal(cached.values, fresh.values)
-        assert np.array_equal(cached.vectors, fresh.vectors)
+        w, v = np.linalg.eigh(M)
+        assert np.array_equal(cached.values, w)
+        assert np.array_equal(cached.vectors, v)
         with pytest.raises(ValueError):
             cached.values[0] = 0.0
         with pytest.raises(ValueError):
@@ -62,10 +62,20 @@ def test_block_problem_caches_its_norms():
     assert "norm_B" in vars(p)
 
 
-def test_spectrum_helpers_take_the_cached_decomposition():
-    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
-    assert rl.find_gaps(p.eig_C) == rl.find_gaps(p.C)
-    assert rl.dist_spectra(p.eig_A, p.eig_C) == rl.dist_spectra(p.A, p.C)
+def test_dist_spectra_takes_eigenvalue_arrays_and_is_every_spectral_distance(battery500):
+    assert rl.dist_spectra(np.array([0.5, 3.0]), np.array([-1.0, 1.0])) == 0.5
+    assert rl.dist_spectra(np.array([0.0, 2.0]), np.array([1.0 + 1.0j])) == np.sqrt(2.0)
+    with pytest.raises(DimensionMismatch):
+        rl.dist_spectra(np.eye(2), np.array([1.0]))
+    with pytest.raises(DimensionMismatch):
+        rl.find_gaps(np.diag([0.0, 1.0]))
+    for _, p, _, sol in battery500.items:
+        a, c, z = p.eig_A.values, p.eig_C.values, sol.z_eigs
+        assert p.d == rl.dist_spectra(a, c)
+        assert rl.certify_tan_theta(p, sol).details["delta"] == rl.dist_spectra(z, c)
+        # radius = hull half-width + separation / 2, the separation taken by dist_spectra
+        radius = rl.build_contour(z, c).radius
+        assert radius == float((z.max() - z.min()) / 2.0 + rl.dist_spectra(z, c) / 2.0)
 
 
 def test_assemble_H_is_hermitian():
@@ -76,7 +86,7 @@ def test_assemble_H_is_hermitian():
 
 
 def test_find_gaps_simple():
-    gaps = rl.find_gaps(np.diag([0.0, 1.0, 3.0]))
+    gaps = rl.find_gaps(np.array([0.0, 1.0, 3.0]))
     finite = [g for g in gaps if g.is_finite]
     assert [(g.alpha, g.beta) for g in finite] == [(0.0, 1.0), (1.0, 3.0)]
     rays = [g for g in gaps if not g.is_finite]
@@ -85,7 +95,7 @@ def test_find_gaps_simple():
 
 def test_find_gaps_merges_near_ties():
     # 1.0 and 1.0 + eps are one spectral point at tol_spec resolution
-    gaps = rl.find_gaps(np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0]))
+    gaps = rl.find_gaps(np.array([0.0, 1.0, 1.0 + 1e-12, 3.0]))
     finite = [g for g in gaps if g.is_finite]
     assert len(finite) == 2
 
@@ -94,8 +104,7 @@ def test_find_gaps_tile_the_hull():
     rng = SplitMix64(21)
     for _ in range(5):
         vals = np.sort([rng.normal() * 3 for _ in range(6)])
-        C = np.diag(vals)
-        finite = [g for g in rl.find_gaps(C) if g.is_finite]
+        finite = [g for g in rl.find_gaps(vals) if g.is_finite]
         # closures of the finite gaps cover [min, max] without overlap
         total = sum(g.length for g in finite)
         assert total == pytest.approx(vals[-1] - vals[0], abs=1e-9)

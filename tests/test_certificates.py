@@ -173,7 +173,7 @@ def _hull_in_one_gap_of_C(a, c):
     p = rl.BlockProblem(np.diag(a), np.zeros((len(a), len(c))), np.diag(c))
     cert = rl.certify_tan_theta(p, RiccatiSolution(p, np.zeros((len(c), len(a))), "zero"))
     lo, hi = min(a), max(a)
-    assert cert.hypothesis_ok == any(g.contains(lo) and g.contains(hi) for g in rl.find_gaps(p.C))
+    assert cert.hypothesis_ok == any(g.contains(lo) and g.contains(hi) for g in rl.find_gaps(p.eig_C.values))
     return cert.hypothesis_ok
 
 

@@ -259,7 +259,7 @@ def test_generate_hits_gap_endpoints_exactly():
 def test_generate_attains_d_target_exactly():
     spec = rl.GenSpec(seed=809, n_A=2, n_C=5, gap=(-1.0, 1.0), d_target=0.37, b_ratio=0.5)
     p = rl.generate(spec)
-    assert rl.dist_spectra(p.A, p.C) == pytest.approx(0.37, abs=1e-12)
+    assert rl.dist_spectra(p.eig_A.values, p.eig_C.values) == pytest.approx(0.37, abs=1e-12)
 
 
 def test_generate_scales_coupling_exactly():

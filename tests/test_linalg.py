@@ -1,9 +1,10 @@
-"""Core linear algebra: eigensolver contract and Sylvester solver.
+"""Core linear algebra: eigensolver contract and Sylvester kernel.
 
-The eigensolver is cross-checked against a from-scratch cyclic Jacobi
-sweep so that no assertion here trusts the production code path it is
-checking.  The Sylvester solver is checked against the Kronecker
-vectorization of the same equation, again a fully independent route.
+A problem's cached spectrum is cross-checked against a from-scratch
+cyclic Jacobi sweep so that no assertion here trusts the production code
+path it is checking.  The Sylvester kernel is checked against the
+Kronecker vectorization of the same equation, again a fully independent
+route.
 """
 
 import numpy as np
@@ -22,10 +23,8 @@ from riccatilab.linalg import (
     _bauer_fike_floor,
     _solve_in_eig_C,
     as_matrix,
-    hermitian_eig,
     operator_norm,
     require_hermitian,
-    solve_sylvester,
 )
 from riccatilab.rng import SplitMix64
 
@@ -70,21 +69,21 @@ def jacobi_eigenvalues(M, sweeps=60, tol=1e-14):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
-def test_hermitian_eig_matches_jacobi(n):
+def test_cached_eig_matches_jacobi(n):
     rng = SplitMix64(900 + n)
     for _ in range(3):
         M = random_hermitian(rng, n)
         ref = jacobi_eigenvalues(M)
-        got = hermitian_eig(M).values
+        got = rl.BlockProblem(M, np.zeros((n, 1)), np.eye(1)).eig_A.values
         assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - ref)) <= 1e-10 * (1 + operator_norm(M))
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
-def test_hermitian_eig_reconstructs(n, seed):
+def test_cached_eig_reconstructs(n, seed):
     M = random_hermitian(SplitMix64(seed), n)
-    vals, vecs = hermitian_eig(M)
+    vals, vecs = rl.BlockProblem(M, np.zeros((n, 1)), np.eye(1)).eig_A
     tol = 1e-11 * (1 + operator_norm(M))
     assert operator_norm(vecs @ np.diag(vals) @ vecs.conj().T - M) <= tol
     assert operator_norm(vecs.conj().T @ vecs - np.eye(n)) <= tol
@@ -233,22 +232,27 @@ def sylvester_kron_oracle(Z, C, R):
     return np.linalg.solve(K, R.flatten(order="F")).reshape((n_C, n_A), order="F")
 
 
-def test_solve_sylvester_diagonal_closed_form():
+def solve_in_eig_C(Z, C, R):
+    # X Z - C X = R through the kernel, in the eigenbasis of C = U diag(c) U*
+    c, U = np.linalg.eigh(C)
+    return U @ _solve_in_eig_C(Z, c, U.conj().T @ R)
+
+
+def test_solve_in_eig_C_diagonal_closed_form():
     Z = np.diag([1.0, 3.0])
-    C = np.diag([-1.0, 0.0, 5.0])
+    c = np.array([-1.0, 0.0, 5.0])
     R = np.arange(6, dtype=float).reshape(3, 2) + 1
-    X = solve_sylvester(Z, C, R)
-    expected = R / (np.array([1.0, 3.0])[None, :] - np.array([-1.0, 0.0, 5.0])[:, None])
-    assert operator_norm(X - expected) <= 1e-14
+    Y = _solve_in_eig_C(Z, c, R)
+    expected = R / (np.array([1.0, 3.0])[None, :] - c[:, None])
+    assert operator_norm(Y - expected) <= 1e-14
 
 
-def test_solve_sylvester_worked_example():
-    # X Z - C X = R with C = diag(1, -1): solvable by hand row by row
+def test_solve_in_eig_C_worked_example():
+    # Y Z - diag(1, -1) Y = G: solvable by hand row by row
     Z = np.array([[2.0]])
-    C = np.diag([1.0, -1.0])
-    R = np.array([[1.0], [3.0]])
-    X = solve_sylvester(Z, C, R)
-    assert np.allclose(X, [[1.0], [1.0]], atol=1e-14)
+    G = np.array([[1.0], [3.0]])
+    Y = _solve_in_eig_C(Z, np.array([1.0, -1.0]), G)
+    assert np.allclose(Y, [[1.0], [1.0]], atol=1e-14)
 
 
 @given(
@@ -257,45 +261,37 @@ def test_solve_sylvester_worked_example():
     st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=40, deadline=None)
-def test_solve_sylvester_matches_kron(n_A, n_C, seed):
+def test_solve_in_eig_C_matches_kron(n_A, n_C, seed):
     rng = SplitMix64(seed)
     # Hermitian coefficients with spectra pushed apart so the division
     # in the eigenbasis stays well conditioned
     Z = random_hermitian(rng, n_A) + 10.0 * np.eye(n_A)
     C = random_hermitian(rng, n_C) - 10.0 * np.eye(n_C)
     R = rng.complex_normal_matrix(n_C, n_A)
-    X = solve_sylvester(Z, C, R)
+    X = solve_in_eig_C(Z, C, R)
     ref = sylvester_kron_oracle(Z, C, R)
     scale = 1 + operator_norm(R)
     assert operator_norm(X - ref) <= 1e-9 * scale
     assert operator_norm(X @ Z - C @ X - R) <= 1e-9 * scale
 
 
-def test_solve_sylvester_accepts_eig_decomposition():
-    rng = SplitMix64(5)
-    Z = random_hermitian(rng, 3) + 10.0 * np.eye(3)
-    C = random_hermitian(rng, 4) - 10.0 * np.eye(4)
-    R = rng.complex_normal_matrix(4, 3)
-    assert np.array_equal(solve_sylvester(Z, hermitian_eig(C), R), solve_sylvester(Z, C, R))
-
-
-def test_solve_sylvester_rejects_overlap():
+def test_solve_in_eig_C_rejects_overlap():
     with pytest.raises(SpectraOverlap):
-        solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
+        _solve_in_eig_C(np.eye(2), np.ones(3), np.ones((3, 2)))
 
 
-def test_solve_sylvester_solves_a_defective_Z_row_by_row(monkeypatch):
+def test_solve_in_eig_C_solves_a_defective_Z_row_by_row(monkeypatch):
     # Z = [[0, 1], [0, 0]] has one eigenvector, so diagonalizing it fails
     # silently; the row path solves each shifted system directly
     Z = np.array([[0.0, 1.0], [0.0, 0.0]])
-    C = np.diag([-1.0, 1.0])
-    R = np.array([[1.0, 0.3], [0.5, 1.0]])
+    c = np.array([-1.0, 1.0])
+    G = np.array([[1.0, 0.3], [0.5, 1.0]])
     assert Z.size < ROW_SOLVE_LIMIT
-    X = solve_sylvester(Z, C, R)
-    assert operator_norm(X @ Z - C @ X - R) <= 1e-15
+    Y = _solve_in_eig_C(Z, c, G)
+    assert operator_norm(Y @ Z - np.diag(c) @ Y - G) <= 1e-15
     monkeypatch.setattr(linalg, "ROW_SOLVE_LIMIT", 0)
-    X = solve_sylvester(Z, C, R)
-    assert operator_norm(X @ Z - C @ X - R) > 1.0
+    Y = _solve_in_eig_C(Z, c, G)
+    assert operator_norm(Y @ Z - np.diag(c) @ Y - G) > 1.0
 
 
 def test_bauer_fike_screen_never_skips_a_refusal():

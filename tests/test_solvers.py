@@ -659,7 +659,7 @@ def test_uniqueness_class_needs_sigma_Zhat_not_the_inertia_of_M(battery500):
     # sigma(Zhat) has an eigenvalue in the gap and rejects it
     _, p, gap, sol = battery500.items[368]
     assert (p.n_A, p.n_C) == (1, 12)
-    gaps = rl.find_gaps(p.eig_C)
+    gaps = rl.find_gaps(p.eig_C.values)
     near = gaps[gaps.index(gap) + 1]
     assert near.alpha == gap.beta and near.length < 0.02
     X = rl.solve_spectral(p, near).X + 3e-3 * np.ones((p.n_C, p.n_A))
