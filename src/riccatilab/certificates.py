@@ -62,9 +62,18 @@ def _shifted_frame(p: BlockProblem, gap: SpectralGap) -> tuple:
     threshold, hyp = _hypothesis(p, gap, span)
     gamma = gap.midpoint
     b = p.norm_B
-    Ash = p.A - gamma * np.eye(p.n_A)
-    Csh = p.C - gamma * np.eye(p.n_C)
-    return gamma, threshold, hyp, Ash, Csh, Ash @ p.B + p.B @ Csh, p.d * span - b * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ash = p.A - gamma * np.eye(p.n_A)
+        Csh = p.C - gamma * np.eye(p.n_C)
+        Bhat = _finite(Ash @ p.B + p.B @ Csh)
+    return gamma, threshold, hyp, Ash, Csh, Bhat, p.d * span - b * b
+
+
+def _finite(M: np.ndarray) -> np.ndarray:
+    """M, or HypothesisViolated when the gap-midpoint frame overflowed into it."""
+    if not np.isfinite(M).all():
+        raise HypothesisViolated("the gap-midpoint frame overflows double precision")
+    return M
 
 
 def gamma_center(sol: RiccatiSolution) -> float:
@@ -107,7 +116,7 @@ def certify_contraction(
 
     The coupling norm ||A'B + BC'|| is evaluated in the frame shifted by
     the gap midpoint, where the bound is sharpest and shift-invariantly
-    stated.  A ray raises HypothesisViolated.
+    stated.  A ray, or a frame that overflows, raises HypothesisViolated.
     """
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
     coupling = operator_norm(Bhat)
@@ -214,14 +223,16 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     (C-gamma)^2 + B*B whose spectra separate by at least
     d(|gap|-d) - ||B||^2, with the first block confined to
     [0, (|gap|/2 - d)^2 + ||B||^2].  Both claims are certified; the margin
-    is the slack in the separation lower bound.
+    is the slack in the separation lower bound.  HypothesisViolated when
+    the hypothesis fails or the shifted blocks overflow.
     """
     gamma, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap)
     b = p.norm_B
     if not hyp:
         raise HypothesisViolated(f"fails at ||B||={b:.6g}, sqrt(d(|gap|-d))={threshold:.6g}")
-    Ahat = Ash @ Ash + p.B @ p.B.conj().T
-    Chat = Csh @ Csh + p.B.conj().T @ p.B
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ahat = _finite(Ash @ Ash + p.B @ p.B.conj().T)
+        Chat = _finite(Csh @ Csh + p.B.conj().T @ p.B)
     sq = BlockProblem(A=Ahat, B=Bhat, C=Chat)
     achieved = sq.d
     ahat = sq.eig_A.values

@@ -14,6 +14,8 @@ import pytest
 import riccatilab as rl
 from riccatilab.rng import SplitMix64
 
+pytest_plugins = ["pytester"]
+
 MASTER_INTERIOR = 20260817
 MASTER_KORINTS = 71043
 MASTER_SUBORDINATED = 424242

@@ -293,6 +293,15 @@ def test_squared_shift_rejects_weak_hypothesis():
         rl.squared_shift(p, gap)
 
 
+def test_an_overflowing_frame_violates_the_hypothesis():
+    # at this scale (A - gamma) B + B (C - gamma) and (C - gamma)^2 overflow
+    p, gap, sol = solved_example(1e300, 1e300)
+    with pytest.raises(HypothesisViolated, match="overflows"):
+        rl.certify_contraction(p, gap, sol)
+    with pytest.raises(HypothesisViolated, match="overflows"):
+        rl.squared_shift(p, gap)
+
+
 def test_sigma_A_beyond_the_gap_fails_the_hypothesis_without_a_crash():
     # sigma(A) = {5} lies outside the gap (-1, 1), so d = 4 exceeds |gap|
     # and d (|gap| - d) = -8: the threshold is 0, which no ||B|| is below

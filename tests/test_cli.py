@@ -9,7 +9,8 @@ import pytest
 
 import riccatilab as rl
 from riccatilab.cli import main
-from riccatilab.harness import realize
+from riccatilab.harness import _CERT_PREFIXES, realize
+from riccatilab.linalg import operator_norm
 from riccatilab.serialize import (
     clean_number,
     dumps,
@@ -262,6 +263,21 @@ def test_certify_inapplicable_is_data_not_error(capsys, tmp_path):
     assert by_name["contraction_1ii"]["hypothesis_ok"] is False
 
 
+def test_certify_reports_an_overflowing_frame_as_inapplicable(capsys, tmp_path):
+    # at d = 1e200 the squared shift's (C - gamma)^2 overflows double precision
+    code, problem, _ = run(capsys, "example", "--d", "1e200", "--b", "1")
+    assert code == 0
+    path = tmp_path / "huge.json"
+    path.write_text(problem)
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, err) == (0, "")
+    by_name = {c["theorem"]: c for c in json.loads(out)["certificates"]}
+    assert by_name["squared_subordination"] == {
+        "theorem": "squared_subordination", "applicable": False, "error": "HypothesisViolated",
+    }
+    assert by_name["contraction_1ii"]["passed"] is True
+
+
 def test_factorize_payload(capsys, example_file):
     code, out, _ = run(capsys, "factorize", example_file)
     assert code == 0
@@ -436,6 +452,23 @@ def test_sweep_reports_an_infeasible_row_as_malformed(capsys, monkeypatch, row):
     assert err.startswith("riccatilab: input error: spec 0 is malformed: ")
 
 
+@pytest.mark.parametrize(
+    "d, b, inapplicable",
+    [(1e300, 1e300, {"contraction", "tan2theta", "squared"}), (1e200, 1.0, {"tan2theta", "squared"})],
+)
+def test_sweep_writes_a_full_row_when_the_frame_overflows(capsys, monkeypatch, d, b, inapplicable):
+    rows = [{"family": "example", "d": d, "b": b}, {"family": "example", "d": 1.0, "b": 0.5}]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rows)))
+    code, out, err = run(capsys, "sweep", "-")
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    assert len(lines) == 2
+    cells = dict(zip(header.split(","), lines[0].split(",")))
+    assert cells["status"] == "ok"
+    empty = {col for col, value in cells.items() if value == ""}
+    assert empty == {"seed"} | {f"{t}_{k}" for t in inapplicable for k in ("pass", "margin")}
+
+
 @pytest.mark.parametrize("target", ["missing_dir/rows.csv", "."], ids=["no_such_dir", "a_directory"])
 def test_sweep_out_that_cannot_be_opened_is_an_input_error(capsys, monkeypatch, tmp_path, target):
     calls = []
@@ -490,6 +523,10 @@ def test_sweep_cells_agree_with_certify(capsys, tmp_path):
         rl.GenSpec(3, 2, 5, (-1.0, 1.0), 0.3, 0.6, "overlapping"),
         rl.ExampleSpec(d=1.0, b=1.6),  # past sqrt(2) d
     ]
+    # sweep zips its column prefixes with certify_all's report order; the
+    # cells are matched here by theorem name, so a reordering fails
+    assert set(theorems) == set(_CERT_PREFIXES)
+    applied = set()
     for spec, row in zip(grid, rl.sweep(grid).rows):
         p, _ = realize(spec)
         point = 0.0 if isinstance(spec, rl.ExampleSpec) else sum(spec.gap) / 2
@@ -509,6 +546,21 @@ def test_sweep_cells_agree_with_certify(capsys, tmp_path):
                 assert "applicable" not in cert, (spec, theorem)
                 assert row[f"{prefix}_pass"] == cert["passed"]
                 assert clean_number(row[f"{prefix}_margin"]) == cert["margin"]
+                applied.add(theorem)
+    # every column is compared on at least one row
+    assert applied == set(theorems.values())
+
+
+def test_cli_contour_route_agrees_with_the_spectral_route(battery500):
+    # the CLI places the circle from sol.z_eigs and p.eig_C, not from
+    # eigvals(Z) and eigvalsh(C) as criterion 03 does
+    from riccatilab import cli
+
+    for _, p, gap, sol in battery500.items[:25]:
+        payload = cli._solve_payload(p, gap, "contour")
+        assert payload["method"] == "contour"
+        X = matrix_from_json(payload["X"])
+        assert operator_norm(X - sol.X) <= 1e-8 * (1.0 + sol.x_norm)
 
 
 def test_certify_closes_the_problem_file(capsys, example_file):
