@@ -158,7 +158,11 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
 
 def assemble_H(p: BlockProblem) -> np.ndarray:
     """The Hermitian block matrix [[A, B], [B*, C]]."""
-    return np.block([[p.A, p.B], [p.B.conj().T, p.C]])
+    n = p.n_A
+    H = np.empty((n + p.n_C, n + p.n_C), dtype=complex)
+    H[:n, :n], H[:n, n:] = p.A, p.B
+    H[n:, :n], H[n:, n:] = p.B.conj().T, p.C
+    return H
 
 
 def find_gaps(w) -> list[SpectralGap]:
@@ -217,26 +221,34 @@ def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
     raise LambdaOnSpectrumOfC(f"point {point} is not interior to any gap of C")
 
 
-def _require_off_sigma_C(p: BlockProblem, lams: np.ndarray, label: str = "lambda=") -> None:
-    """Raise LambdaOnSpectrumOfC naming the first of lams within tol_spec of
-    sigma(C); label prefixes the point in the message ("lambda=" for a
-    single evaluation point, "grid point " for a grid)."""
+def _require_off_sigma_C(
+    p: BlockProblem, lams: np.ndarray | complex, label: str = "lambda="
+) -> None:
+    """Raise LambdaOnSpectrumOfC naming the first of lams, a 1-d array or
+    one complex point, within tol_spec of sigma(C); label prefixes the
+    point in the message ("lambda=" for a single evaluation point, "grid
+    point " for a grid)."""
     c = p.eig_C.values
-    near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
-    if near.size:
-        raise LambdaOnSpectrumOfC(f"{label}{complex(lams[near[0]])} is within tol of sigma(C)")
+    if isinstance(lams, complex):
+        first = lams if np.abs(c - lams).min() <= TOL_SPEC else None
+    else:
+        near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
+        first = complex(lams[near[0]]) if near.size else None
+    if first is not None:
+        raise LambdaOnSpectrumOfC(f"{label}{first} is within tol of sigma(C)")
 
 
-def _coupled_resolvent(p: BlockProblem, lams: np.ndarray, UY: np.ndarray) -> np.ndarray:
-    """B (C - lambda)^{-1} Y stacked over lambdas, for Y given as UY = U* Y.
+def _coupled_resolvent(p: BlockProblem, lams: np.ndarray | complex, UY: np.ndarray) -> np.ndarray:
+    """B (C - lambda)^{-1} Y for Y given as UY = U* Y: stacked over lams
+    when it is a 1-d array, one matrix when it is one point.
 
     With C = U diag(c) U*, B (C - lambda)^{-1} U is (U* B*)* with its
     columns scaled by 1/(c - lambda).  Each point is its own product, so
-    its value does not depend on the other points of the batch.
+    its value does not depend on the other points of the batch, and one
+    point gives the bits it gets in any batch.
     """
     c = p.eig_C.values
-    BU = p.B_in_eig_C
-    return np.matmul(BU[None, :, :] / (c[None, None, :] - lams[:, None, None]), UY)
+    return np.matmul(p.B_in_eig_C / (c - np.asarray(lams)[..., None, None]), UY)
 
 
 def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .block import (
     _require_off_sigma_C,
     herglotz_batch,
 )
-from .errors import HypothesisViolated
+from .errors import DimensionMismatch, HypothesisViolated
 from .linalg import FRO_SLACK, TOL_SPEC, as_matrix
 
 logger = logging.getLogger(__name__)
@@ -45,8 +45,17 @@ class EnclosureBounds:
 
 
 def compute_W(p: BlockProblem, X, lam: complex) -> np.ndarray:
-    """The factor W(lambda) = I - B (C - lambda)^{-1} X."""
-    return _w_scan(p, as_matrix(X), np.array([complex(lam)]))[0]
+    """The factor W(lambda) = I - B (C - lambda)^{-1} X at one point.
+
+    An X that is not n_C x n_A raises DimensionMismatch, and a lambda
+    within tol of sigma(C) LambdaOnSpectrumOfC.
+    """
+    X = as_matrix(X)
+    if X.shape != (p.n_C, p.n_A):
+        raise DimensionMismatch(f"X must be {p.n_C}x{p.n_A}, got {X.shape}")
+    lam = complex(lam)
+    _require_off_sigma_C(p, lam)
+    return _w_batch(p, X, lam)
 
 
 def _w_scan(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -56,7 +65,8 @@ def _w_scan(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return _w_batch(p, X, lams)
 
 
-def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray | complex) -> np.ndarray:
+    """W at lams, stacked for a 1-d array, one matrix for one point; no checks."""
     UX = p.eig_C.vectors.conj().T @ X
     return np.eye(p.n_A, dtype=complex) - _coupled_resolvent(p, lams, UX)
 

@@ -90,7 +90,7 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
 
 # n_A * n_C below which a Sylvester solve in C's eigenbasis goes row by row
 # (one batched solve over the n_C shifted systems); from here on, one eig(Z).
-# The crossover of the full fixed-point step, one BLAS thread (README).
+# At or below the crossover of the full fixed-point step, one BLAS thread (README).
 ROW_SOLVE_LIMIT = 512
 
 
@@ -113,26 +113,44 @@ def _bauer_fike_floor(d: float, scale: float, E: np.ndarray) -> float:
     return d - (1.0 + FRO_SLACK) * _frobenius(E) - FRO_SLACK * scale
 
 
-def _solve_in_eig_C(Z: np.ndarray, c: np.ndarray, G: np.ndarray, floor: float = -math.inf) -> np.ndarray:
+def _row_systems(c: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """What the row path's systems Y_i (Z - c_i) = G_i share for every Z:
+    the stacked shifts c_i I and the rows G_i as columns; None from
+    ROW_SOLVE_LIMIT on, where _solve_in_eig_C diagonalizes Z instead."""
+    n_C, n_A = G.shape
+    if n_A * n_C >= ROW_SOLVE_LIMIT:
+        return None
+    return c[:, None, None] * np.eye(n_A), G[:, :, None]
+
+
+def _solve_in_eig_C(
+    Z: np.ndarray,
+    c: np.ndarray,
+    G: np.ndarray,
+    floor: float = -math.inf,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Solve Y Z - diag(c) Y = G for Y, raising SpectraOverlap when
     min|sigma(Z) - c| <= TOL_SPEC.
 
     This is X Z - C X = R in the eigenbasis of C = U diag(c) U*, with
     Y = U* X and G = U* R.  While n_A n_C < ROW_SOLVE_LIMIT, row i is the
     system Y_i (Z - c_i) = G_i, and all n_C of them go in one batched
-    solve; eigvals(Z) is skipped when floor, a lower bound on the
-    separation that the caller vouches for (_bauer_fike_floor), already
-    exceeds TOL_SPEC.  From the limit on, with Z = P diag(z) P^{-1},
-    (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z) instead of the n_C
-    factorizations, but Z must be diagonalizable, since a defective Z
-    gives a numerically singular P and a wrong Y without an error.
+    solve; rows is _row_systems(c, G), built here unless a caller that
+    solves for many Z passes it in, and eigvals(Z) is skipped when floor,
+    a lower bound on the separation that the caller vouches for
+    (_bauer_fike_floor), already exceeds TOL_SPEC.  From the limit on,
+    with Z = P diag(z) P^{-1}, (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z)
+    instead of the n_C factorizations, but Z must be diagonalizable, since
+    a defective Z gives a numerically singular P and a wrong Y without an
+    error.
     """
     n_C, n_A = G.shape
     if n_A * n_C < ROW_SOLVE_LIMIT:
         if not floor > TOL_SPEC:
             _require_apart(np.linalg.eigvals(Z), c)
-        shifted = Z.T[None, :, :] - c[:, None, None] * np.eye(n_A)
-        return np.linalg.solve(shifted, G[:, :, None])[:, :, 0]
+        shifts, rhs = _row_systems(c, G) if rows is None else rows
+        return np.linalg.solve(Z.T - shifts, rhs)[:, :, 0]
     z, P = np.linalg.eig(Z)
     _require_apart(z, c)
     W = (G @ P) / (z[None, :] - c[:, None])

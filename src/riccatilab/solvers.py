@@ -41,6 +41,7 @@ from .linalg import (
     _bauer_fike_floor,
     _frobenius,
     _read_only,
+    _row_systems,
     _solve_in_eig_C,
     as_matrix,
     operator_norm,
@@ -309,11 +310,14 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         X_prev = X_new
 
 
-def _fixedpoint_step(p: BlockProblem, Y: np.ndarray) -> np.ndarray:
-    """The next iterate in C's eigenbasis: Y' (A + (B U) Y) - diag(c) Y' = U* B*."""
+def _fixedpoint_step(
+    p: BlockProblem, Y: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """The next iterate in C's eigenbasis: Y' (A + (B U) Y) - diag(c) Y' = U* B*;
+    rows is the problem's _row_systems, which the kernel builds when it is None."""
     E = p.B_in_eig_C @ Y
     floor = _bauer_fike_floor(p.d, p.norm_A + p.norm_C, E)
-    return _solve_in_eig_C(p.A + E, p.eig_C.values, p.Bstar_in_eig_C, floor)
+    return _solve_in_eig_C(p.A + E, p.eig_C.values, p.Bstar_in_eig_C, floor, rows)
 
 
 def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
@@ -324,13 +328,14 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     Y_k = U* X_k and Z_k = A + (B U) Y_k, so each step solves
     Y Z_k - diag(c) Y = U* B* with the cached B U and U* B*
     (linalg._solve_in_eig_C: row by row on small blocks, where a defective
-    Z_k does no harm), and X = U Y is formed once, at the stop.  A Z_k
-    within tol_spec of sigma(C) raises SpectraOverlap; a Bauer-Fike bound
-    from d and ||(B U) Y_k||_F spares the eigvals of that test whenever
-    it settles it.  Stops on a relative step of TOL_FIX.  Raises
-    IterationDiverged past norm 1e6, at a period-2 cycle, or past MAX_ITER
-    steps.  A cycle is Y_k within TOL_FIX of Y_{k-2} (relative, as the
-    stop) while the step Y_k - Y_{k-1} is not within sqrt(TOL_FIX): the
+    Z_k does no harm, with the stacked shifts c_i I built once per solve),
+    and X = U Y is formed once, at the stop.  A Z_k within tol_spec of
+    sigma(C) raises SpectraOverlap; a Bauer-Fike bound from d and
+    ||(B U) Y_k||_F spares the eigvals of that test whenever it settles
+    it.  Stops on a relative step of TOL_FIX.  Raises IterationDiverged
+    past norm 1e6, at a period-2 cycle, or past MAX_ITER steps.  A cycle
+    is Y_k within TOL_FIX of Y_{k-2} (relative, as the stop) while the
+    step Y_k - Y_{k-1} is not within sqrt(TOL_FIX), tested first: the
     guard keeps oscillating convergers, whose two-step difference falls
     below TOL_FIX a few steps before their step does.  A linearly
     oscillating sequence that passes both tests keeps at least
@@ -341,21 +346,23 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     residual_acceptable raises ResidualTooLarge, and one at another gap's
     root (uniqueness_class_check) OutsideUniquenessClass.
     """
+    rows = _row_systems(p.eig_C.values, p.Bstar_in_eig_C)
     Y_back = Y = np.zeros((p.n_C, p.n_A), dtype=complex)  # Y_{k-2} and Y_{k-1} at step k
     for k in range(1, MAX_ITER + 1):
-        Y_next = _fixedpoint_step(p, Y)
+        Y_next = _fixedpoint_step(p, Y, rows)
         step, y_norm = _frobenius(Y_next - Y), _frobenius(Y_next)
         if not y_norm <= DIVERGE_NORM:  # a nan iterate diverged too
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")
-        if step <= TOL_FIX * (1.0 + y_norm):
+        scale = 1.0 + y_norm
+        if step <= TOL_FIX * scale:
             sol = RiccatiSolution(p, p.eig_C.vectors @ Y_next, "fixedpoint")
             if not residual_acceptable(p, sol, sol.residual):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
             if not uniqueness_class_check(p, sol, gap):
                 raise OutsideUniquenessClass(f"not the root of ({gap.alpha}, {gap.beta})")
             return sol
-        cycle = _frobenius(Y_next - Y_back) <= TOL_FIX * (1.0 + y_norm)
-        if cycle and step > math.sqrt(TOL_FIX) * (1.0 + y_norm):
+        # the guard first, so a converger's late steps take no two-step norm
+        if step > math.sqrt(TOL_FIX) * scale and _frobenius(Y_next - Y_back) <= TOL_FIX * scale:
             raise IterationDiverged(f"period-2 cycle at step {k}")
         Y_back, Y = Y, Y_next
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")

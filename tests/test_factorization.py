@@ -8,7 +8,7 @@ import pytest
 
 import riccatilab as rl
 from riccatilab.block import herglotz_batch
-from riccatilab.errors import HypothesisViolated, LambdaOnSpectrumOfC
+from riccatilab.errors import DimensionMismatch, HypothesisViolated, LambdaOnSpectrumOfC
 from riccatilab.factorization import _w_batch
 from riccatilab.linalg import TOL_SPEC, operator_norm
 
@@ -173,6 +173,16 @@ def test_w_scan_names_first_point_on_sigma_C():
         _w_scan(p, sol.X, np.array([0.3, -1.0 + 1e-10j, 1.0]))
     with pytest.raises(LambdaOnSpectrumOfC, match=r"^lambda=\(-1\+1e-10j\) is within tol"):
         rl.compute_W(p, sol.X, -1.0 + 1e-10j)
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (6, 2), (5, 3)])
+def test_compute_W_refuses_a_misshapen_X(shape):
+    # X must be n_C x n_A = 6x3: a 6x1 X broadcast to a 3x3 W, and the
+    # other two failed inside numpy
+    p = rl.generate(rl.GenSpec(3, 3, 6, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    message = rf"^X must be 6x3, got \({shape[0]}, {shape[1]}\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        rl.compute_W(p, np.ones(shape), 0.0)
 
 
 def test_w_scan_is_bit_identical_to_compute_W_per_point(battery500):

@@ -443,21 +443,45 @@ def test_fixedpoint_reads_the_cached_rotated_coupling(monkeypatch):
     # of C, and forms Z from the cached B U and the last iterate, never
     # rotating back to X in between
     p = rl.generate(rl.GenSpec(12, 3, 7, (-1.0, 1.0), 0.3, 0.4, "interior"))
-    calls = []
+    calls, shared_rows = [], []
     real_solve = solvers._solve_in_eig_C
 
-    def spy(Z, c, G, floor):
-        calls.append((Z, c, G, real_solve(Z, c, G, floor)))
+    def spy(Z, c, G, floor, rows):
+        calls.append((Z, c, G, real_solve(Z, c, G, floor, rows)))
+        shared_rows.append(rows)
         return calls[-1][3]
 
     monkeypatch.setattr(solvers, "_solve_in_eig_C", spy)
     sol = rl.solve_fixedpoint(p, rl.select_gap(p, 0.0))
     assert len(calls) > 1
     assert all(c is p.eig_C.values and G is p.Bstar_in_eig_C for _, c, G, _ in calls)
+    # and one stack of row shifts, built before the first step
+    assert shared_rows[0] is not None and all(rows is shared_rows[0] for rows in shared_rows)
     assert np.array_equal(calls[0][0], p.A)
     for (_, _, _, Y), (Z, _, _, _) in zip(calls, calls[1:]):
         assert np.array_equal(Z, p.A + p.B_in_eig_C @ Y)
     assert np.array_equal(sol.X, p.eig_C.vectors @ calls[-1][3])
+
+
+def test_fixedpoint_builds_the_row_shifts_once_per_solve(battery500, monkeypatch):
+    # the stacked shifts c_i I do not depend on the iterate: a solve takes
+    # one np.eye however many steps it runs, and still makes exactly one
+    # _fixedpoint_step call per step
+    eyes, steps = [], []
+    real_eye, real_step = np.eye, solvers._fixedpoint_step
+    monkeypatch.setattr(np, "eye", lambda *a, **k: eyes.append(1) or real_eye(*a, **k))
+    monkeypatch.setattr(solvers, "_fixedpoint_step", lambda *a: steps.append(1) or real_step(*a))
+    # item 18 cycles at step 138, item 27 runs to the step limit
+    for i, outcome, count in (
+        (18, "period-2 cycle at step 138", 138),
+        (27, f"no convergence within {MAX_ITER} iterations", MAX_ITER),
+    ):
+        _, p, gap, _ = battery500.items[i]
+        assert p.n_A * p.n_C < ROW_SOLVE_LIMIT
+        eyes.clear()
+        steps.clear()
+        assert _outcome(lambda: rl.solve_fixedpoint(p, gap)) == outcome
+        assert (len(eyes), len(steps)) == (1, count)
 
 
 def _fixedpoint_steps(p, count):
