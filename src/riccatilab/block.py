@@ -35,13 +35,20 @@ def _readonly_eig(M: np.ndarray) -> EigDecomposition:
     return EigDecomposition(values=_read_only(w), vectors=_read_only(v))
 
 
+def _hermitian_norm(w: np.ndarray) -> float:
+    """The 2-norm of a Hermitian matrix from its ascending spectrum w:
+    the larger of |w[0]| and |w[-1]|, with no SVD."""
+    return float(max(w[-1], -w[0]))
+
+
 @dataclass(frozen=True)
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
     The spectra of A and C, B* and B in the eigenbasis of C, the operator norms
-    of A, B and C and d = dist(sigma(A), sigma(C)) are computed on first
-    use and cached, so every consumer of one problem shares them.
+    of A, B and C (those of A and C read off their spectra) and
+    d = dist(sigma(A), sigma(C)) are computed on first use and cached, so
+    every consumer of one problem shares them.
     """
 
     A: np.ndarray
@@ -88,7 +95,7 @@ class BlockProblem:
 
     @cached_property
     def norm_A(self) -> float:
-        return operator_norm(self.A)
+        return _hermitian_norm(self.eig_A.values)
 
     @cached_property
     def norm_B(self) -> float:
@@ -96,7 +103,7 @@ class BlockProblem:
 
     @cached_property
     def norm_C(self) -> float:
-        return operator_norm(self.C)
+        return _hermitian_norm(self.eig_C.values)
 
     @cached_property
     def d(self) -> float:
@@ -256,17 +263,20 @@ def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
 
     No spectrum checks here; callers guarantee the points sit in rho(C).
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
-    eyeA = np.eye(p.n_A, dtype=complex)
-    BRB = _coupled_resolvent(p, lams, p.Bstar_in_eig_C)
-    return lams[:, None, None] * eyeA - p.A[None, :, :] + BRB
+    return _herglotz(p, np.asarray(lams, dtype=complex).ravel())
+
+
+def _herglotz(p: BlockProblem, lams: np.ndarray | complex) -> np.ndarray:
+    """M at lams, stacked for a 1-d array, one matrix for one point; no checks."""
+    lam_eye = np.asarray(lams)[..., None, None] * np.eye(p.n_A, dtype=complex)
+    return lam_eye - p.A + _coupled_resolvent(p, lams, p.Bstar_in_eig_C)
 
 
 def herglotz_M(p: BlockProblem, lam: complex) -> np.ndarray:
     """The gap function M(lambda) = lambda - A + B (C-lambda)^{-1} B* at one point."""
-    lams = np.array([complex(lam)])
-    _require_off_sigma_C(p, lams)
-    return herglotz_batch(p, lams)[0]
+    lam = complex(lam)
+    _require_off_sigma_C(p, lam)
+    return _herglotz(p, lam)
 
 
 def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:

@@ -9,6 +9,7 @@ byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process (a build costs about 0.7 ms, half of a small
+    # sweep instance); parse_args keeps no state between calls
     parser = _Parser(prog="riccatilab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

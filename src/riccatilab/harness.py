@@ -18,7 +18,7 @@ import numpy as np
 from .block import BlockProblem, SpectralGap, select_gap
 from .certificates import Certificate, certify_all
 from .errors import InfeasibleSpec, RiccatiLabError
-from .rng import SplitMix64
+from .rng import SplitMix64, rephased_q
 from .solvers import solve_spectral
 
 PLACEMENTS = ("interior", "subordinated", "overlapping")
@@ -117,8 +117,9 @@ def generate(spec: GenSpec) -> BlockProblem:
 
     Draw order: C placement split, C eigenvalue offsets, A eigenvalues,
     B entries (row-major, one Box-Muller pair per entry), then the two
-    unitaries.  Endpoint eigenvalues of C and the d_target-attaining
-    eigenvalue of A are placed exactly, not sampled.
+    unitaries' gaussian matrices; B and those matrices are one block.
+    Endpoint eigenvalues of C and the d_target-attaining eigenvalue of A
+    are placed exactly, not sampled.
     """
     alpha, beta = spec.gap
     length = beta - alpha
@@ -149,13 +150,17 @@ def generate(spec: GenSpec) -> BlockProblem:
                     a_eigs.append(a)
                     break
 
-    B = rng.complex_normal_matrix(spec.n_A, spec.n_C)
+    # B and the gaussian matrices of the two unitaries are consecutive
+    # in the stream, so one block holds all three, in that order
+    n_A, n_C = spec.n_A, spec.n_C
+    g = rng.complex_normal_matrix(1, n_A * n_C + n_A * n_A + n_C * n_C)[0]
+    B = g[: n_A * n_C].reshape(n_A, n_C)
     target = spec.b_ratio * math.sqrt(spec.d_target * length)
-    norm = float(np.linalg.norm(B, 2))
+    norm = float(np.linalg.svd(B, compute_uv=False)[0])
     B = B * (target / norm) if target > 0 else np.zeros_like(B)
 
-    U_A = rng.unitary(spec.n_A)
-    U_C = rng.unitary(spec.n_C)
+    U_A = rephased_q(g[n_A * n_C : n_A * (n_C + n_A)].reshape(n_A, n_A))
+    U_C = rephased_q(g[n_A * (n_C + n_A) :].reshape(n_C, n_C))
     A = (U_A * np.array(a_eigs)) @ U_A.conj().T
     C = (U_C * np.array(c_eigs)) @ U_C.conj().T
     return BlockProblem(A=A, B=B, C=C)

@@ -87,9 +87,14 @@ class SplitMix64:
         The R diagonal is rephased to be real positive, which removes the
         QR sign ambiguity and pins the result for a given stream state.
         """
-        g = self.complex_normal_matrix(n, n)
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r).copy()
-        diag[diag == 0] = 1.0
-        phases = diag / np.abs(diag)
-        return q * phases.conj()
+        return rephased_q(self.complex_normal_matrix(n, n))
+
+
+def rephased_q(g: np.ndarray) -> np.ndarray:
+    """The Q of g = QR with R's diagonal rephased real positive: unitary's
+    construction on a gaussian matrix already drawn."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    phases = diag / np.abs(diag)
+    return q * phases.conj()

@@ -5,6 +5,7 @@ The expensive fixtures are session scoped because several test modules
 angles.  Generation is deterministic, so sharing them loses nothing.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -122,18 +123,10 @@ def battery200_subordinated():
     return Battery(items, time.perf_counter() - t0)
 
 
-@pytest.fixture(scope="session")
-def overlapping100():
-    """100 overlapping-placement instances on which a graph solution exists.
-
-    Overlapping placement gives no existence guarantee, so instances where
-    the spectral route fails are skipped until 100 usable ones accumulate.
-    """
-    m = SplitMix64(MASTER_OVERLAPPING)
-    items = []
-    attempts = 0
-    while len(items) < 100 and attempts < 3000:
-        attempts += 1
+def overlapping_stream(master_seed):
+    """Overlapping-placement specs drawn from one master seed, endlessly."""
+    m = SplitMix64(master_seed)
+    while True:
         seed = m.next_u64()
         n_A = 1 + m.next_u64() % 4
         n_C = 2 + m.next_u64() % 9
@@ -142,7 +135,7 @@ def overlapping100():
         length = beta - alpha
         d_target = (0.08 + 0.30 * m.uniform()) * length
         ratio = 0.05 + 0.85 * m.uniform()
-        s = rl.GenSpec(
+        yield rl.GenSpec(
             seed=seed,
             n_A=n_A,
             n_C=n_C,
@@ -151,12 +144,44 @@ def overlapping100():
             b_ratio=ratio,
             placement="overlapping",
         )
+
+
+def overlapping_specs(count, master_seed):
+    """The first count specs of overlapping_stream, none filtered out."""
+    return list(itertools.islice(overlapping_stream(master_seed), count))
+
+
+@pytest.fixture(scope="session")
+def sweep_mixed_specs():
+    """The 800-spec grid of bench/workloads.py's sweep_mixed, in its order:
+    500 interior, 200 subordinated and the first 100 unfiltered overlapping
+    specs."""
+    return (
+        interior_specs(500, MASTER_INTERIOR)
+        + subordinated_specs(200, MASTER_SUBORDINATED)
+        + overlapping_specs(100, MASTER_OVERLAPPING)
+    )
+
+
+@pytest.fixture(scope="session")
+def overlapping100():
+    """100 overlapping-placement instances on which a graph solution exists.
+
+    Overlapping placement gives no existence guarantee, so instances where
+    the spectral route fails are skipped until 100 usable ones accumulate.
+    """
+    items = []
+    attempts = 0
+    for s in itertools.islice(overlapping_stream(MASTER_OVERLAPPING), 3000):
+        attempts += 1
         p = rl.generate(s)
-        gap = rl.select_gap(p, (alpha + beta) / 2)
+        gap = rl.select_gap(p, (s.gap[0] + s.gap[1]) / 2)
         try:
             sol = rl.solve_spectral(p, gap)
         except rl.RiccatiLabError:
             continue
         items.append((s, p, gap, sol))
+        if len(items) == 100:
+            break
     assert len(items) == 100, f"only {len(items)} usable instances in {attempts} attempts"
     return Battery(items, 0.0)

@@ -57,9 +57,15 @@ def test_block_problem_caches_its_spectra():
 
 def test_block_problem_caches_its_norms():
     p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
-    for cached, M in ((p.norm_A, p.A), (p.norm_B, p.B), (p.norm_C, p.C)):
-        assert cached == rl.operator_norm(M)
+    # the Hermitian blocks' norms are read off their cached spectra, which
+    # agree with the SVD's largest singular value to rounding
+    for cached, M, w in ((p.norm_A, p.A, p.eig_A.values), (p.norm_C, p.C, p.eig_C.values)):
+        assert cached == max(-w[0], w[-1])
+        n = M.shape[0]
+        assert abs(cached - rl.operator_norm(M)) <= 8 * n * np.finfo(float).eps * cached
+    assert p.norm_B == rl.operator_norm(p.B)
     assert "norm_B" in vars(p)
+    assert p.norm_A is p.norm_A and p.norm_C is p.norm_C
 
 
 def test_dist_spectra_takes_eigenvalue_arrays_and_is_every_spectral_distance(battery500):
@@ -168,6 +174,27 @@ def test_herglotz_batch_matches_single():
     batch = herglotz_batch(p, lams)
     for k, lam in enumerate(lams):
         assert np.allclose(batch[k], rl.herglotz_M(p, complex(lam)), atol=1e-13)
+
+
+def test_herglotz_M_is_the_one_point_batch_bit_for_bit(battery500, monkeypatch):
+    # herglotz_M evaluates its point directly, never through the batch
+    # form, and still gives the batch's bits and the same refusal
+    expected = [
+        [herglotz_batch(p, [lam])[0] for lam in probe_points(p, gap)]
+        for _, p, gap, _ in battery500.items
+    ]
+
+    def no_batch(*args):
+        raise AssertionError("herglotz_M went through herglotz_batch")
+
+    monkeypatch.setattr("riccatilab.block.herglotz_batch", no_batch)
+    for (_, p, gap, _), ms in zip(battery500.items, expected):
+        for lam, M in zip(probe_points(p, gap), ms):
+            assert np.array_equal(rl.herglotz_M(p, lam), M)
+        c0 = complex(p.eig_C.values[0])
+        with pytest.raises(LambdaOnSpectrumOfC) as err:
+            rl.herglotz_M(p, c0)
+        assert str(err.value) == f"lambda={c0} is within tol of sigma(C)"
 
 
 def test_herglotz_imaginary_part_psd_upper_half_plane():

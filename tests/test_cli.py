@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
+from riccatilab import cli
 from riccatilab.cli import main
 from riccatilab.harness import _CERT_PREFIXES, realize
 from riccatilab.linalg import operator_norm
@@ -180,6 +181,31 @@ def test_non_hermitian_input_exits_one(capsys, tmp_path):
 def test_unknown_flag_exits_one(capsys, example_file):
     code, _, _ = run(capsys, "solve", example_file, "--frobnicate")
     assert code == 1
+
+
+def test_parser_is_built_once_per_process(capsys, example_file):
+    cli._build_parser.cache_clear()
+    argvs = [["solve", example_file], ["certify", example_file], ["solve", "--bogus"],
+             ["example", "--d", "1", "--b", "0.5"]] * 5
+    for argv in argvs:
+        main(argv)
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(capsys, generated_file):
+    # an option given in one call must not become the next call's default,
+    # and a usage error must not spoil the parser for the next call
+    _, spectral, _ = run(capsys, "solve", generated_file)
+    code, contour, _ = run(capsys, "solve", generated_file, "--method", "contour")
+    assert code == 0 and json.loads(contour)["method"] == "contour"
+    code, again, _ = run(capsys, "solve", generated_file)
+    assert code == 0 and again == spectral and json.loads(again)["method"] == "spectral"
+    code, out, err = run(capsys, "solve", generated_file, "--method", "newton")
+    assert code == 1 and out == "" and "invalid choice" in err
+    code, again, _ = run(capsys, "solve", generated_file)
+    assert code == 0 and again == spectral
 
 
 def test_solver_failure_exits_two(capsys, tmp_path):

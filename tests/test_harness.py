@@ -1,5 +1,6 @@
 """Instance generation, the random stream, and the sweep CSV surface."""
 
+import hashlib
 import io
 import math
 
@@ -12,7 +13,7 @@ import riccatilab as rl
 from riccatilab.errors import InfeasibleSpec
 from riccatilab.harness import CSV_COLUMNS, realize
 from riccatilab.linalg import operator_norm
-from riccatilab.rng import SplitMix64
+from riccatilab.rng import SplitMix64, rephased_q
 
 
 # ---------------------------------------------------------------- rng
@@ -274,6 +275,40 @@ def test_generate_zero_ratio_gives_zero_B():
     assert operator_norm(rl.generate(spec).B) == 0.0
 
 
+@pytest.mark.parametrize("placement", ["interior", "subordinated", "overlapping"])
+def test_generate_draws_its_gaussians_as_one_block(placement, monkeypatch):
+    # B and both rotations' gaussian matrices come from one stream block
+    calls = []
+    block = SplitMix64._block
+
+    def counted(self, n):
+        calls.append(n)
+        return block(self, n)
+
+    monkeypatch.setattr(SplitMix64, "_block", counted)
+    for n_A, n_C in ((1, 2), (2, 4), (5, 13)):
+        calls.clear()
+        rl.generate(rl.GenSpec(21, n_A, n_C, (-1.0, 1.0), 0.3, 0.5, placement))
+        assert calls == [2 * (n_A * n_C + n_A * n_A + n_C * n_C)]
+
+
+def test_one_gaussian_block_is_the_three_consecutive_draws():
+    # the README's draw order: B, then unitary(n_A)'s and unitary(n_C)'s
+    # matrices; one block of all their entries gives the same values
+    for seed, n_A, n_C in ((3, 2, 4), (11, 4, 9)):
+        one, three = SplitMix64(seed), SplitMix64(seed)
+        g = one.complex_normal_matrix(1, n_A * n_C + n_A * n_A + n_C * n_C)[0]
+        B = three.complex_normal_matrix(n_A, n_C)
+        state = three._state
+        G_A = three.complex_normal_matrix(n_A, n_A)
+        G_C = three.complex_normal_matrix(n_C, n_C)
+        assert np.array_equal(g, np.concatenate([B.ravel(), G_A.ravel(), G_C.ravel()]))
+        assert one._state == three._state
+        three._state = state
+        assert np.array_equal(rephased_q(G_A), three.unitary(n_A))
+        assert np.array_equal(rephased_q(G_C), three.unitary(n_C))
+
+
 def test_generate_is_bit_deterministic():
     spec = rl.GenSpec(seed=812, n_A=3, n_C=6, gap=(-1.0, 1.0), d_target=0.3, b_ratio=0.7)
     p1, p2 = rl.generate(spec), rl.generate(spec)
@@ -392,6 +427,17 @@ def test_sweep_csv_is_deterministic():
     header = outs[0].splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     assert len(outs[0].splitlines()) == 3
+
+
+SWEEP_MIXED_CSV_SHA256 = "c9e07c4edeb7e71b345c48cd7144a1651666b41eb521124516e7b61427910205"
+
+
+def test_sweep_mixed_csv_is_pinned(sweep_mixed_specs):
+    # the benchmark's 800-spec grid; any moved bit in any cell (generator,
+    # spectral route, certificates, CSV writer) changes the digest
+    buf = io.StringIO()
+    rl.sweep(sweep_mixed_specs).write_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SWEEP_MIXED_CSV_SHA256
 
 
 def test_sweep_csv_empty_cells_for_missing_values():
