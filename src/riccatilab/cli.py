@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .block import BlockProblem, SpectralGap, select_gap
 from .certificates import Certificate, certify_all, gamma_center
 from .errors import InfeasibleSpec, RiccatiLabError
 from .factorization import (
-    _w_scan,
+    compute_W,
     enclosure_bounds,
     factorization_grid,
     sign_conditions,
@@ -153,14 +154,9 @@ def _factorize_payload(p: BlockProblem, gap: SpectralGap) -> dict:
         out["enclosure"] = None
         out["enclosure_error"] = type(err).__name__
         return out
-    out["enclosure"] = {
-        "delta_minus": clean_number(bounds.delta_minus),
-        "delta_plus": clean_number(bounds.delta_plus),
-        "lower": clean_number(bounds.lower),
-        "upper": clean_number(bounds.upper),
-    }
+    out["enclosure"] = {f.name: clean_number(getattr(bounds, f.name)) for f in fields(bounds)}
     out["sign_conditions"] = sign_conditions(p, gap, bounds)
-    W = _w_scan(p, sol.X, np.linspace(bounds.lower, bounds.upper, 25).astype(complex))
+    W = compute_W(p, sol.X, np.linspace(bounds.lower, bounds.upper, 25).astype(complex))
     smin = float(np.min(np.linalg.svd(W, compute_uv=False)[:, -1]))
     out["w_min_singular_value"] = clean_number(smin)
     out["w_invertible"] = bool(smin > TOL_SPEC)

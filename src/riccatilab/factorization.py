@@ -44,25 +44,22 @@ class EnclosureBounds:
     upper: float  # max sigma(A) + delta_plus
 
 
-def compute_W(p: BlockProblem, X, lam: complex) -> np.ndarray:
-    """The factor W(lambda) = I - B (C - lambda)^{-1} X at one point.
+def compute_W(p: BlockProblem, X, lam) -> np.ndarray:
+    """The factor W(lambda) = I - B (C - lambda)^{-1} X at one point, or
+    stacked over a 1-d ndarray of points, each with the bits it gets alone.
 
     An X that is not n_C x n_A raises DimensionMismatch, and a lambda
-    within tol of sigma(C) LambdaOnSpectrumOfC.
+    within tol of sigma(C) (an array's first) LambdaOnSpectrumOfC.
     """
     X = as_matrix(X)
     if X.shape != (p.n_C, p.n_A):
         raise DimensionMismatch(f"X must be {p.n_C}x{p.n_A}, got {X.shape}")
-    lam = complex(lam)
+    if isinstance(lam, np.ndarray) and lam.ndim == 1:
+        lam = lam.astype(complex, copy=False)
+    else:
+        lam = complex(lam)
     _require_off_sigma_C(p, lam)
     return _w_batch(p, X, lam)
-
-
-def _w_scan(p: BlockProblem, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """W at each of lams in one batch; the first point within tol of
-    sigma(C) raises LambdaOnSpectrumOfC, as compute_W does for its one."""
-    _require_off_sigma_C(p, lams)
-    return _w_batch(p, X, lams)
 
 
 def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray | complex) -> np.ndarray:

@@ -127,29 +127,28 @@ def _solve_in_eig_C(
     Z: np.ndarray,
     c: np.ndarray,
     G: np.ndarray,
-    floor: float = -math.inf,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
+    floor: float,
+    rows: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
     """Solve Y Z - diag(c) Y = G for Y, raising SpectraOverlap when
     min|sigma(Z) - c| <= TOL_SPEC.
 
     This is X Z - C X = R in the eigenbasis of C = U diag(c) U*, with
-    Y = U* X and G = U* R.  While n_A n_C < ROW_SOLVE_LIMIT, row i is the
-    system Y_i (Z - c_i) = G_i, and all n_C of them go in one batched
-    solve; rows is _row_systems(c, G), built here unless a caller that
-    solves for many Z passes it in, and eigvals(Z) is skipped when floor,
-    a lower bound on the separation that the caller vouches for
-    (_bauer_fike_floor), already exceeds TOL_SPEC.  From the limit on,
+    Y = U* X and G = U* R; rows is _row_systems(c, G), which the caller
+    builds once for every Z it solves for, and which picks the path.
+    On the row path row i is the system Y_i (Z - c_i) = G_i, and all n_C
+    of them go in one batched solve; eigvals(Z) is skipped when floor, a
+    lower bound on the separation that the caller vouches for
+    (_bauer_fike_floor), already exceeds TOL_SPEC.  When rows is None,
     with Z = P diag(z) P^{-1}, (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z)
     instead of the n_C factorizations, but Z must be diagonalizable, since
     a defective Z gives a numerically singular P and a wrong Y without an
     error.
     """
-    n_C, n_A = G.shape
-    if n_A * n_C < ROW_SOLVE_LIMIT:
+    if rows is not None:
         if not floor > TOL_SPEC:
             _require_apart(np.linalg.eigvals(Z), c)
-        shifts, rhs = _row_systems(c, G) if rows is None else rows
+        shifts, rhs = rows
         return np.linalg.solve(Z.T - shifts, rhs)[:, :, 0]
     z, P = np.linalg.eig(Z)
     _require_apart(z, c)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -136,17 +137,14 @@ def clean_number(x):
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "theorem": cert.theorem,
-        "hypothesis_ok": cert.hypothesis_ok,
-        "bound_value": clean_number(cert.bound_value),
-        "observed_value": clean_number(cert.observed_value),
-        "margin": clean_number(cert.margin),
-        "passed": cert.passed,
-        "details": {
-            k: clean_number(v) if isinstance(v, float) else v for k, v in cert.details.items()
-        },
-    }
+    """Certificate's fields by name; each float, there and in details, through clean_number."""
+
+    def clean(v):
+        return clean_number(v) if isinstance(v, float) else v
+
+    out = {f.name: clean(getattr(cert, f.name)) for f in fields(cert)}
+    out["details"] = {k: clean(v) for k, v in cert.details.items()}
+    return out
 
 
 def solution_to_dict(sol: RiccatiSolution) -> dict:

@@ -152,20 +152,16 @@ def residual(p: BlockProblem, X) -> float:
     return operator_norm(X @ p.A - p.C @ X + X @ p.B @ X - p.B.conj().T)
 
 
-def residual_scale(p: BlockProblem, X) -> float:
-    """Natural size of the Riccati residual: (||A||+||B||+||C||)(1+||X||)^2.
-
-    X is a matrix or a RiccatiSolution, whose cached x_norm is then reused.
-    """
-    x_norm = X.x_norm if isinstance(X, RiccatiSolution) else operator_norm(X)
+def residual_scale(p: BlockProblem, sol: RiccatiSolution) -> float:
+    """Natural size of the Riccati residual: (||A||+||B||+||C||)(1+||X||)^2,
+    with the solution's cached ||X||."""
     coeff = p.norm_A + p.norm_B + p.norm_C
-    return coeff * (1.0 + x_norm) ** 2
+    return coeff * (1.0 + sol.x_norm) ** 2
 
 
-def residual_acceptable(p: BlockProblem, X, res: float) -> bool:
-    """True when a residual res of X (a matrix or a RiccatiSolution) is at
-    most TOL_ACCEPT times residual_scale."""
-    return res <= TOL_ACCEPT * residual_scale(p, X)
+def residual_acceptable(p: BlockProblem, sol: RiccatiSolution, res: float) -> bool:
+    """True when a residual res of sol is at most TOL_ACCEPT times residual_scale."""
+    return res <= TOL_ACCEPT * residual_scale(p, sol)
 
 
 def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
@@ -311,10 +307,10 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
 
 
 def _fixedpoint_step(
-    p: BlockProblem, Y: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+    p: BlockProblem, Y: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None
 ) -> np.ndarray:
     """The next iterate in C's eigenbasis: Y' (A + (B U) Y) - diag(c) Y' = U* B*;
-    rows is the problem's _row_systems, which the kernel builds when it is None."""
+    rows is the problem's _row_systems."""
     E = p.B_in_eig_C @ Y
     floor = _bauer_fike_floor(p.d, p.norm_A + p.norm_C, E)
     return _solve_in_eig_C(p.A + E, p.eig_C.values, p.Bstar_in_eig_C, floor, rows)

@@ -6,6 +6,7 @@ angles.  Generation is deterministic, so sharing them loses nothing.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
+from riccatilab.linalg import _row_systems, _solve_in_eig_C
 from riccatilab.rng import SplitMix64
 
 pytest_plugins = ["pytester"]
@@ -83,6 +85,13 @@ def subordinated_specs(count, master_seed):
             )
         )
     return specs
+
+
+def sylvester_in_eig_C(Z, c, G, floor=-math.inf):
+    """linalg._solve_in_eig_C with its row systems built for this one Z, as
+    solve_fixedpoint builds them once for all its steps; _row_systems, read
+    at call time, picks the row or the eig path."""
+    return _solve_in_eig_C(Z, c, G, floor, _row_systems(c, G))
 
 
 @dataclass

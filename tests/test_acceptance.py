@@ -15,7 +15,6 @@ import pytest
 
 import riccatilab as rl
 from riccatilab.errors import IterationDiverged
-from riccatilab.factorization import _w_scan
 from riccatilab.linalg import TOL_SPEC, operator_norm
 from riccatilab.rng import SplitMix64
 from riccatilab.solvers import residual_scale
@@ -58,7 +57,7 @@ def test_criterion_02_existence_suite(report, battery500):
     t0 = time.perf_counter()
     worst_res = 0.0
     for s, p, gap, sol in battery500.items:
-        worst_res = max(worst_res, sol.residual / residual_scale(p, sol.X))
+        worst_res = max(worst_res, sol.residual / residual_scale(p, sol))
         assert rl.uniqueness_class_check(p, sol, gap)
         enc = rl.enclosure_bounds(p, gap)
         z = np.linalg.eigvals(sol.Z).real
@@ -108,7 +107,7 @@ def test_criterion_04_factorization(report, battery500):
         grid = rl.factorization_grid(p, gap)
         worst_defect = max(worst_defect, rl.verify_factorization(p, sol, grid))
         enc = rl.enclosure_bounds(p, gap)
-        W = _w_scan(p, sol.X, np.linspace(enc.lower, enc.upper, 25).astype(complex))
+        W = rl.compute_W(p, sol.X, np.linspace(enc.lower, enc.upper, 25).astype(complex))
         min_smin = min(min_smin, float(np.min(np.linalg.svd(W, compute_uv=False)[:, -1])))
     ok = worst_defect <= 1e-9 and min_smin > TOL_SPEC
     report(

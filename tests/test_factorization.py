@@ -164,13 +164,11 @@ def test_verify_factorization_names_first_point_on_sigma_C():
         rl.verify_factorization(p, sol, np.array([0.3, -1.0 + 1e-10j, 1.0]))
 
 
-def test_w_scan_names_first_point_on_sigma_C():
+def test_compute_W_on_an_array_names_first_point_on_sigma_C():
     # the message is compute_W's for that one point
-    from riccatilab.factorization import _w_scan
-
     p, gap, sol = solved_example()
     with pytest.raises(LambdaOnSpectrumOfC, match=r"^lambda=\(-1\+1e-10j\) is within tol"):
-        _w_scan(p, sol.X, np.array([0.3, -1.0 + 1e-10j, 1.0]))
+        rl.compute_W(p, sol.X, np.array([0.3, -1.0 + 1e-10j, 1.0]))
     with pytest.raises(LambdaOnSpectrumOfC, match=r"^lambda=\(-1\+1e-10j\) is within tol"):
         rl.compute_W(p, sol.X, -1.0 + 1e-10j)
 
@@ -185,15 +183,18 @@ def test_compute_W_refuses_a_misshapen_X(shape):
         rl.compute_W(p, np.ones(shape), 0.0)
 
 
-def test_w_scan_is_bit_identical_to_compute_W_per_point(battery500):
-    from riccatilab.factorization import _w_scan
-
+def test_compute_W_on_an_array_is_bit_identical_per_point(battery500):
     for _, p, gap, sol in battery500.items[:30]:
         enc = rl.enclosure_bounds(p, gap)
         lams = np.linspace(enc.lower, enc.upper, 25)
-        W = _w_scan(p, sol.X, lams.astype(complex))
+        W = rl.compute_W(p, sol.X, lams.astype(complex))
+        assert W.shape == (25, p.n_A, p.n_A)
+        # a real array is taken as the complex points it holds
+        assert np.array_equal(rl.compute_W(p, sol.X, lams), W)
         for lam, Wk in zip(lams, W):
             assert np.array_equal(Wk, rl.compute_W(p, sol.X, complex(lam)))
+        # a 0-d array is one point
+        assert np.array_equal(rl.compute_W(p, sol.X, np.array(lams[3])), W[3])
 
 
 def test_enclosure_closed_form():

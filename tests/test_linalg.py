@@ -21,12 +21,13 @@ from riccatilab.linalg import (
     ROW_SOLVE_LIMIT,
     TOL_SPEC,
     _bauer_fike_floor,
-    _solve_in_eig_C,
     as_matrix,
     operator_norm,
     require_hermitian,
 )
 from riccatilab.rng import SplitMix64
+
+from conftest import sylvester_in_eig_C
 
 
 def random_hermitian(rng, n):
@@ -235,14 +236,14 @@ def sylvester_kron_oracle(Z, C, R):
 def solve_in_eig_C(Z, C, R):
     # X Z - C X = R through the kernel, in the eigenbasis of C = U diag(c) U*
     c, U = np.linalg.eigh(C)
-    return U @ _solve_in_eig_C(Z, c, U.conj().T @ R)
+    return U @ sylvester_in_eig_C(Z, c, U.conj().T @ R)
 
 
 def test_solve_in_eig_C_diagonal_closed_form():
     Z = np.diag([1.0, 3.0])
     c = np.array([-1.0, 0.0, 5.0])
     R = np.arange(6, dtype=float).reshape(3, 2) + 1
-    Y = _solve_in_eig_C(Z, c, R)
+    Y = sylvester_in_eig_C(Z, c, R)
     expected = R / (np.array([1.0, 3.0])[None, :] - c[:, None])
     assert operator_norm(Y - expected) <= 1e-14
 
@@ -251,7 +252,7 @@ def test_solve_in_eig_C_worked_example():
     # Y Z - diag(1, -1) Y = G: solvable by hand row by row
     Z = np.array([[2.0]])
     G = np.array([[1.0], [3.0]])
-    Y = _solve_in_eig_C(Z, np.array([1.0, -1.0]), G)
+    Y = sylvester_in_eig_C(Z, np.array([1.0, -1.0]), G)
     assert np.allclose(Y, [[1.0], [1.0]], atol=1e-14)
 
 
@@ -277,7 +278,7 @@ def test_solve_in_eig_C_matches_kron(n_A, n_C, seed):
 
 def test_solve_in_eig_C_rejects_overlap():
     with pytest.raises(SpectraOverlap):
-        _solve_in_eig_C(np.eye(2), np.ones(3), np.ones((3, 2)))
+        sylvester_in_eig_C(np.eye(2), np.ones(3), np.ones((3, 2)))
 
 
 def test_solve_in_eig_C_solves_a_defective_Z_row_by_row(monkeypatch):
@@ -287,10 +288,10 @@ def test_solve_in_eig_C_solves_a_defective_Z_row_by_row(monkeypatch):
     c = np.array([-1.0, 1.0])
     G = np.array([[1.0, 0.3], [0.5, 1.0]])
     assert Z.size < ROW_SOLVE_LIMIT
-    Y = _solve_in_eig_C(Z, c, G)
+    Y = sylvester_in_eig_C(Z, c, G)
     assert operator_norm(Y @ Z - np.diag(c) @ Y - G) <= 1e-15
     monkeypatch.setattr(linalg, "ROW_SOLVE_LIMIT", 0)
-    Y = _solve_in_eig_C(Z, c, G)
+    Y = sylvester_in_eig_C(Z, c, G)
     assert operator_norm(Y @ Z - np.diag(c) @ Y - G) > 1.0
 
 
@@ -324,7 +325,7 @@ def test_bauer_fike_screen_never_skips_a_refusal():
         outcomes = []
         for bound in (floor, -np.inf):
             try:
-                outcomes.append(_solve_in_eig_C(A + E, c, G, bound))
+                outcomes.append(sylvester_in_eig_C(A + E, c, G, bound))
             except SpectraOverlap:
                 outcomes.append(None)
         assert (outcomes[0] is None) == (outcomes[1] is None)
