@@ -154,11 +154,16 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
 
     threshold = sqrt(max(d span, 0)), span |gap| (existence, enclosure) or
     |gap| - d (contraction, squared shift); holds means sigma(A) is inside
-    the gap (margin tol_spec) and ||B|| < threshold - tol_cert.
+    the gap (margin tol_spec) and ||B|| < threshold - tol_cert.  d span is
+    formed in the frame scaled by 2^-e, where 2^(e-1) <= |gap| < 2^e, so it
+    cannot overflow; scaling by a power of two is exact, so a threshold
+    whose d span fits a double keeps every bit (unless d is below about
+    1e-308 |gap|, where the scaled product leaves the normal range).
     """
     if not gap.is_finite:
         raise HypothesisViolated(f"the theorem needs a finite gap, not ({gap.alpha}, {gap.beta})")
-    threshold = math.sqrt(max(p.d * span, 0.0))
+    e = math.frexp(gap.length)[1]
+    threshold = math.ldexp(math.sqrt(max(math.ldexp(p.d, -e) * math.ldexp(span, -e), 0.0)), e)
     holds = bool(np.all(gap.contains(p.eig_A.values, TOL_SPEC))) and p.norm_B < threshold - TOL_CERT
     return threshold, holds
 
@@ -177,8 +182,9 @@ def find_gaps(w) -> list[SpectralGap]:
 
     w is sigma(C) as a 1-d array in ascending order, as p.eig_C.values
     holds it.  Eigenvalues closer than tol_spec are merged into one
-    cluster (their mean represents them), so fake hairline gaps never
-    appear.  The two infinite rays come first and last; the finite gaps
+    cluster (their mean represents them, from the correctly rounded
+    math.fsum, so it is the same on every Python version), so fake
+    hairline gaps never appear.  The two infinite rays come first and last; the finite gaps
     tile the convex hull of the spectrum in between.
     """
     w = _spectrum(w)
@@ -188,9 +194,9 @@ def find_gaps(w) -> list[SpectralGap]:
         if float(x) - cluster[-1] <= TOL_SPEC:
             cluster.append(float(x))
         else:
-            reps.append(sum(cluster) / len(cluster))
+            reps.append(math.fsum(cluster) / len(cluster))
             cluster = [float(x)]
-    reps.append(sum(cluster) / len(cluster))
+    reps.append(math.fsum(cluster) / len(cluster))
     gaps = [SpectralGap(-math.inf, reps[0])]
     for lo, hi in zip(reps, reps[1:]):
         gaps.append(SpectralGap(lo, hi))

@@ -117,11 +117,17 @@ def certify_contraction(
     The coupling norm ||A'B + BC'|| is evaluated in the frame shifted by
     the gap midpoint, where the bound is sharpest and shift-invariantly
     stated.  A ray, or a frame that overflows, raises HypothesisViolated.
+    The bound's atan2 reads the coupling and d (|gap| - d) - ||B||^2 in the
+    frame scaled by a power of two that _hypothesis uses, so neither
+    overflows; the reported denominator is the unscaled one.
     """
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
     coupling = operator_norm(Bhat)
-    if denom > 0:
-        bound = math.tan(0.5 * math.atan2(2.0 * coupling, denom))
+    e = math.frexp(gap.length)[1]
+    d, span, b = (math.ldexp(x, -e) for x in (p.d, gap.length - p.d, p.norm_B))
+    scaled_denom = d * span - b * b
+    if scaled_denom > 0:
+        bound = math.tan(0.5 * math.atan2(2.0 * math.ldexp(coupling, -2 * e), scaled_denom))
     else:
         bound = math.inf
     observed = sol.x_norm

@@ -106,6 +106,15 @@ def test_find_gaps_merges_near_ties():
     assert len(finite) == 2
 
 
+def test_find_gaps_cluster_mean_is_correctly_rounded():
+    # the plain float sum of this cluster rounds differently before and
+    # after Python 3.12 (-...707 against -...705 as the mean); the mean of
+    # the correctly rounded sum is the same everywhere
+    cluster = [-1.6274266722243342, -1.6274266678701468, -1.6274266676509306]
+    gaps = rl.find_gaps(np.array(cluster + [2.0]))
+    assert gaps[0].beta == gaps[1].alpha == -1.6274266692484705
+
+
 def test_find_gaps_tile_the_hull():
     rng = SplitMix64(21)
     for _ in range(5):

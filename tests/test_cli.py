@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -304,6 +305,24 @@ def test_certify_reports_an_overflowing_frame_as_inapplicable(capsys, tmp_path):
     assert by_name["contraction_1ii"]["passed"] is True
 
 
+def test_certify_bounds_stay_finite_at_large_scale(capsys, tmp_path):
+    # d |gap| = 2e400 and d (|gap| - d) = 1e400 are no doubles; the
+    # hypotheses read them in a frame scaled by a power of two
+    code, problem, _ = run(capsys, "example", "--d", "1e200", "--b", "1")
+    path = tmp_path / "huge.json"
+    path.write_text(problem)
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, err) == (0, "")
+    by_name = {c["theorem"]: c for c in json.loads(out)["certificates"]}
+    existence, contraction = by_name["existence_1i"], by_name["contraction_1ii"]
+    assert existence["bound_value"] == 1.414213562373095e200 == np.sqrt(2.0) * 1e200
+    assert existence["margin"] == existence["bound_value"] - 1.0
+    # the family attains the contraction bound b / d
+    assert (contraction["bound_value"], contraction["margin"]) == (1e-200, 0.0)
+    assert contraction["details"]["hypothesis_threshold"] == 1e200
+    assert contraction["details"]["denominator"] is None
+
+
 def test_factorize_payload(capsys, example_file):
     code, out, _ = run(capsys, "factorize", example_file)
     assert code == 0
@@ -491,6 +510,7 @@ def test_sweep_writes_a_full_row_when_the_frame_overflows(capsys, monkeypatch, d
     assert len(lines) == 2
     cells = dict(zip(header.split(","), lines[0].split(",")))
     assert cells["status"] == "ok"
+    assert math.isfinite(float(cells["existence_margin"]))
     empty = {col for col, value in cells.items() if value == ""}
     assert empty == {"seed"} | {f"{t}_{k}" for t in inapplicable for k in ("pass", "margin")}
 
