@@ -155,10 +155,9 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
     threshold = sqrt(max(d span, 0)), span |gap| (existence, enclosure) or
     |gap| - d (contraction, squared shift); holds means sigma(A) is inside
     the gap (margin tol_spec) and ||B|| < threshold - tol_cert.  d span is
-    formed in the frame scaled by 2^-e, where 2^(e-1) <= |gap| < 2^e, so it
-    cannot overflow; scaling by a power of two is exact, so a threshold
-    whose d span fits a double keeps every bit (unless d is below about
-    1e-308 |gap|, where the scaled product leaves the normal range).
+    formed scaled by 2^-2e, 2^(e-1) <= |gap| < 2^e, so it cannot overflow;
+    a power of two is exact, so no threshold whose d span is a normal
+    double moves a bit.
     """
     if not gap.is_finite:
         raise HypothesisViolated(f"the theorem needs a finite gap, not ({gap.alpha}, {gap.beta})")
@@ -184,8 +183,8 @@ def find_gaps(w) -> list[SpectralGap]:
     holds it.  Eigenvalues closer than tol_spec are merged into one
     cluster (their mean represents them, from the correctly rounded
     math.fsum, so it is the same on every Python version), so fake
-    hairline gaps never appear.  The two infinite rays come first and last; the finite gaps
-    tile the convex hull of the spectrum in between.
+    hairline gaps never appear.  The two infinite rays come first and
+    last; the finite gaps tile the convex hull of the spectrum in between.
     """
     w = _spectrum(w)
     reps: list[float] = []
@@ -213,8 +212,9 @@ def _spectrum(w) -> np.ndarray:
 
 
 def dist_spectra(a, c) -> float:
-    """min |a_i - c_j| over two nonempty 1-d eigenvalue arrays, real or complex: the
-    one spectral distance (p.d, tan-theta delta, contour separation, sigma(H) test)."""
+    """min |a_i - c_j| over two nonempty 1-d eigenvalue arrays, real or complex: every
+    spectral distance above linalg (p.d, tan-theta delta, contour separation, sigma(H)
+    test); the Sylvester kernel's overlap test, linalg._require_apart, takes its own."""
     a, c = _spectrum(a), _spectrum(c)
     return float(np.min(np.abs(a[:, None] - c[None, :])))
 
