@@ -124,8 +124,8 @@ def certify_contraction(
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
     coupling = operator_norm(Bhat)
     e = math.frexp(gap.length)[1]
-    d, span, b = (math.ldexp(x, -e) for x in (p.d, gap.length - p.d, p.norm_B))
-    scaled_denom = d * span - b * b
+    d, b = math.ldexp(p.d, -e), math.ldexp(p.norm_B, -e)
+    scaled_denom = d * (math.ldexp(gap.length, -e) - d) - b * b
     if scaled_denom > 0:
         bound = math.tan(0.5 * math.atan2(2.0 * math.ldexp(coupling, -2 * e), scaled_denom))
     else:
