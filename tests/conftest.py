@@ -160,8 +160,7 @@ def overlapping_specs(count, master_seed):
     return list(itertools.islice(overlapping_stream(master_seed), count))
 
 
-@pytest.fixture(scope="session")
-def sweep_mixed_specs():
+def sweep_mixed_grid():
     """The 800-spec grid of bench/workloads.py's sweep_mixed, in its order:
     500 interior, 200 subordinated and the first 100 unfiltered overlapping
     specs."""

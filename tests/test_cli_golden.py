@@ -1,4 +1,5 @@
-"""CLI stdout and exit codes pinned byte for byte on the reference problems.
+"""CLI stdout and exit codes pinned byte for byte on the reference problems,
+and by sha256 at one BLAS thread on the two larger ones.
 
 The cases and the regeneration script live in tests/cli_golden.py.
 """
@@ -7,7 +8,16 @@ import json
 
 import pytest
 
-from cli_golden import CASES, EXIT_CODES, first_difference, golden_path, run_case
+from cli_golden import (
+    CASES,
+    EXIT_CODES,
+    LARGE_CASES,
+    LARGE_DIGESTS,
+    first_difference,
+    golden_path,
+    large_digests,
+    run_case,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +33,23 @@ def test_cli_stdout_is_pinned(name, workdir):
     assert not diff, f"{name}: {diff}"
 
 
+@pytest.fixture(scope="module")
+def large_outputs(tmp_path_factory):
+    return large_digests(tmp_path_factory.mktemp("cli_large"))
+
+
+@pytest.mark.parametrize("name", list(LARGE_CASES))
+def test_large_cli_stdout_is_pinned_at_one_blas_thread(name, large_outputs):
+    code, digest = json.loads(LARGE_DIGESTS.read_text())[name]
+    assert large_outputs[name][0] == code
+    assert large_outputs[name][1] == digest, f"{name}: stdout sha256 {large_outputs[name][1]}, pinned {digest}"
+
+
 def test_every_fixture_belongs_to_a_case():
     files = {path.name for path in golden_path("x").parent.iterdir()} - {EXIT_CODES.name}
     assert files == {golden_path(name).name for name in CASES}
     assert set(json.loads(EXIT_CODES.read_text())) == set(CASES)
+    assert set(json.loads(LARGE_DIGESTS.read_text())) == set(LARGE_CASES)
 
 
 def test_first_difference_names_the_byte_and_its_neighbourhood():

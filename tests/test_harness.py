@@ -15,6 +15,8 @@ from riccatilab.harness import CSV_COLUMNS, realize
 from riccatilab.linalg import operator_norm
 from riccatilab.rng import SplitMix64, rephased_q
 
+from cli_golden import SWEEP_MIXED_CSV, moved_rows, sweep_mixed_csv
+
 
 # ---------------------------------------------------------------- rng
 
@@ -432,12 +434,29 @@ def test_sweep_csv_is_deterministic():
 SWEEP_MIXED_CSV_SHA256 = "c9e07c4edeb7e71b345c48cd7144a1651666b41eb521124516e7b61427910205"
 
 
-def test_sweep_mixed_csv_is_pinned(sweep_mixed_specs):
+def test_sweep_mixed_csv_is_pinned():
     # the benchmark's 800-spec grid; any moved bit in any cell (generator,
-    # spectral route, certificates, CSV writer) changes the digest
-    buf = io.StringIO()
-    rl.sweep(sweep_mixed_specs).write_csv(buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SWEEP_MIXED_CSV_SHA256
+    # spectral route, certificates, CSV writer) changes the digest, and the
+    # kept CSV, itself pinned, names the rows that moved
+    kept = SWEEP_MIXED_CSV.read_bytes()
+    assert hashlib.sha256(kept).hexdigest() == SWEEP_MIXED_CSV_SHA256, "stale tests/golden/sweep_mixed.csv"
+    table = sweep_mixed_csv()
+    if hashlib.sha256(table.encode()).hexdigest() != SWEEP_MIXED_CSV_SHA256:
+        pytest.fail("the sweep_mixed CSV moved:\n" + "\n".join(moved_rows(kept.decode(), table)))
+
+
+def test_moved_rows_names_the_seed_and_the_changed_columns():
+    kept = SWEEP_MIXED_CSV.read_text(encoding="utf-8")
+    lines = kept.splitlines(keepends=True)
+    cells = lines[3].split(",")
+    column = CSV_COLUMNS.index("x_norm")
+    cells[column] = repr(np.nextafter(float(cells[column]), np.inf))
+    moved = "".join(lines[:3] + [",".join(cells)] + lines[4:])
+    assert moved_rows(kept, kept) == []
+    assert moved_rows(kept, moved) == [
+        f"row 3, seed {cells[0]}: x_norm: {lines[3].split(',')[column]!r} -> {cells[column]!r}"
+    ]
+    assert moved_rows(kept, "".join(lines[:-1])) == ["rows: 800 -> 799"]
 
 
 def test_sweep_csv_empty_cells_for_missing_values():
