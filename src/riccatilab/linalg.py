@@ -94,23 +94,68 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
 ROW_SOLVE_LIMIT = 512
 
 
-def _require_apart(z: np.ndarray, c: np.ndarray) -> None:
-    """The one overlap rule of the Sylvester kernel: min|z - c| <= TOL_SPEC raises."""
-    sep = np.abs(z - c[:, None]).min()
+def _require_apart(z: np.ndarray, c: np.ndarray) -> float:
+    """The one overlap rule of the Sylvester kernel: min|z - c| <= TOL_SPEC
+    raises, and any larger min|z - c| is returned."""
+    sep = float(np.abs(z - c[:, None]).min())
     if sep <= TOL_SPEC:
         raise SpectraOverlap(f"sigma(Z) and sigma(C) are {sep:.3e} apart")
+    return sep
 
 
-def _bauer_fike_floor(d: float, scale: float, E: np.ndarray) -> float:
-    """A lower bound on min|eigvals(A + E) - c|, for Hermitian A and C = U diag(c) U*.
+def _bauer_fike_floor(sep: float, kappa: float, scale: float, E: np.ndarray) -> float:
+    """A lower bound on min|eigvals(Z + E) - c| from a reference Z: sep is
+    min|z - c| over Z's eigenvalues z, kappa >= ||P||_2 ||P^{-1}||_2 for
+    its eigenvectors P, and scale = ||Z|| + ||C||.
 
-    d = dist(sigma(A), sigma(C)) and scale = ||A|| + ||C||.  Every
-    eigenvalue of A + E lies within ||E||_2 <= ||E||_F of sigma(A)
-    (Bauer-Fike, with A normal), and so does every eigenvalue eigvals
-    returns, up to its backward error and the rounding of sigma(A), sigma(C)
-    and A + E, all far inside the FRO_SLACK margin on ||A||, ||C|| and ||E||.
+    Bauer-Fike: every eigenvalue of M lies within kappa ||M - D||_2 of z,
+    for D = P diag(z) P^{-1}.  Two references exist.  The Hermitian A has
+    kappa = 1 and sep = d = dist(sigma(A), sigma(C)), exact up to the eigh
+    error of sigma(A), a few eps ||A||.  An iterate Z has the (z, P) of
+    eig(Z), which solve Z P - P diag(z) = R with ||R||_F <= k n eps ||Z||
+    ||P||_F for a modest k, so Z = D + R P^{-1} exactly, with
+    ||R P^{-1}||_2 <= k n eps kappa ||Z|| when kappa is the Frobenius
+    ||P||_F ||P^{-1}||_F (which bounds the 2-norm one).  eigvals(Z + E)
+    returns the eigenvalues of Z + E + F, ||F|| <= k n eps ||Z + E||.  So
+    each returned eigenvalue lies within
+    kappa (||E||_F + k n eps (||Z|| + ||E||) + k n eps kappa ||Z||) of z.
+    The FRO_SLACK terms, times kappa, cover all but ||E||_F as long as
+    k n eps kappa stays far below FRO_SLACK (_eig_reference keeps no
+    iterate where it does not), and with ||C|| they cover the rounding of
+    c, of min|z - c| and of this floor.
     """
-    return d - (1.0 + FRO_SLACK) * _frobenius(E) - FRO_SLACK * scale
+    return sep - kappa * (1.0 + FRO_SLACK) * _frobenius(E) - kappa * FRO_SLACK * scale
+
+
+class _OverlapReference(NamedTuple):
+    """A matrix Z whose eig decided an overlap test, kept to screen later
+    ones by _bauer_fike_floor(sep, kappa, scale, Z' - Z)."""
+
+    Z: np.ndarray
+    sep: float  # min|z - c| over the computed eigenvalues z
+    kappa: float  # ||P||_F ||P^{-1}||_F for the computed eigenvectors P
+    scale: float  # ||Z||_F + ||C||
+
+
+def _eig_reference(Z: np.ndarray, c: np.ndarray, norm_C: float) -> tuple[float, _OverlapReference | None]:
+    """The overlap test of Z against c = sigma(C) taken from eig(Z): its
+    separation, raising SpectraOverlap as _require_apart does, and Z as a
+    reference for the screens of later tests.
+
+    The reference is None when P^{-1} does not exist, when kappa is not
+    finite, or when n eps kappa exceeds FRO_SLACK / 64: there the
+    decomposition's own error can outgrow the floor's slack.  kappa comes
+    from inv(P), which is exact enough here, not from an SVD.
+    """
+    z, P = np.linalg.eig(Z)
+    sep = _require_apart(z, c)
+    try:
+        kappa = _frobenius(P) * _frobenius(np.linalg.inv(P))
+    except np.linalg.LinAlgError:
+        return sep, None
+    if not Z.shape[0] * np.finfo(float).eps * kappa <= FRO_SLACK / 64:  # nan and inf fail too
+        return sep, None
+    return sep, _OverlapReference(Z, sep, kappa, _frobenius(Z) + norm_C)
 
 
 def _row_systems(c: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -139,7 +184,8 @@ def _solve_in_eig_C(
     On the row path row i is the system Y_i (Z - c_i) = G_i, and all n_C
     of them go in one batched solve; eigvals(Z) is skipped when floor, a
     lower bound on the separation that the caller vouches for
-    (_bauer_fike_floor), already exceeds TOL_SPEC.  When rows is None,
+    (_bauer_fike_floor, or the separation _eig_reference found), already
+    exceeds TOL_SPEC.  When rows is None,
     with Z = P diag(z) P^{-1}, (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z)
     instead of the n_C factorizations, but Z must be diagonalizable, since
     a defective Z gives a numerically singular P and a wrong Y without an

@@ -20,6 +20,7 @@ compressions, whichever route produced it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,7 +39,9 @@ from .errors import (
 )
 from .linalg import (
     TOL_SPEC,
+    _OverlapReference,
     _bauer_fike_floor,
+    _eig_reference,
     _frobenius,
     _read_only,
     _row_systems,
@@ -307,13 +310,38 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
 
 
 def _fixedpoint_step(
-    p: BlockProblem, Y: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None
+    p: BlockProblem,
+    Y: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray] | None,
+    refs: deque[_OverlapReference],
 ) -> np.ndarray:
     """The next iterate in C's eigenbasis: Y' (A + (B U) Y) - diag(c) Y' = U* B*;
-    rows is the problem's _row_systems."""
+    rows is the problem's _row_systems, and refs the solve's last two
+    diagonalized iterates (_overlap_floor), which the row path's overlap
+    test reads and renews."""
     E = p.B_in_eig_C @ Y
-    floor = _bauer_fike_floor(p.d, p.norm_A + p.norm_C, E)
-    return _solve_in_eig_C(p.A + E, p.eig_C.values, p.Bstar_in_eig_C, floor, rows)
+    Z = p.A + E
+    floor = -math.inf  # the eig path diagonalizes Z and reads no floor
+    if rows is not None:
+        floor = _bauer_fike_floor(p.d, 1.0, p.norm_A + p.norm_C, E)
+        if not floor > TOL_SPEC:
+            floor = _overlap_floor(p, Z, refs)
+    return _solve_in_eig_C(Z, p.eig_C.values, p.Bstar_in_eig_C, floor, rows)
+
+
+def _overlap_floor(p: BlockProblem, Z: np.ndarray, refs: deque[_OverlapReference]) -> float:
+    """A lower bound above TOL_SPEC on min|sigma(Z) - c|, from the first of
+    refs whose Bauer-Fike floor settles it, else the separation of a fresh
+    eig(Z), which raises SpectraOverlap and otherwise joins refs in place
+    of the older of two (a period-2 cycle alternates between two limits)."""
+    for ref in refs:
+        floor = _bauer_fike_floor(ref.sep, ref.kappa, ref.scale, Z - ref.Z)
+        if floor > TOL_SPEC:
+            return floor
+    sep, ref = _eig_reference(Z, p.eig_C.values, p.norm_C)
+    if ref is not None:
+        refs.append(ref)
+    return sep
 
 
 def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
@@ -326,9 +354,14 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     (linalg._solve_in_eig_C: row by row on small blocks, where a defective
     Z_k does no harm, with the stacked shifts c_i I built once per solve),
     and X = U Y is formed once, at the stop.  A Z_k within tol_spec of
-    sigma(C) raises SpectraOverlap; a Bauer-Fike bound from d and
-    ||(B U) Y_k||_F spares the eigvals of that test whenever it settles
-    it.  Stops on a relative step of TOL_FIX.  Raises IterationDiverged
+    sigma(C) raises SpectraOverlap.  On the row path a Bauer-Fike floor
+    settles that test whenever it can, from one of three references: the
+    Hermitian A (kappa = 1, separation d, perturbation (B U) Y_k) or one
+    of the last two iterates that took an eig, Z_r = P diag(z) P^{-1}
+    (kappa = ||P||_F ||P^{-1}||_F, perturbation Z_k - Z_r).  A step none
+    of them settles takes eig(Z_k), whose eigenvalues decide it and which
+    replaces the older iterate reference; the references live for one
+    solve.  Stops on a relative step of TOL_FIX.  Raises IterationDiverged
     past norm 1e6, at a period-2 cycle, or past MAX_ITER steps.  A cycle
     is Y_k within TOL_FIX of Y_{k-2} (relative, as the stop) while the
     step Y_k - Y_{k-1} is not within sqrt(TOL_FIX), tested first: the
@@ -343,9 +376,10 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     root (uniqueness_class_check) OutsideUniquenessClass.
     """
     rows = _row_systems(p.eig_C.values, p.Bstar_in_eig_C)
+    refs: deque[_OverlapReference] = deque(maxlen=2)
     Y_back = Y = np.zeros((p.n_C, p.n_A), dtype=complex)  # Y_{k-2} and Y_{k-1} at step k
     for k in range(1, MAX_ITER + 1):
-        Y_next = _fixedpoint_step(p, Y, rows)
+        Y_next = _fixedpoint_step(p, Y, rows, refs)
         step, y_norm = _frobenius(Y_next - Y), _frobenius(Y_next)
         if not y_norm <= DIVERGE_NORM:  # a nan iterate diverged too
             raise IterationDiverged(f"iterate norm exceeded {DIVERGE_NORM:.0e}")

@@ -318,7 +318,7 @@ def test_bauer_fike_screen_never_skips_a_refusal():
         N = rng.complex_normal_matrix(n_A, n_A)
         E = t * (c[i] - a[j]) * np.outer(V[:, j], V[:, j].conj())
         E = E + (TOL_SPEC if trial % 3 else 0.1 * d) * rng.uniform() * N / np.linalg.norm(N)
-        floor = _bauer_fike_floor(d, operator_norm(A) + operator_norm(C), E)
+        floor = _bauer_fike_floor(d, 1.0, operator_norm(A) + operator_norm(C), E)
         sep = np.min(np.abs(np.linalg.eigvals(A + E)[None, :] - c[:, None]))
         assert floor <= sep
         G = rng.complex_normal_matrix(n_C, n_A)
@@ -333,3 +333,87 @@ def test_bauer_fike_screen_never_skips_a_refusal():
         skipped += floor > TOL_SPEC
         refused += outcomes[1] is None
     assert skipped > 100 and refused > 10
+
+
+def _unitary(rng, n):
+    Q, _ = np.linalg.qr(rng.complex_normal_matrix(n, n))
+    return Q
+
+
+def test_bauer_fike_screen_around_a_non_normal_reference_never_skips_a_refusal():
+    # Z_r = P diag(z) P^{-1}, with the condition number of P from 1 to 1e4,
+    # is the reference _eig_reference keeps; Z_r + E must never be waved
+    # through when eigvals(Z_r + E) touches sigma(C).  E is, in turn:
+    # (0) the perturbation that moves z_j fastest, kappa_j = ||p_j|| ||q_j||
+    # times its norm, toward its nearest c_i, by f in [0, 1.2] of the way;
+    # (1) an exact shift of z_j to within 5 TOL_SPEC of c_i, plus the same
+    # fastest perturbation at the TOL_SPEC scale; (2) random, of norm up
+    # to TOL_SPEC
+    rng = SplitMix64(25)
+    skipped = refused = wide = 0
+    for trial in range(600):
+        n_A, n_C, kind = 1 + trial % 4, 1 + (trial // 4) % 4, trial % 3
+        target = 10.0 ** (4.0 * rng.uniform())
+        P = _unitary(rng, n_A) @ np.diag(np.geomspace(1.0, target, n_A)) @ _unitary(rng, n_A)
+        Q = np.linalg.inv(P)  # rows q_j: the left eigenvectors
+        z = rng.complex_normal_matrix(1, n_A)[0] * np.array([1.0, 0.1])[np.arange(n_A) % 2]
+        c = np.sort(2.0 * np.array([rng.uniform() for _ in range(n_C)]) - 1.0)
+        gaps = np.abs(z[:, None] - c[None, :])
+        j, i = np.unravel_index(np.argmin(gaps), gaps.shape)
+        if gaps[j, i] <= 1e3 * TOL_SPEC:
+            continue
+        w = c[i] - z[j]
+        Z_r = P @ np.diag(z) @ Q
+        sep_r, ref = linalg._eig_reference(Z_r, c, operator_norm(np.diag(c)))
+        kappas = np.linalg.norm(P, axis=0) * np.linalg.norm(Q, axis=1)  # unchanged by eig's scaling
+        assert ref is not None and ref.sep == sep_r and ref.kappa >= kappas.max() * (1.0 - 1e-8)
+        kappa_j = kappas[j]
+        fastest = np.outer(Q[j].conj(), P[:, j].conj()) / kappa_j  # q_j E p_j = ||E||_2 kappa_j
+        if kind == 0:
+            E = 1.2 * rng.uniform() * w / kappa_j * fastest
+        elif kind == 1:
+            shift = w + (rng.uniform() - 0.5) * 10.0 * TOL_SPEC * np.exp(2j * np.pi * rng.uniform())
+            E = shift * np.outer(P[:, j], Q[j])
+            E = E + TOL_SPEC * rng.uniform() / kappa_j * np.exp(2j * np.pi * rng.uniform()) * fastest
+        else:
+            N = rng.complex_normal_matrix(n_A, n_A)
+            E = TOL_SPEC * rng.uniform() * N / np.linalg.norm(N)
+        Z = Z_r + E
+        floor = _bauer_fike_floor(ref.sep, ref.kappa, ref.scale, Z - ref.Z)
+        sep = np.min(np.abs(np.linalg.eigvals(Z)[None, :] - c[:, None]))
+        assert floor <= sep
+        G = rng.complex_normal_matrix(n_C, n_A)
+        outcomes = []
+        for bound in (floor, -np.inf):
+            try:
+                outcomes.append(sylvester_in_eig_C(Z, c, G, bound))
+            except SpectraOverlap:
+                outcomes.append(None)
+        assert (outcomes[0] is None) == (outcomes[1] is None)
+        assert outcomes[0] is None or np.array_equal(outcomes[0], outcomes[1])
+        skipped += floor > TOL_SPEC
+        refused += outcomes[1] is None
+        wide += floor > TOL_SPEC and kappa_j > 1e2 and kind == 0
+    assert skipped > 200 and refused > 20 and wide >= 10
+
+
+def test_eig_reference_keeps_no_ill_conditioned_or_defective_matrix():
+    # the decomposition's own error grows like n eps kappa^2 ||Z||; past
+    # n eps kappa = FRO_SLACK / 64 the floor's slack no longer covers it,
+    # and a defective Z has no reference at all; the separation is still
+    # the one eig found, and an overlap still raises
+    c = np.array([-1.0, 1.0])
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert linalg._eig_reference(jordan, c, 1.0) == (1.0, None)
+    P = np.array([[1.0, 1.0], [0.0, 1e-7]], dtype=complex)  # kappa about 4e14
+    Z = P @ np.diag([0.25, -0.5]) @ np.linalg.inv(P)
+    sep, ref = linalg._eig_reference(Z, c, 1.0)
+    assert ref is None and sep == pytest.approx(0.5, rel=1e-6)
+    P[1, 1] = 0.5
+    Z = P @ np.diag([0.25, -0.5]) @ np.linalg.inv(P)
+    sep, ref = linalg._eig_reference(Z, c, 1.0)
+    unit = np.linalg.eig(Z)[1]  # P with the unit columns eig returns
+    assert ref is not None and sep == ref.sep == 0.5
+    assert ref.kappa == np.linalg.norm(unit) * np.linalg.norm(np.linalg.inv(unit))
+    with pytest.raises(SpectraOverlap):
+        linalg._eig_reference(np.diag([0.25, 1.0 + 1e-9]).astype(complex), c, 1.0)

@@ -1,6 +1,7 @@
 """The three solution routes and their failure modes."""
 
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -488,10 +489,10 @@ def test_fixedpoint_builds_the_row_shifts_once_per_solve(battery500, monkeypatch
 
 def _fixedpoint_steps(p, count):
     """The first count iterates Y_k = U* X_k of the fixed point, from Y_0 = 0."""
-    rows = _row_systems(p.eig_C.values, p.Bstar_in_eig_C)
+    rows, refs = _row_systems(p.eig_C.values, p.Bstar_in_eig_C), deque(maxlen=2)
     Y = [np.zeros((p.n_C, p.n_A), dtype=complex)]
     for _ in range(count):
-        Y.append(solvers._fixedpoint_step(p, Y[-1], rows))
+        Y.append(solvers._fixedpoint_step(p, Y[-1], rows, refs))
     return Y
 
 
@@ -518,21 +519,64 @@ def test_row_and_eig_kernels_agree_on_fixedpoint_steps(battery500):
             assert operator_norm(rows - eig) <= 1e-13 * (1.0 + operator_norm(rows))
 
 
-def test_an_iterate_next_to_sigma_C_still_overlaps(battery500):
+def _pushed_next_to_sigma_C(p, Z):
+    """An iterate Y whose Z' = A + (B U) Y is Z with its eigenvalue nearest
+    sigma(C) moved to 1e-9 from it; B U must have full row rank."""
+    z, P = np.linalg.eig(Z)
+    c = p.eig_C.values
+    j, i = np.unravel_index(np.argmin(np.abs(z[:, None] - c[None, :])), (z.size, c.size))
+    target = P @ np.diag(np.where(np.arange(z.size) == j, c[i] + 1e-9, z)) @ np.linalg.inv(P)
+    Y = np.linalg.lstsq(p.B_in_eig_C, target - p.A, rcond=None)[0]
+    pushed = p.A + p.B_in_eig_C @ Y
+    assert np.min(np.abs(np.linalg.eigvals(pushed)[None, :] - c[:, None])) < 2e-9
+    return Y
+
+
+def test_an_iterate_next_to_sigma_C_still_overlaps(battery500, monkeypatch):
     # push one eigenvalue of Z = A + (B U) Y to 1e-9 from sigma(C): the
-    # Bauer-Fike floor cannot clear it, so the row path takes eigvals and
-    # refuses the step
+    # Bauer-Fike floor cannot clear it, so the row path diagonalizes Z and
+    # refuses the step, whether it is the first step of a solve or one
+    # taken after two iterates became references
     _, p, _, _ = next(item for item in battery500.items if item[1].n_A < item[1].n_C)
     assert p.n_A * p.n_C < ROW_SOLVE_LIMIT
-    a, V = p.eig_A
-    c = p.eig_C.values
-    j, i = np.unravel_index(np.argmin(np.abs(a[:, None] - c[None, :])), (a.size, c.size))
-    E = (c[i] + 1e-9 - a[j]) * np.outer(V[:, j], V[:, j].conj())
-    Y = np.linalg.lstsq(p.B_in_eig_C, E, rcond=None)[0]
-    Z = p.A + p.B_in_eig_C @ Y
-    assert np.min(np.abs(np.linalg.eigvals(Z)[None, :] - c[:, None])) < 2e-9
+    rows = _row_systems(p.eig_C.values, p.Bstar_in_eig_C)
     with pytest.raises(SpectraOverlap):
-        solvers._fixedpoint_step(p, Y, _row_systems(c, p.Bstar_in_eig_C))
+        solvers._fixedpoint_step(p, _pushed_next_to_sigma_C(p, p.A), rows, deque(maxlen=2))
+    # item 27 (5 x 7) runs to the step limit and diagonalizes 19 of its
+    # iterates; at step 100 both references are taken, and the iterate is
+    # pushed from where the solve stands, so it is near a reference
+    _, p, gap, _ = battery500.items[27]
+    assert p.n_A < p.n_C
+    real_step, taken = solvers._fixedpoint_step, []
+
+    def push_at_step_100(p, Y, rows, refs):
+        taken.append(len(refs))
+        if len(taken) == 100:
+            Y = _pushed_next_to_sigma_C(p, p.A + p.B_in_eig_C @ Y)
+        return real_step(p, Y, rows, refs)
+
+    monkeypatch.setattr(solvers, "_fixedpoint_step", push_at_step_100)
+    with pytest.raises(SpectraOverlap, match=r"are [0-9.]+e-(09|10) apart"):
+        rl.solve_fixedpoint(p, gap)
+    assert (len(taken), taken[-1]) == (100, 2)
+
+
+def test_fixedpoint_takes_no_eigvals_on_the_battery(battery500, monkeypatch):
+    # every overlap test is settled by a Bauer-Fike floor around A or one of
+    # the last two diagonalized iterates, or decided by a fresh eig, which
+    # becomes a reference; the battery took 5,413 eigvals before the
+    # iterate references, and takes 710 eig and 710 inv with them
+    calls = {"eigvals": 0, "eig": 0, "inv": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _n=name, _f=real, **k: calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **k)
+        )
+    for _, p, gap, _ in battery500.items:
+        p.eig_A, p.eig_C  # cached problem data, read before counting
+        _outcome(lambda: rl.solve_fixedpoint(p, gap))
+    assert calls["eigvals"] == 0
+    assert 0 < calls["eig"] <= 800 and calls["inv"] == calls["eig"]
 
 
 def test_residual_acceptance_is_relative_to_the_scale():
