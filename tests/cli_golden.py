@@ -116,11 +116,11 @@ def first_difference(expected: bytes, actual: bytes, context: int = 40) -> str:
 
 
 def _digests_in_process(workdir: Path) -> dict[str, list]:
-    return {
-        name: [code, hashlib.sha256(stdout).hexdigest()]
-        for name in LARGE_CASES
-        for code, stdout in [run_case(name, workdir)]
-    }
+    digests = {}
+    for name in LARGE_CASES:
+        code, stdout = run_case(name, workdir)
+        digests[name] = [code, hashlib.sha256(stdout).hexdigest()]
+    return digests
 
 
 def large_digests(workdir: Path) -> dict[str, list]:
