@@ -131,8 +131,10 @@ def large_digests(workdir: Path) -> dict[str, list]:
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": path}
     run = subprocess.run(
         [sys.executable, __file__, "--large-digests", str(workdir)],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    if run.returncode:
+        raise RuntimeError(f"the one-thread digest run exited {run.returncode}:\n{run.stderr}")
     return json.loads(run.stdout)
 
 
