@@ -17,10 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionMismatch, HypothesisViolated, LambdaOnSpectrum, LambdaOnSpectrumOfC
 from .linalg import (
-    TOL_CERT,
-    TOL_SPEC,
     EigDecomposition,
     _read_only,
     as_matrix,
@@ -139,7 +138,7 @@ class SpectralGap:
 
     def contains(self, x, margin: float = 0.0):
         """alpha + margin < x < beta - margin, elementwise on arrays: the one
-        gap-membership rule (strict interior tests pass margin tol_spec)."""
+        gap-membership rule (strict interior tests pass margin linalg._spectral_tol())."""
         return (self.alpha + margin < x) & (x < self.beta - margin)
 
     @property
@@ -154,7 +153,7 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
 
     threshold = sqrt(max(d span, 0)), span |gap| (existence, enclosure) or
     |gap| - d (contraction, squared shift); holds means sigma(A) is inside
-    the gap (margin tol_spec) and ||B|| < threshold - tol_cert.  d span is
+    the gap (margin _spectral_tol) and ||B|| < threshold - _slack_tol(1).  d span is
     formed scaled by 2^-2e, 2^(e-1) <= |gap| < 2^e, so it cannot overflow;
     a power of two is exact, so no threshold whose d span is a normal
     double moves a bit.
@@ -163,8 +162,8 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
         raise HypothesisViolated(f"the theorem needs a finite gap, not ({gap.alpha}, {gap.beta})")
     e = math.frexp(gap.length)[1]
     threshold = math.ldexp(math.sqrt(max(math.ldexp(p.d, -e) * math.ldexp(span, -e), 0.0)), e)
-    holds = bool(np.all(gap.contains(p.eig_A.values, TOL_SPEC))) and p.norm_B < threshold - TOL_CERT
-    return threshold, holds
+    holds = bool(np.all(gap.contains(p.eig_A.values, linalg._spectral_tol())))
+    return threshold, holds and p.norm_B < threshold - linalg._slack_tol(1)
 
 
 def assemble_H(p: BlockProblem) -> np.ndarray:
@@ -180,7 +179,7 @@ def find_gaps(w) -> list[SpectralGap]:
     """All maximal open intervals in the complement of sigma(C).
 
     w is sigma(C) as a 1-d array in ascending order, as p.eig_C.values
-    holds it.  Eigenvalues closer than tol_spec are merged into one
+    holds it.  Eigenvalues closer than _spectral_tol are merged into one
     cluster (their mean represents them, from the correctly rounded
     math.fsum, so it is the same on every Python version), so fake
     hairline gaps never appear.  The two infinite rays come first and
@@ -188,9 +187,9 @@ def find_gaps(w) -> list[SpectralGap]:
     """
     w = _spectrum(w)
     reps: list[float] = []
-    cluster = [float(w[0])]
+    cluster, tol = [float(w[0])], linalg._spectral_tol()
     for x in w[1:]:
-        if float(x) - cluster[-1] <= TOL_SPEC:
+        if float(x) - cluster[-1] <= tol:
             cluster.append(float(x))
         else:
             reps.append(math.fsum(cluster) / len(cluster))
@@ -238,14 +237,14 @@ def _require_off_sigma_C(
     p: BlockProblem, lams: np.ndarray | complex, label: str = "lambda="
 ) -> None:
     """Raise LambdaOnSpectrumOfC naming the first of lams, a 1-d array or
-    one complex point, within tol_spec of sigma(C); label prefixes the
+    one complex point, within _spectral_tol of sigma(C); label prefixes the
     point in the message ("lambda=" for a single evaluation point, "grid
     point " for a grid)."""
-    c = p.eig_C.values
+    c, tol = p.eig_C.values, linalg._spectral_tol()
     if isinstance(lams, complex):
-        first = lams if np.abs(c - lams).min() <= TOL_SPEC else None
+        first = lams if np.abs(c - lams).min() <= tol else None
     else:
-        near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= TOL_SPEC)
+        near = np.flatnonzero(np.min(np.abs(c[None, :] - lams[:, None]), axis=1) <= tol)
         first = complex(lams[near[0]]) if near.size else None
     if first is not None:
         raise LambdaOnSpectrumOfC(f"{label}{first} is within tol of sigma(C)")
@@ -290,13 +289,13 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
 
     The representation inverts only the small nA block M(lambda); the
     resolvent of C comes from its cached eigenbasis.  It is exact wherever
-    lambda avoids both spectra: a lambda within tol_spec of sigma(C)
-    raises LambdaOnSpectrumOfC, and one within tol_spec of sigma(H), the
+    lambda avoids both spectra: a lambda within _spectral_tol of sigma(C)
+    raises LambdaOnSpectrumOfC, and one within _spectral_tol of sigma(H), the
     eigvalsh of the exactly Hermitian assemble_H(p), LambdaOnSpectrum.
     """
     lam = complex(lam)
     M = herglotz_M(p, lam)
-    if dist_spectra(np.linalg.eigvalsh(assemble_H(p)), np.array([lam])) <= TOL_SPEC:
+    if dist_spectra(np.linalg.eigvalsh(assemble_H(p)), np.array([lam])) <= linalg._spectral_tol():
         raise LambdaOnSpectrum(f"lambda={lam} is within tol of sigma(H)")
     nA, nC = p.n_A, p.n_C
     c, U = p.eig_C

@@ -6,7 +6,7 @@ quantity, and reports the margin between them.  Failure is data, never an
 exception; exceptions are reserved for inputs on which the certified
 quantity is not even defined.
 
-Margins are oriented so that nonnegative (up to tol_cert) means the
+Margins are oriented so that nonnegative (up to _slack_tol) means the
 theorem held: bound - observed for upper bounds, observed - bound for the
 one lower-bound certificate (squared_subordination).
 """
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .block import BlockProblem, SpectralGap, _hypothesis, dist_spectra
 from .errors import (
     DeltaNonpositive,
@@ -26,7 +27,6 @@ from .errors import (
     RiccatiLabError,
 )
 from .factorization import enclosure_bounds
-from .linalg import TOL_CERT, TOL_SPEC, operator_norm
 from .solvers import RiccatiSolution, residual_acceptable, solve_spectral, uniqueness_class_check
 
 
@@ -42,13 +42,13 @@ class Certificate:
 
 
 def _certificate(
-    theorem: str, hyp: bool, bound: float, observed: float, details: dict, side=(), lower=False
+    theorem: str, hyp: bool, bound: float, observed: float, details: dict, power: int, side=(), lower=False
 ) -> Certificate:
-    """The one verdict rule every certifier reports through: margin is
-    bound - observed (observed - bound for a lower bound), and the theorem
-    passes when hyp holds, margin >= -tol_cert and every side condition holds."""
+    """The one verdict rule: margin is bound - observed (observed - bound for
+    a lower bound) and scales like s**power; the theorem passes when hyp
+    holds, margin >= -_slack_tol(power) and every side condition holds."""
     margin = observed - bound if lower else bound - observed
-    passed = bool(hyp and margin >= -TOL_CERT and all(side))
+    passed = bool(hyp and margin >= -linalg._slack_tol(power) and all(side))
     return Certificate(theorem, hyp, bound, observed, margin, passed, details)
 
 
@@ -94,7 +94,7 @@ def certify_existence(
     b = p.norm_B
     res_ok = residual_acceptable(p, sol, sol.residual)
     uniq = uniqueness_class_check(p, sol, gap)
-    proper = bool(np.all(gap.contains(sol.z_eigs, TOL_SPEC)))
+    proper = bool(np.all(gap.contains(sol.z_eigs, linalg._spectral_tol())))
     return _certificate(
         "existence_1i", hyp, threshold, b,
         {
@@ -105,6 +105,7 @@ def certify_existence(
             "uniqueness_class": uniq,
             "spectrum_interior": proper,
         },
+        power=1,
         side=(res_ok, uniq, proper),
     )
 
@@ -122,7 +123,7 @@ def certify_contraction(
     overflows; the reported denominator is the unscaled one.
     """
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
-    coupling = operator_norm(Bhat)
+    coupling = linalg.operator_norm(Bhat)
     e = math.frexp(gap.length)[1]
     d, b = math.ldexp(p.d, -e), math.ldexp(p.norm_B, -e)
     scaled_denom = d * (math.ldexp(gap.length, -e) - d) - b * b
@@ -140,6 +141,7 @@ def certify_contraction(
             "hypothesis_threshold": threshold,
             "b_norm": p.norm_B,
         },
+        power=0,
         side=(observed < 1.0,),
     )
 
@@ -154,16 +156,16 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     z = sol.z_eigs
     c = p.eig_C.values
     delta = dist_spectra(z, c)
-    if delta <= TOL_SPEC:
+    if delta <= linalg._spectral_tol():
         raise DeltaNonpositive(f"dist(sigma(Z), sigma(C)) = {delta:.3e}")
     # z is sorted; its hull lies in one gap of C when no eigenvalue of C falls between
-    # its ends, which are over tol_spec from sigma(C) and so from every find_gaps cluster
+    # its ends, which are over _spectral_tol from sigma(C) and so from every find_gaps cluster
     in_one_gap = bool(np.searchsorted(c, z[0]) == np.searchsorted(c, z[-1]))
     res_ok = residual_acceptable(p, sol, sol.residual)
     b = p.norm_B
     return _certificate(
         "tan_theta_2", bool(in_one_gap and res_ok), b / delta, sol.x_norm,
-        {"delta": delta, "b_norm": b, "residual": sol.residual},
+        {"delta": delta, "b_norm": b, "residual": sol.residual}, power=0,
     )
 
 
@@ -193,6 +195,7 @@ def certify_apriori(
             "enclosure_lower": bounds.lower,
             "enclosure_upper": bounds.upper,
         },
+        power=0,
     )
 
 
@@ -205,7 +208,7 @@ def certify_tan2theta(p: BlockProblem) -> Certificate:
     """
     a = p.eig_A.values
     c = p.eig_C.values
-    if not float(a[-1]) < float(c[0]) - TOL_SPEC:
+    if not float(a[-1]) < float(c[0]) - linalg._spectral_tol():
         raise NotSubordinated(
             f"sup sigma(A) = {a[-1]:.6g} not below inf sigma(C) = {c[0]:.6g}"
         )
@@ -217,7 +220,7 @@ def certify_tan2theta(p: BlockProblem) -> Certificate:
     observed = sol.x_norm
     return _certificate(
         "tan_2theta_dk", True, math.tan(0.5 * math.atan2(2.0 * b, d)), observed,
-        {"d": d, "b_norm": b, "split_at": mid, "residual": sol.residual},
+        {"d": d, "b_norm": b, "split_at": mid, "residual": sol.residual}, power=0,
         side=(observed < 1.0,),
     )
 
@@ -245,7 +248,8 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
     chat = sq.eig_C.values
     subordinated = bool(float(ahat[-1]) < float(chat[0]))
     top = (gap.length / 2.0 - p.d) ** 2 + b * b
-    contained = bool(float(ahat[0]) >= -TOL_CERT and float(ahat[-1]) <= top + TOL_CERT)
+    slack = linalg._slack_tol(2)
+    contained = bool(float(ahat[0]) >= -slack and float(ahat[-1]) <= top + slack)
     cert = _certificate(
         "squared_subordination", True, floor, achieved,
         {
@@ -256,6 +260,7 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
             "ahat_interval_top": top,
             "ahat_contained": contained,
         },
+        power=2,
         side=(subordinated, contained),
         lower=True,
     )

@@ -29,7 +29,7 @@ from .factorization import (
     verify_factorization,
 )
 from .harness import ExampleSpec, GenSpec, example_problem, exact_example_solution, sweep
-from .linalg import TOL_SPEC, operator_norm
+from . import linalg
 from .serialize import (
     certificate_to_dict,
     clean_number,
@@ -159,7 +159,7 @@ def _factorize_payload(p: BlockProblem, gap: SpectralGap) -> dict:
     W = compute_W(p, sol.X, np.linspace(bounds.lower, bounds.upper, 25).astype(complex))
     smin = float(np.min(np.linalg.svd(W, compute_uv=False)[:, -1]))
     out["w_min_singular_value"] = clean_number(smin)
-    out["w_invertible"] = bool(smin > TOL_SPEC)
+    out["w_invertible"] = bool(smin > linalg._singular_tol())
     return out
 
 
@@ -167,7 +167,7 @@ def _example_payload(d: float, b: float) -> dict:
     X = exact_example_solution(d, b)
     out = problem_to_dict(example_problem(d, b), gap=(-d, d))
     out["X_exact"] = matrix_to_json(X)
-    out["x_norm"] = clean_number(operator_norm(X))
+    out["x_norm"] = clean_number(linalg.operator_norm(X))
     return out
 
 

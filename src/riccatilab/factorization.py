@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .block import (
     BlockProblem,
     SpectralGap,
@@ -27,7 +28,7 @@ from .block import (
     herglotz_batch,
 )
 from .errors import DimensionMismatch, HypothesisViolated
-from .linalg import FRO_SLACK, TOL_SPEC, as_matrix
+from .linalg import FRO_SLACK, as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -71,21 +72,21 @@ def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray | complex) -> np.n
 def factorization_grid(p: BlockProblem, gap: SpectralGap) -> np.ndarray:
     """Evaluation grid of GRID_POINTS: half real points across the gap, half on a circle.
 
-    The real half spans the gap shrunk by tol_spec; the circle has radius
+    The real half spans the gap shrunk by _spectral_tol(8); the circle has radius
     equal to the gap length around its midpoint, dropping any point that
-    lands within tol_spec of sigma(C).  A ray has neither, and raises
+    lands within _spectral_tol(2) of sigma(C).  A ray has neither, and raises
     HypothesisViolated, as the theorems do.
     """
     if not gap.is_finite:
         raise HypothesisViolated(f"the grid needs a finite gap, not ({gap.alpha}, {gap.beta})")
     half = GRID_POINTS // 2
     # inset a few tolerances so the endpoint eigenvalues of C stay clear
-    inset = 8 * TOL_SPEC
+    inset = linalg._spectral_tol(8)
     real_pts = np.linspace(gap.alpha + inset, gap.beta - inset, half)
     angles = 2.0 * np.pi * (np.arange(half) + 0.5) / half
     circle = gap.midpoint + gap.length * np.exp(1j * angles)
     c = p.eig_C.values
-    keep = circle[np.min(np.abs(c[None, :] - circle[:, None]), axis=1) > 2 * TOL_SPEC]
+    keep = circle[np.min(np.abs(c[None, :] - circle[:, None]), axis=1) > linalg._spectral_tol(2)]
     return np.concatenate([real_pts.astype(complex), keep])
 
 
@@ -166,7 +167,7 @@ def sign_conditions(p: BlockProblem, gap: SpectralGap, bounds: EnclosureBounds) 
         (gap.alpha, bounds.lower, 20.0 / 21.0, "left", -1.0),
         (bounds.upper, gap.beta, 1.0 / 21.0, "right", 1.0),
     ):
-        if not (hi - lo > 4 * TOL_SPEC):
+        if not (hi - lo > linalg._spectral_tol(4)):
             logger.info("sign interval on the %s side is empty, skipping", side)
             continue
         lams.append(lo + (hi - lo) * t)

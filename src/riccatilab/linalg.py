@@ -1,9 +1,9 @@
-"""Dense Hermitian linear algebra kernels.
+"""Dense Hermitian linear algebra kernels, and the tolerance policy.
 
-Everything downstream (block assembly, Riccati solvers, certificates)
-validates its matrices and takes its 2-norms here, and the fixed point
-solves its Sylvester steps here, so the tolerances are defined once in
-this module and imported everywhere else.
+Everything downstream validates its matrices and takes its 2-norms here,
+and the fixed point solves its Sylvester steps here.  Each spectral or
+certificate test asks the policy below, as linalg._<units>_tol() when it
+decides, for the tolerance of its quantity's units under H -> sH.
 """
 
 from __future__ import annotations
@@ -17,14 +17,28 @@ from .errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 
 # relative: the Hermiticity test allows a defect of HERM_TOL_FACTOR (1 + ||M||)
 HERM_TOL_FACTOR = 1e-10
-# absolute distance below which two eigenvalues, or a point and a spectrum, touch
+# absolute; read only by the tolerance policy below
 TOL_SPEC = 1e-8
-# absolute slack of every certificate verdict and theorem hypothesis
 TOL_CERT = 1e-9
 # relative rounding slack wherever a Frobenius norm bounds a 2-norm (the
 # Hermiticity pre-screen, verify_factorization's brackets, the Bauer-Fike
 # floor); far above the O(n eps) error of either norm at any practical size
 FRO_SLACK = 1e-8
+
+
+def _spectral_tol(multiple: int = 1) -> float:
+    """multiple times the distance at which two points of the spectral axis touch: units of H."""
+    return multiple * TOL_SPEC
+
+
+def _slack_tol(power: int) -> float:
+    """The slack of a verdict whose margin scales like s**power under H -> sH (0, 1 or 2)."""
+    return {0: TOL_CERT, 1: TOL_CERT, 2: TOL_CERT}[power]
+
+
+def _singular_tol() -> float:
+    """The floor of the smallest singular value of a dimensionless matrix (projection block, W)."""
+    return TOL_SPEC
 
 
 class EigDecomposition(NamedTuple):
@@ -95,10 +109,10 @@ ROW_SOLVE_LIMIT = 512
 
 
 def _require_apart(z: np.ndarray, c: np.ndarray) -> float:
-    """The one overlap rule of the Sylvester kernel: min|z - c| <= TOL_SPEC
+    """The one overlap rule of the Sylvester kernel: min|z - c| <= _spectral_tol()
     raises, and any larger min|z - c| is returned."""
     sep = float(np.abs(z - c[:, None]).min())
-    if sep <= TOL_SPEC:
+    if sep <= _spectral_tol():
         raise SpectraOverlap(f"sigma(Z) and sigma(C) are {sep:.3e} apart")
     return sep
 
@@ -176,7 +190,7 @@ def _solve_in_eig_C(
     rows: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
     """Solve Y Z - diag(c) Y = G for Y, raising SpectraOverlap when
-    min|sigma(Z) - c| <= TOL_SPEC.
+    min|sigma(Z) - c| <= _spectral_tol().
 
     This is X Z - C X = R in the eigenbasis of C = U diag(c) U*, with
     Y = U* X and G = U* R; rows is _row_systems(c, G), which the caller
@@ -185,14 +199,14 @@ def _solve_in_eig_C(
     of them go in one batched solve; eigvals(Z) is skipped when floor, a
     lower bound on the separation that the caller vouches for
     (_bauer_fike_floor, or the separation _eig_reference found), already
-    exceeds TOL_SPEC.  When rows is None,
+    exceeds _spectral_tol().  When rows is None,
     with Z = P diag(z) P^{-1}, (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z)
     instead of the n_C factorizations, but Z must be diagonalizable, since
     a defective Z gives a numerically singular P and a wrong Y without an
     error.
     """
     if rows is not None:
-        if not floor > TOL_SPEC:
+        if not floor > _spectral_tol():
             _require_apart(np.linalg.eigvals(Z), c)
         shifts, rhs = rows
         return np.linalg.solve(Z.T - shifts, rhs)[:, :, 0]

@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .block import BlockProblem, SpectralGap, assemble_H, dist_spectra
 from .errors import (
     DimensionMismatch,
@@ -38,7 +39,6 @@ from .errors import (
     WrongSubspaceDimension,
 )
 from .linalg import (
-    TOL_SPEC,
     _OverlapReference,
     _bauer_fike_floor,
     _eig_reference,
@@ -171,20 +171,20 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     """Read X off the spectral projection of H onto the gap eigenvalues.
 
     Exactly n_A eigenvalues of H must lie in the open gap, each at least
-    tol_spec away from the finite endpoints.  Eigenvalues hugging an
+    _spectral_tol away from the finite endpoints.  Eigenvalues hugging an
     endpoint are never counted as inside (the gap is open); they only
     raise WrongSubspaceDimension when the strict-interior count comes out
     wrong, because then their membership would have decided the subspace.
     The projection must be a graph over the A component (its upper-left
-    block nonsingular), else NotAGraph.
+    block's smallest singular value above _singular_tol), else NotAGraph.
     """
     H = assemble_H(p)
     w, U = np.linalg.eigh(H)
-    inside = gap.contains(w, TOL_SPEC)
+    inside = gap.contains(w, linalg._spectral_tol())
     count = int(np.count_nonzero(inside))
     if count != p.n_A:
         for edge in (gap.alpha, gap.beta):
-            if np.isfinite(edge) and np.any(np.abs(w - edge) <= TOL_SPEC):
+            if np.isfinite(edge) and np.any(np.abs(w - edge) <= linalg._spectral_tol()):
                 raise WrongSubspaceDimension(
                     f"{count} eigenvalues strictly inside (need {p.n_A}) and "
                     f"another within tol of the endpoint {edge}"
@@ -196,7 +196,7 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     Q = V @ V.conj().T
     Q11 = Q[: p.n_A, : p.n_A]
     smin = float(np.linalg.svd(Q11, compute_uv=False)[-1])
-    if smin <= TOL_SPEC:
+    if smin <= linalg._singular_tol():
         raise NotAGraph(f"projection block is singular (smin={smin:.3e})")
     X = np.linalg.solve(Q11.T, Q[p.n_A :, : p.n_A].T).T
     return RiccatiSolution(p, X, "spectral")
@@ -213,7 +213,7 @@ def build_contour(z_spectrum, c_spectrum) -> Contour:
     if z.size == 0 or c.size == 0:
         raise ValueError("both spectra must be nonempty")
     sep = dist_spectra(z, c)
-    if sep <= 2 * TOL_SPEC:
+    if sep <= linalg._spectral_tol(2):
         raise SpectraTooClose(f"spectra are only {sep:.3e} apart")
     center = (z.max() + z.min()) / 2.0
     radius = (z.max() - z.min()) / 2.0 + sep / 2.0
@@ -324,19 +324,19 @@ def _fixedpoint_step(
     floor = -math.inf  # the eig path diagonalizes Z and reads no floor
     if rows is not None:
         floor = _bauer_fike_floor(p.d, 1.0, p.norm_A + p.norm_C, E)
-        if not floor > TOL_SPEC:
+        if not floor > linalg._spectral_tol():
             floor = _overlap_floor(p, Z, refs)
     return _solve_in_eig_C(Z, p.eig_C.values, p.Bstar_in_eig_C, floor, rows)
 
 
 def _overlap_floor(p: BlockProblem, Z: np.ndarray, refs: deque[_OverlapReference]) -> float:
-    """A lower bound above TOL_SPEC on min|sigma(Z) - c|, from the first of
+    """A lower bound above _spectral_tol() on min|sigma(Z) - c|, from the first of
     refs whose Bauer-Fike floor settles it, else the separation of a fresh
     eig(Z), which raises SpectraOverlap and otherwise joins refs in place
     of the older of two (a period-2 cycle alternates between two limits)."""
     for ref in refs:
         floor = _bauer_fike_floor(ref.sep, ref.kappa, ref.scale, Z - ref.Z)
-        if floor > TOL_SPEC:
+        if floor > linalg._spectral_tol():
             return floor
     sep, ref = _eig_reference(Z, p.eig_C.values, p.norm_C)
     if ref is not None:
@@ -353,7 +353,7 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     Y Z_k - diag(c) Y = U* B* with the cached B U and U* B*
     (linalg._solve_in_eig_C: row by row on small blocks, where a defective
     Z_k does no harm, with the stacked shifts c_i I built once per solve),
-    and X = U Y is formed once, at the stop.  A Z_k within tol_spec of
+    and X = U Y is formed once, at the stop.  A Z_k within _spectral_tol of
     sigma(C) raises SpectraOverlap.  On the row path a Bauer-Fike floor
     settles that test whenever it can, from one of three references: the
     Hermitian A (kappa = 1, separation d, perturbation (B U) Y_k) or one
@@ -405,10 +405,10 @@ def uniqueness_class_check(p: BlockProblem, sol: RiccatiSolution, gap: SpectralG
     These two spectral locations are what single the solution out among
     all solutions of the equation; the compressions they are read from
     describe them only when the residual is residual_acceptable.  Both
-    test gap.contains with a tol_spec margin, so endpoint roundoff cannot
+    test gap.contains with a _spectral_tol margin, so endpoint roundoff cannot
     flip the answer.
     """
     if not residual_acceptable(p, sol, sol.residual):
         return False
-    z_inside = np.all(gap.contains(sol.z_eigs, TOL_SPEC))
-    return bool(z_inside and not np.any(gap.contains(sol.zhat_eigs, TOL_SPEC)))
+    z_inside = np.all(gap.contains(sol.z_eigs, linalg._spectral_tol()))
+    return bool(z_inside and not np.any(gap.contains(sol.zhat_eigs, linalg._spectral_tol())))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab.certificates import TOL_CERT
 from riccatilab.errors import (
     DeltaNonpositive,
     HypothesisViolated,
     NotSubordinated,
+    WrongSubspaceDimension,
 )
-from riccatilab.linalg import operator_norm
+from riccatilab.linalg import TOL_CERT, operator_norm
 from riccatilab.rng import SplitMix64
 from riccatilab.solvers import RiccatiSolution
 
@@ -411,7 +411,7 @@ def _verdicts(p):
     return verdicts, sol.x_norm
 
 
-@pytest.mark.parametrize(
+SCALING_SPECS = pytest.mark.parametrize(
     "spec",
     [
         rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5),
@@ -420,13 +420,28 @@ def _verdicts(p):
     ],
     ids=lambda spec: f"seed{spec.seed}-{spec.n_A}x{spec.n_C}",
 )
+
+
+@SCALING_SPECS
 def test_certificates_are_invariant_under_large_scaling(spec):
     # H -> sH leaves X and every verdict unchanged; eigvals of the scaled,
     # non-normal Z picks up imaginary parts far above 1e-8 here, the
     # Hermitian compressions do not
     p = rl.generate(spec)
     base, x_norm = _verdicts(p)
-    for s in (1e8, 1e10, 1e12):
+    for s in (1e-7, 1e-6, 1e-5, 1e8, 1e10, 1e12):
         verdicts, x_norm_s = _verdicts(rl.BlockProblem(s * p.A, s * p.B, s * p.C))
         assert verdicts == base, s
         assert x_norm_s == pytest.approx(x_norm, rel=1e-12, abs=0.0)
+
+
+@SCALING_SPECS
+@pytest.mark.xfail(
+    strict=True,
+    raises=WrongSubspaceDimension,
+    reason="ROADMAP item 1(a): the absolute 1e-8 margins at both ends cover the gap (-1e-8, 1e-8)",
+)
+def test_certificates_are_invariant_under_small_scaling(spec):
+    p = rl.generate(spec)
+    s = 1e-8
+    assert _verdicts(rl.BlockProblem(s * p.A, s * p.B, s * p.C))[0] == _verdicts(p)[0]

@@ -424,3 +424,17 @@ def test_factorization_grid_equals_the_pointwise_filter(battery500):
         ref = pointwise_grid(p, gap)
         assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
     assert len(rl.factorization_grid(on_circle, cases[-1][1])) == 49
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LambdaOnSpectrumOfC,
+    reason="ROADMAP item 1(a): the absolute 8e-8 grid inset is below half an ulp of the gap end 1e12",
+)
+def test_factorize_is_invariant_under_large_scaling():
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    s = 1e12
+    ps = rl.BlockProblem(s * p.A, s * p.B, s * p.C)
+    gap = rl.select_gap(ps, 0.0)
+    defect = rl.verify_factorization(ps, rl.solve_spectral(ps, gap), rl.factorization_grid(ps, gap))
+    assert defect <= 1e-9
