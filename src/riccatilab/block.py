@@ -213,7 +213,7 @@ def _spectrum(w) -> np.ndarray:
 def dist_spectra(a, c) -> float:
     """min |a_i - c_j| over two nonempty 1-d eigenvalue arrays, real or complex: every
     spectral distance above linalg (p.d, tan-theta delta, contour separation, sigma(H)
-    test); the Sylvester kernel's overlap test, linalg._require_apart, takes its own."""
+    test); the Sylvester steps' overlap test, linalg._require_apart, takes its own."""
     a, c = _spectrum(a), _spectrum(c)
     return float(np.min(np.abs(a[:, None] - c[None, :])))
 

@@ -1,14 +1,17 @@
 """Dense Hermitian linear algebra kernels, and the tolerance policy.
 
 Everything downstream validates its matrices and takes its 2-norms here,
-and the fixed point solves its Sylvester steps here.  Each spectral or
-certificate test asks the policy below, as linalg._<units>_tol() when it
-decides, for the tolerance of its quantity's units under H -> sH.
+and the fixed point hands each Sylvester step to _SylvesterSteps, which
+alone picks the row or eig path and screens the overlap test.  Each
+spectral or certificate test asks the policy below, as
+linalg._<units>_tol() when it decides, for the tolerance of its
+quantity's units under H -> sH.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -102,14 +105,15 @@ def require_hermitian(M, what: str = "matrix") -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-# n_A * n_C below which a Sylvester solve in C's eigenbasis goes row by row
-# (one batched solve over the n_C shifted systems); from here on, one eig(Z).
-# At or below the crossover of the full fixed-point step, one BLAS thread (README).
+# n_A * n_C below which a fixed-point solve takes its Sylvester steps row by
+# row (one batched solve over the n_C shifted systems); from here on, one
+# eig(Z) per step.  At or below the crossover of the full fixed-point step,
+# one BLAS thread (README).
 ROW_SOLVE_LIMIT = 512
 
 
 def _require_apart(z: np.ndarray, c: np.ndarray) -> float:
-    """The one overlap rule of the Sylvester kernel: min|z - c| <= _spectral_tol()
+    """The one overlap rule of the Sylvester steps: min|z - c| <= _spectral_tol()
     raises, and any larger min|z - c| is returned."""
     sep = float(np.abs(z - c[:, None]).min())
     if sep <= _spectral_tol():
@@ -142,19 +146,19 @@ def _bauer_fike_floor(sep: float, kappa: float, scale: float, E: np.ndarray) -> 
 
 
 class _OverlapReference(NamedTuple):
-    """A matrix Z whose eig decided an overlap test, kept to screen later
-    ones by _bauer_fike_floor(sep, kappa, scale, Z' - Z)."""
+    """A matrix Z whose distance from c = sigma(C) is known, kept to screen
+    later overlap tests by _bauer_fike_floor(sep, kappa, scale, Z' - Z)."""
 
     Z: np.ndarray
-    sep: float  # min|z - c| over the computed eigenvalues z
-    kappa: float  # ||P||_F ||P^{-1}||_F for the computed eigenvectors P
-    scale: float  # ||Z||_F + ||C||
+    sep: float  # min|z - c| over the eigenvalues z of Z
+    kappa: float  # 1 for the Hermitian A, ||P||_F ||P^{-1}||_F for eig's P
+    scale: float  # ||Z|| + ||C||
 
 
-def _eig_reference(Z: np.ndarray, c: np.ndarray, norm_C: float) -> tuple[float, _OverlapReference | None]:
-    """The overlap test of Z against c = sigma(C) taken from eig(Z): its
-    separation, raising SpectraOverlap as _require_apart does, and Z as a
-    reference for the screens of later tests.
+def _eig_reference(Z: np.ndarray, c: np.ndarray, norm_C: float) -> _OverlapReference | None:
+    """The overlap test of Z against c taken from eig(Z), raising
+    SpectraOverlap as _require_apart does, and Z as a reference for the
+    screens of later tests.
 
     The reference is None when P^{-1} does not exist, when kappa is not
     finite, or when n eps kappa exceeds FRO_SLACK / 64: there the
@@ -166,51 +170,53 @@ def _eig_reference(Z: np.ndarray, c: np.ndarray, norm_C: float) -> tuple[float, 
     try:
         kappa = _frobenius(P) * _frobenius(np.linalg.inv(P))
     except np.linalg.LinAlgError:
-        return sep, None
-    if not Z.shape[0] * np.finfo(float).eps * kappa <= FRO_SLACK / 64:  # nan and inf fail too
-        return sep, None
-    return sep, _OverlapReference(Z, sep, kappa, _frobenius(Z) + norm_C)
-
-
-def _row_systems(c: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """What the row path's systems Y_i (Z - c_i) = G_i share for every Z:
-    the stacked shifts c_i I and the rows G_i as columns; None from
-    ROW_SOLVE_LIMIT on, where _solve_in_eig_C diagonalizes Z instead."""
-    n_C, n_A = G.shape
-    if n_A * n_C >= ROW_SOLVE_LIMIT:
         return None
-    return c[:, None, None] * np.eye(n_A), G[:, :, None]
+    if not Z.shape[0] * np.finfo(float).eps * kappa <= FRO_SLACK / 64:  # nan and inf fail too
+        return None
+    return _OverlapReference(Z, sep, kappa, _frobenius(Z) + norm_C)
 
 
-def _solve_in_eig_C(
-    Z: np.ndarray,
-    c: np.ndarray,
-    G: np.ndarray,
-    floor: float,
-    rows: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    """Solve Y Z - diag(c) Y = G for Y, raising SpectraOverlap when
-    min|sigma(Z) - c| <= _spectral_tol().
+class _SylvesterSteps:
+    """The Sylvester steps Y Z - diag(c) Y = G of one fixed-point solve, for
+    iterates Z near the Hermitian A, d = dist(sigma(A), c) away from c; each
+    raises SpectraOverlap when min|sigma(Z) - c| <= _spectral_tol().
 
     This is X Z - C X = R in the eigenbasis of C = U diag(c) U*, with
-    Y = U* X and G = U* R; rows is _row_systems(c, G), which the caller
-    builds once for every Z it solves for, and which picks the path.
-    On the row path row i is the system Y_i (Z - c_i) = G_i, and all n_C
-    of them go in one batched solve; eigvals(Z) is skipped when floor, a
-    lower bound on the separation that the caller vouches for
-    (_bauer_fike_floor, or the separation _eig_reference found), already
-    exceeds _spectral_tol().  When rows is None,
-    with Z = P diag(z) P^{-1}, (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z)
-    instead of the n_C factorizations, but Z must be diagonalizable, since
-    a defective Z gives a numerically singular P and a wrong Y without an
-    error.
+    Y = U* X and G = U* R.  Below ROW_SOLVE_LIMIT row i is the system
+    Y_i (Z - c_i) = G_i, all n_C of them in one batched solve with the
+    stacked shifts c_i I built once, and a defective Z does no harm.  There
+    the overlap test is settled by the first reference whose Bauer-Fike
+    floor clears _spectral_tol(): A, or one of the last two Z that took an
+    eig.  A Z none of them settles takes eig(Z), which decides the test and
+    replaces the older iterate reference (a period-2 cycle alternates
+    between two limits).  From the limit on, with Z = P diag(z) P^{-1},
+    (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z) instead of the n_C
+    factorizations, but Z must be diagonalizable, since a defective Z gives
+    a numerically singular P and a wrong Y without an error.
     """
-    if rows is not None:
-        if not floor > _spectral_tol():
-            _require_apart(np.linalg.eigvals(Z), c)
-        shifts, rhs = rows
+
+    def __init__(self, A: np.ndarray, c: np.ndarray, G: np.ndarray, d: float, norm_A: float, norm_C: float) -> None:
+        n_C, n_A = G.shape
+        self._c, self._G, self._norm_C = c, G, norm_C
+        self._rows = None
+        if n_A * n_C < ROW_SOLVE_LIMIT:
+            self._rows = c[:, None, None] * np.eye(n_A), G[:, :, None]
+        self._A = _OverlapReference(A, d, 1.0, norm_A + norm_C)
+        self._refs: deque[_OverlapReference] = deque(maxlen=2)
+
+    def solve(self, Z: np.ndarray) -> np.ndarray:
+        c = self._c
+        if self._rows is None:
+            z, P = np.linalg.eig(Z)
+            _require_apart(z, c)
+            W = (self._G @ P) / (z[None, :] - c[:, None])
+            return np.linalg.solve(P.T, W.T).T
+        for r in (self._A, *self._refs):
+            if _bauer_fike_floor(r.sep, r.kappa, r.scale, Z - r.Z) > _spectral_tol():
+                break
+        else:
+            ref = _eig_reference(Z, c, self._norm_C)
+            if ref is not None:
+                self._refs.append(ref)
+        shifts, rhs = self._rows
         return np.linalg.solve(Z.T - shifts, rhs)[:, :, 0]
-    z, P = np.linalg.eig(Z)
-    _require_apart(z, c)
-    W = (G @ P) / (z[None, :] - c[:, None])
-    return np.linalg.solve(P.T, W.T).T

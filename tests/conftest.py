@@ -6,7 +6,6 @@ angles.  Generation is deterministic, so sharing them loses nothing.
 """
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab.linalg import _row_systems, _solve_in_eig_C
+from riccatilab.linalg import _SylvesterSteps
 from riccatilab.rng import SplitMix64
 
 pytest_plugins = ["pytester"]
@@ -87,11 +86,16 @@ def subordinated_specs(count, master_seed):
     return specs
 
 
-def sylvester_in_eig_C(Z, c, G, floor=-math.inf):
-    """linalg._solve_in_eig_C with its row systems built for this one Z, as
-    solve_fixedpoint builds them once for all its steps; _row_systems, read
-    at call time, picks the row or the eig path."""
-    return _solve_in_eig_C(Z, c, G, floor, _row_systems(c, G))
+def sylvester_in_eig_C(Z, c, G):
+    """Y Z - diag(c) Y = G through linalg._SylvesterSteps, built for this one
+    Z with d = 0, so no Bauer-Fike floor settles its overlap test and eig(Z)
+    decides it; ROW_SOLVE_LIMIT, read at call time, picks the path."""
+    return _SylvesterSteps(Z, c, G, 0.0, 0.0, 0.0).solve(Z)
+
+
+def sylvester_steps(p):
+    """The Sylvester steps of one fixed-point solve of p, as solve_fixedpoint builds them."""
+    return _SylvesterSteps(p.A, p.eig_C.values, p.Bstar_in_eig_C, p.d, p.norm_A, p.norm_C)
 
 
 @dataclass

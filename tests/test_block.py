@@ -127,6 +127,20 @@ def test_find_gaps_tile_the_hull():
             assert g1.beta <= g2.alpha + 1e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1(a): find_gaps merges eigenvalues of C within the absolute 1e-8, "
+    "so at s = 1e-7 the gap (-1.0497e-7, 1e-7) holds -1e-7 in sigma(C)",
+)
+def test_no_eigenvalue_of_C_lies_inside_the_selected_gap_at_small_scale():
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    for s in (1.0, 1e-7):
+        ps = rl.BlockProblem(s * p.A, s * p.B, s * p.C)
+        gap = rl.select_gap(ps, 0.0)
+        assert not np.any(gap.contains(ps.eig_C.values)), s
+
+
 def test_select_gap_default_uses_sigma_A():
     p = small_problem()
     gap = rl.select_gap(p)

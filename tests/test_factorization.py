@@ -298,6 +298,25 @@ def test_sign_conditions_both_sides_empty_pass_vacuously(caplog):
     assert "left" in sides[0] and "right" in sides[1]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1(a): the absolute 4e-8 interval floor empties both sides at s = 1e-7, "
+    "and sign_conditions passes with no point tested",
+)
+def test_sign_conditions_test_as_many_points_at_small_scale(caplog):
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    tested = []
+    for s in (1.0, 1e-7):
+        ps = rl.BlockProblem(s * p.A, s * p.B, s * p.C)
+        gap = rl.select_gap(ps, 0.0)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="riccatilab.factorization"):
+            assert rl.sign_conditions(ps, gap, rl.enclosure_bounds(ps, gap))
+        tested.append(2 - sum("empty" in rec.message for rec in caplog.records))
+    assert tested == [2, 2]
+
+
 def test_sign_conditions_refuse_a_ray():
     # the left side of a ray has no finite point to decide it at
     p = rl.example_problem(1.0, 0.5)

@@ -7,6 +7,10 @@ Kronecker vectorization of the same equation, again a fully independent
 route.
 """
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,8 @@ from riccatilab.linalg import (
     ROW_SOLVE_LIMIT,
     TOL_SPEC,
     _bauer_fike_floor,
+    _require_apart,
+    _SylvesterSteps,
     as_matrix,
     operator_norm,
     require_hermitian,
@@ -300,7 +306,8 @@ def test_bauer_fike_screen_never_skips_a_refusal():
     # E moves the eigenvalue of A nearest sigma(C) the fraction t of the
     # way onto it, plus a non-normal part; t runs across 1 at the scale of
     # TOL_SPEC and across [0, 1.2] at the scale of d.  The screen may
-    # skip eigvals only where the exact rule passes.
+    # skip eig only where the exact rule passes: steps that hold A as a
+    # reference decide as steps whose reference (d = 0) never settles.
     rng = SplitMix64(14)
     skipped = refused = 0
     for trial in range(400):
@@ -318,14 +325,15 @@ def test_bauer_fike_screen_never_skips_a_refusal():
         N = rng.complex_normal_matrix(n_A, n_A)
         E = t * (c[i] - a[j]) * np.outer(V[:, j], V[:, j].conj())
         E = E + (TOL_SPEC if trial % 3 else 0.1 * d) * rng.uniform() * N / np.linalg.norm(N)
-        floor = _bauer_fike_floor(d, 1.0, operator_norm(A) + operator_norm(C), E)
-        sep = np.min(np.abs(np.linalg.eigvals(A + E)[None, :] - c[:, None]))
+        Z, norm_A, norm_C = A + E, operator_norm(A), operator_norm(C)
+        floor = _bauer_fike_floor(d, 1.0, norm_A + norm_C, Z - A)
+        sep = np.min(np.abs(np.linalg.eigvals(Z)[None, :] - c[:, None]))
         assert floor <= sep
         G = rng.complex_normal_matrix(n_C, n_A)
         outcomes = []
-        for bound in (floor, -np.inf):
+        for solve in (_SylvesterSteps(A, c, G, d, norm_A, norm_C).solve, lambda Z: sylvester_in_eig_C(Z, c, G)):
             try:
-                outcomes.append(sylvester_in_eig_C(A + E, c, G, bound))
+                outcomes.append(solve(Z))
             except SpectraOverlap:
                 outcomes.append(None)
         assert (outcomes[0] is None) == (outcomes[1] is None)
@@ -342,8 +350,10 @@ def _unitary(rng, n):
 
 def test_bauer_fike_screen_around_a_non_normal_reference_never_skips_a_refusal():
     # Z_r = P diag(z) P^{-1}, with the condition number of P from 1 to 1e4,
-    # is the reference _eig_reference keeps; Z_r + E must never be waved
-    # through when eigvals(Z_r + E) touches sigma(C).  E is, in turn:
+    # is the reference _eig_reference keeps, here held by steps whose A
+    # reference (d = 0) never settles, after one eig step at Z_r; Z_r + E
+    # must never be waved through when eigvals(Z_r + E) touches sigma(C).
+    # E is, in turn:
     # (0) the perturbation that moves z_j fastest, kappa_j = ||p_j|| ||q_j||
     # times its norm, toward its nearest c_i, by f in [0, 1.2] of the way;
     # (1) an exact shift of z_j to within 5 TOL_SPEC of c_i, plus the same
@@ -364,8 +374,10 @@ def test_bauer_fike_screen_around_a_non_normal_reference_never_skips_a_refusal()
             continue
         w = c[i] - z[j]
         Z_r = P @ np.diag(z) @ Q
-        sep_r, ref = linalg._eig_reference(Z_r, c, operator_norm(np.diag(c)))
+        norm_C = operator_norm(np.diag(c))
+        ref = linalg._eig_reference(Z_r, c, norm_C)
         kappas = np.linalg.norm(P, axis=0) * np.linalg.norm(Q, axis=1)  # unchanged by eig's scaling
+        sep_r = np.min(np.abs(np.linalg.eig(Z_r)[0][None, :] - c[:, None]))
         assert ref is not None and ref.sep == sep_r and ref.kappa >= kappas.max() * (1.0 - 1e-8)
         kappa_j = kappas[j]
         fastest = np.outer(Q[j].conj(), P[:, j].conj()) / kappa_j  # q_j E p_j = ||E||_2 kappa_j
@@ -383,10 +395,13 @@ def test_bauer_fike_screen_around_a_non_normal_reference_never_skips_a_refusal()
         sep = np.min(np.abs(np.linalg.eigvals(Z)[None, :] - c[:, None]))
         assert floor <= sep
         G = rng.complex_normal_matrix(n_C, n_A)
+        held = _SylvesterSteps(Z_r, c, G, 0.0, 0.0, norm_C)
+        held.solve(Z_r)
+        assert len(held._refs) == 1 and held._refs[0][1:] == ref[1:]
         outcomes = []
-        for bound in (floor, -np.inf):
+        for solve in (held.solve, lambda Z: sylvester_in_eig_C(Z, c, G)):
             try:
-                outcomes.append(sylvester_in_eig_C(Z, c, G, bound))
+                outcomes.append(solve(Z))
             except SpectraOverlap:
                 outcomes.append(None)
         assert (outcomes[0] is None) == (outcomes[1] is None)
@@ -404,16 +419,35 @@ def test_eig_reference_keeps_no_ill_conditioned_or_defective_matrix():
     # the one eig found, and an overlap still raises
     c = np.array([-1.0, 1.0])
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    assert linalg._eig_reference(jordan, c, 1.0) == (1.0, None)
+    assert linalg._eig_reference(jordan, c, 1.0) is None
+    assert _require_apart(np.linalg.eig(jordan)[0], c) == 1.0
     P = np.array([[1.0, 1.0], [0.0, 1e-7]], dtype=complex)  # kappa about 4e14
     Z = P @ np.diag([0.25, -0.5]) @ np.linalg.inv(P)
-    sep, ref = linalg._eig_reference(Z, c, 1.0)
-    assert ref is None and sep == pytest.approx(0.5, rel=1e-6)
+    assert linalg._eig_reference(Z, c, 1.0) is None
+    assert _require_apart(np.linalg.eig(Z)[0], c) == pytest.approx(0.5, rel=1e-6)
     P[1, 1] = 0.5
     Z = P @ np.diag([0.25, -0.5]) @ np.linalg.inv(P)
-    sep, ref = linalg._eig_reference(Z, c, 1.0)
+    ref = linalg._eig_reference(Z, c, 1.0)
     unit = np.linalg.eig(Z)[1]  # P with the unit columns eig returns
-    assert ref is not None and sep == ref.sep == 0.5
+    assert ref is not None and _require_apart(np.linalg.eig(Z)[0], c) == ref.sep == 0.5
     assert ref.kappa == np.linalg.norm(unit) * np.linalg.norm(np.linalg.inv(unit))
     with pytest.raises(SpectraOverlap):
         linalg._eig_reference(np.diag([0.25, 1.0 + 1e-9]).astype(complex), c, 1.0)
+
+
+def test_linalg_alone_owns_the_sylvester_steps():
+    # solvers hands each fixed-point step to linalg._SylvesterSteps and
+    # names neither the path's limit nor the overlap screen; one function
+    # of linalg reads the limit
+    src = Path(rl.__file__).parent
+    solvers_src = (src / "solvers.py").read_text(encoding="utf-8")
+    for name in ("ROW_SOLVE_LIMIT", "_bauer_fike_floor", "_eig_reference", "_OverlapReference", "_require_apart"):
+        assert not re.search(rf"\b{name}\b", solvers_src), name
+    tree = ast.parse((src / "linalg.py").read_text(encoding="utf-8"))
+    readers = [
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "ROW_SOLVE_LIMIT" for n in ast.walk(f))
+    ]
+    assert readers == ["__init__"]

@@ -1,7 +1,6 @@
 """The three solution routes and their failure modes."""
 
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from riccatilab.errors import (
     SpectraTooClose,
     WrongSubspaceDimension,
 )
-from riccatilab.linalg import ROW_SOLVE_LIMIT, TOL_SPEC, _row_systems, operator_norm
+from riccatilab.linalg import ROW_SOLVE_LIMIT, TOL_SPEC, operator_norm
 from riccatilab.solvers import (
     DIVERGE_NORM,
     MAX_ITER,
@@ -32,7 +31,7 @@ from riccatilab.solvers import (
     residual_scale,
 )
 
-from conftest import sylvester_in_eig_C
+from conftest import sylvester_in_eig_C, sylvester_steps
 
 
 @pytest.mark.parametrize("d,b", [(0.5, 0.1), (1.0, 0.5), (2.0, 1.2)])
@@ -422,8 +421,8 @@ def test_fixedpoint_rejects_a_converged_non_solution(monkeypatch):
     # a matrix that does not solve the equation; the step test alone
     # would return it
     p = rl.example_problem(1.0, 0.4)
-    real_solve = solvers._solve_in_eig_C
-    monkeypatch.setattr(solvers, "_solve_in_eig_C", lambda *args: real_solve(*args) + 0.1)
+    real_solve = linalg._SylvesterSteps.solve
+    monkeypatch.setattr(linalg._SylvesterSteps, "solve", lambda *args: real_solve(*args) + 0.1)
     with pytest.raises(ResidualTooLarge):
         rl.solve_fixedpoint(p, rl.select_gap(p))
 
@@ -442,28 +441,33 @@ def test_fixedpoint_refuses_the_root_of_another_gap():
 
 
 def test_fixedpoint_reads_the_cached_rotated_coupling(monkeypatch):
-    # every step hands the kernel the problem's cached U* B* and spectrum
-    # of C, and forms Z from the cached B U and the last iterate, never
-    # rotating back to X in between
+    # every step goes to the solve's one set of Sylvester steps, built on
+    # the problem's cached U* B* and spectrum of C, and forms Z from the
+    # cached B U and the last iterate, never rotating back to X in between
     p = rl.generate(rl.GenSpec(12, 3, 7, (-1.0, 1.0), 0.3, 0.4, "interior"))
-    calls, shared_rows = [], []
-    real_solve = solvers._solve_in_eig_C
+    built, calls = [], []
+    real = linalg._SylvesterSteps
 
-    def spy(Z, c, G, floor, rows):
-        calls.append((Z, c, G, real_solve(Z, c, G, floor, rows)))
-        shared_rows.append(rows)
-        return calls[-1][3]
+    class Spy(real):
+        def __init__(self, A, c, G, *rest):
+            built.append((self, A, c, G))
+            super().__init__(A, c, G, *rest)
 
-    monkeypatch.setattr(solvers, "_solve_in_eig_C", spy)
+        def solve(self, Z):
+            calls.append((self, Z, super().solve(Z)))
+            return calls[-1][2]
+
+    monkeypatch.setattr(linalg, "_SylvesterSteps", Spy)
     sol = rl.solve_fixedpoint(p, rl.select_gap(p, 0.0))
-    assert len(calls) > 1
-    assert all(c is p.eig_C.values and G is p.Bstar_in_eig_C for _, c, G, _ in calls)
+    assert len(calls) > 1 and len(built) == 1
+    steps, A, c, G = built[0]
+    assert A is p.A and c is p.eig_C.values and G is p.Bstar_in_eig_C
     # and one stack of row shifts, built before the first step
-    assert shared_rows[0] is not None and all(rows is shared_rows[0] for rows in shared_rows)
-    assert np.array_equal(calls[0][0], p.A)
-    for (_, _, _, Y), (Z, _, _, _) in zip(calls, calls[1:]):
+    assert steps._rows is not None and all(s is steps for s, _, _ in calls)
+    assert np.array_equal(calls[0][1], p.A)
+    for (_, _, Y), (_, Z, _) in zip(calls, calls[1:]):
         assert np.array_equal(Z, p.A + p.B_in_eig_C @ Y)
-    assert np.array_equal(sol.X, p.eig_C.vectors @ calls[-1][3])
+    assert np.array_equal(sol.X, p.eig_C.vectors @ calls[-1][2])
 
 
 def test_fixedpoint_builds_the_row_shifts_once_per_solve(battery500, monkeypatch):
@@ -489,10 +493,10 @@ def test_fixedpoint_builds_the_row_shifts_once_per_solve(battery500, monkeypatch
 
 def _fixedpoint_steps(p, count):
     """The first count iterates Y_k = U* X_k of the fixed point, from Y_0 = 0."""
-    rows, refs = _row_systems(p.eig_C.values, p.Bstar_in_eig_C), deque(maxlen=2)
+    steps = sylvester_steps(p)
     Y = [np.zeros((p.n_C, p.n_A), dtype=complex)]
     for _ in range(count):
-        Y.append(solvers._fixedpoint_step(p, Y[-1], rows, refs))
+        Y.append(solvers._fixedpoint_step(p, Y[-1], steps))
     return Y
 
 
@@ -539,9 +543,8 @@ def test_an_iterate_next_to_sigma_C_still_overlaps(battery500, monkeypatch):
     # taken after two iterates became references
     _, p, _, _ = next(item for item in battery500.items if item[1].n_A < item[1].n_C)
     assert p.n_A * p.n_C < ROW_SOLVE_LIMIT
-    rows = _row_systems(p.eig_C.values, p.Bstar_in_eig_C)
     with pytest.raises(SpectraOverlap):
-        solvers._fixedpoint_step(p, _pushed_next_to_sigma_C(p, p.A), rows, deque(maxlen=2))
+        solvers._fixedpoint_step(p, _pushed_next_to_sigma_C(p, p.A), sylvester_steps(p))
     # item 27 (5 x 7) runs to the step limit and diagonalizes 19 of its
     # iterates; at step 100 both references are taken, and the iterate is
     # pushed from where the solve stands, so it is near a reference
@@ -549,11 +552,11 @@ def test_an_iterate_next_to_sigma_C_still_overlaps(battery500, monkeypatch):
     assert p.n_A < p.n_C
     real_step, taken = solvers._fixedpoint_step, []
 
-    def push_at_step_100(p, Y, rows, refs):
-        taken.append(len(refs))
+    def push_at_step_100(p, Y, steps):
+        taken.append(len(steps._refs))
         if len(taken) == 100:
             Y = _pushed_next_to_sigma_C(p, p.A + p.B_in_eig_C @ Y)
-        return real_step(p, Y, rows, refs)
+        return real_step(p, Y, steps)
 
     monkeypatch.setattr(solvers, "_fixedpoint_step", push_at_step_100)
     with pytest.raises(SpectraOverlap, match=r"are [0-9.]+e-(09|10) apart"):
@@ -752,3 +755,27 @@ def test_cross_method_agreement_sampled(battery500):
         )
         alt = rl.solve_contour(p, sol.Z, contour)
         assert operator_norm(alt.X - sol.X) <= 1e-8 * (1 + sol.x_norm)
+
+
+def test_every_step_the_screen_settles_is_apart_from_sigma_C(battery500, monkeypatch):
+    # a row-path step takes no eig only when a Bauer-Fike floor, around A
+    # (from Z - A) or an iterate reference, clears _spectral_tol(); on all
+    # 500 battery fixed points, the exact separation of each such step
+    # clears it too (A settles 14,990 steps, the iterate references 4,703)
+    eigs, seps = [], []
+    real_eig, real_solve = np.linalg.eig, linalg._SylvesterSteps.solve
+    monkeypatch.setattr(np.linalg, "eig", lambda *a: eigs.append(1) or real_eig(*a))
+
+    def solve(steps, Z):
+        taken = len(eigs)
+        Y = real_solve(steps, Z)
+        if len(eigs) == taken:
+            assert steps._rows is not None
+            seps.append(np.min(np.abs(np.linalg.eigvals(Z)[None, :] - steps._c[:, None])))
+        return Y
+
+    monkeypatch.setattr(linalg._SylvesterSteps, "solve", solve)
+    for _, p, gap, _ in battery500.items:
+        _outcome(lambda: rl.solve_fixedpoint(p, gap))
+    assert (len(seps), len(eigs)) == (19_693, 710)
+    assert min(seps) > linalg._spectral_tol()
