@@ -28,12 +28,6 @@ from .linalg import (
 )
 
 
-def _readonly_eig(M: np.ndarray) -> EigDecomposition:
-    # M is exactly Hermitian already (require_hermitian symmetrized it)
-    w, v = np.linalg.eigh(M)
-    return EigDecomposition(values=_read_only(w), vectors=_read_only(v))
-
-
 def _hermitian_norm(w: np.ndarray) -> float:
     """The 2-norm of a Hermitian matrix from its ascending spectrum w:
     the larger of |w[0]| and |w[-1]|, with no SVD."""
@@ -44,10 +38,10 @@ def _hermitian_norm(w: np.ndarray) -> float:
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
-    The spectra of A and C, B* and B in the eigenbasis of C, the operator norms
-    of A, B and C (those of A and C read off their spectra) and
-    d = dist(sigma(A), sigma(C)) are computed on first use and cached, so
-    every consumer of one problem shares them.
+    sigma(A) (values only, ascending), the eigendecomposition of C, B* and B
+    in the eigenbasis of C, the operator norms of A, B and C (those of A and
+    C read off their spectra) and d = dist(sigma(A), sigma(C)) are computed
+    on first use and cached, so every consumer of one problem shares them.
     """
 
     A: np.ndarray
@@ -70,12 +64,14 @@ class BlockProblem:
         object.__setattr__(self, "C", _read_only(C))
 
     @cached_property
-    def eig_A(self) -> EigDecomposition:
-        return _readonly_eig(self.A)
+    def sigma_A(self) -> np.ndarray:
+        return _read_only(np.linalg.eigvalsh(self.A))
 
     @cached_property
     def eig_C(self) -> EigDecomposition:
-        return _readonly_eig(self.C)
+        # C is exactly Hermitian already (require_hermitian symmetrized it)
+        w, v = np.linalg.eigh(self.C)
+        return EigDecomposition(values=_read_only(w), vectors=_read_only(v))
 
     @cached_property
     def Bstar_in_eig_C(self) -> np.ndarray:
@@ -94,7 +90,7 @@ class BlockProblem:
 
     @cached_property
     def norm_A(self) -> float:
-        return _hermitian_norm(self.eig_A.values)
+        return _hermitian_norm(self.sigma_A)
 
     @cached_property
     def norm_B(self) -> float:
@@ -106,7 +102,7 @@ class BlockProblem:
 
     @cached_property
     def d(self) -> float:
-        return dist_spectra(self.eig_A.values, self.eig_C.values)
+        return dist_spectra(self.sigma_A, self.eig_C.values)
 
     @property
     def n_A(self) -> int:
@@ -162,7 +158,7 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
         raise HypothesisViolated(f"the theorem needs a finite gap, not ({gap.alpha}, {gap.beta})")
     e = math.frexp(gap.length)[1]
     threshold = math.ldexp(math.sqrt(max(math.ldexp(p.d, -e) * math.ldexp(span, -e), 0.0)), e)
-    holds = bool(np.all(gap.contains(p.eig_A.values, linalg._spectral_tol())))
+    holds = bool(np.all(gap.contains(p.sigma_A, linalg._spectral_tol())))
     return threshold, holds and p.norm_B < threshold - linalg._slack_tol(1)
 
 
@@ -225,7 +221,7 @@ def select_gap(p: BlockProblem, point: float | None = None) -> SpectralGap:
     is the natural choice when sigma(A) is expected to sit inside one gap.
     """
     if point is None:
-        a = p.eig_A.values
+        a = p.sigma_A
         point = float(a[0] + a[-1]) / 2.0
     for gap in find_gaps(p.eig_C.values):
         if gap.contains(point):

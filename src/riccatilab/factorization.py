@@ -134,7 +134,7 @@ def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:
     b = p.norm_B
     if not holds:
         raise HypothesisViolated(f"fails at ||B||={b:.6g}, sqrt(d |gap|)={threshold:.6g}")
-    a = p.eig_A.values
+    a = p.sigma_A
     delta_minus = b * math.tan(0.5 * math.atan2(2.0 * b, gap.beta - float(a[0])))
     delta_plus = b * math.tan(0.5 * math.atan2(2.0 * b, float(a[-1]) - gap.alpha))
     return EnclosureBounds(

@@ -4,8 +4,8 @@ All three target the same equation X A - C X + X B X = B*, whose solution
 makes the graph of X the spectral subspace of H for the eigenvalues inside
 a gap of C:
 
-* spectral: eigendecompose H, project onto the gap eigenvalues, read X
-  off the projection blocks;
+* spectral: eigendecompose H and read X = V2 V1^{-1} off the
+  eigenvectors V = [V1; V2] of the gap eigenvalues;
 * contour: integrate (C-lambda)^{-1} B* (Z-lambda)^{-1} around a circle
   separating sigma(Z) from sigma(C);
 * fixed point: iterate the Sylvester map X -> solve(X (A+BX_k) - C X = B*).
@@ -164,8 +164,10 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     endpoint are never counted as inside (the gap is open); they only
     raise WrongSubspaceDimension when the strict-interior count comes out
     wrong, because then their membership would have decided the subspace.
-    The projection must be a graph over the A component (its upper-left
-    block's smallest singular value above _singular_tol), else NotAGraph.
+    The projection Q = V V* onto the gap eigenvectors V = [V1; V2] must be
+    a graph over the A component (smin(Q11) = smin(V1)^2 above
+    _singular_tol), else NotAGraph; then X = Q21 Q11^{-1} = V2 V1^{-1},
+    which forms no Q.
     """
     H = assemble_H(p)
     w, U = np.linalg.eigh(H)
@@ -181,13 +183,11 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
         raise WrongSubspaceDimension(
             f"gap ({gap.alpha}, {gap.beta}) holds {count} eigenvalues, need {p.n_A}"
         )
-    V = U[:, inside]
-    Q = V @ V.conj().T
-    Q11 = Q[: p.n_A, : p.n_A]
-    smin = float(np.linalg.svd(Q11, compute_uv=False)[-1])
+    V1, V2 = U[: p.n_A, inside], U[p.n_A :, inside]
+    smin = float(np.linalg.svd(V1, compute_uv=False)[-1]) ** 2  # smin(Q11) for Q = V V*
     if smin <= linalg._singular_tol():
         raise NotAGraph(f"projection block is singular (smin={smin:.3e})")
-    X = np.linalg.solve(Q11.T, Q[p.n_A :, : p.n_A].T).T
+    X = np.linalg.solve(V1.T, V2.T).T
     return RiccatiSolution(p, X, "spectral")
 
 

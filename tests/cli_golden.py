@@ -17,8 +17,10 @@ After a change that moves output on purpose, rewrite the fixtures with
 
     PYTHONPATH=src python tests/cli_golden.py
 
-and list each rewritten file, and why, in CHANGES.md (a rewritten CSV
-also needs the new digest in tests/test_harness.py).
+and list each rewritten file, and why, in CHANGES.md.  When the CSV
+moves, the script also prints its new sha256, which goes into
+SWEEP_MIXED_CSV_SHA256 in tests/test_harness.py, and a summary of the
+moved cells per column (moved_columns).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +161,37 @@ def moved_rows(expected: str, actual: str) -> list[str]:
     return lines
 
 
+def _number(cell: str | None) -> float | None:
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def moved_columns(expected: str, actual: str) -> list[str]:
+    """One line per CSV column with moved cells among the rows both tables
+    have: how many rows moved and, over the cells that are finite numbers
+    on both sides, the largest absolute move; a last line names the
+    verdict columns (*_pass, status) that moved, if any."""
+    old = list(csv.DictReader(io.StringIO(expected)))
+    new = list(csv.DictReader(io.StringIO(actual)))
+    lines, verdicts = [], []
+    for col in old[0] if old else ():
+        pairs = [(a.get(col), b.get(col)) for a, b in zip(old, new) if a.get(col) != b.get(col)]
+        if not pairs:
+            continue
+        line = f"{col}: {len(pairs)} rows moved"
+        moves = [abs(y - x) for x, y in ((_number(a), _number(b)) for a, b in pairs) if None not in (x, y)]
+        if moves:
+            line += f", largest move {max(moves):.3g}"
+        lines.append(line)
+        if col.endswith("_pass") or col == "status":
+            verdicts.append(col)
+    lines.append(f"verdict columns moved: {', '.join(verdicts)}" if verdicts else "no *_pass or status cell moved")
+    return lines
+
+
 def regenerate(workdir: Path) -> list[str]:
     """Rewrite every fixture, the exit-code table, the large digests and
     the sweep CSV; the names whose output changed."""
@@ -189,6 +223,11 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--large-digests"]:
         print(json.dumps(_digests_in_process(Path(sys.argv[2]))))
         sys.exit(0)
+    kept = SWEEP_MIXED_CSV.read_text(encoding="utf-8") if SWEEP_MIXED_CSV.exists() else ""
     with tempfile.TemporaryDirectory() as tmp:
         moved = regenerate(Path(tmp))
     print("\n".join(f"changed: {name}" for name in moved) or "no fixture changed", file=sys.stderr)
+    if SWEEP_MIXED_CSV.name in moved:
+        table = SWEEP_MIXED_CSV.read_bytes()
+        print(f"SWEEP_MIXED_CSV_SHA256 = {hashlib.sha256(table).hexdigest()!r}", file=sys.stderr)
+        print("\n".join(moved_columns(kept, table.decode("utf-8"))), file=sys.stderr)

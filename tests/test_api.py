@@ -3,6 +3,7 @@
 import ast
 import os
 import re
+import sys
 from pathlib import Path
 
 import riccatilab as rl
@@ -17,6 +18,24 @@ def test_star_import_succeeds():
     namespace: dict = {}
     exec("from riccatilab import *", namespace)
     assert set(rl.__all__) <= namespace.keys()
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency (pyproject, README); other
+    # packages may be installed where the tests run, so a stray import of
+    # one would pass every other test
+    allowed = sys.stdlib_module_names | {"numpy"}
+    stray = []
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert stray == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

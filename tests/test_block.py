@@ -44,22 +44,25 @@ def test_block_problem_arrays_are_frozen():
 def test_block_problem_caches_its_spectra():
     p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
     assert p.eig_C is p.eig_C
-    assert p.eig_A is p.eig_A
-    for cached, M in ((p.eig_A, p.A), (p.eig_C, p.C)):
-        w, v = np.linalg.eigh(M)
-        assert np.array_equal(cached.values, w)
-        assert np.array_equal(cached.vectors, v)
-        with pytest.raises(ValueError):
-            cached.values[0] = 0.0
-        with pytest.raises(ValueError):
-            cached.vectors[0, 0] = 0.0
+    assert p.sigma_A is p.sigma_A
+    # sigma(A) is values only: nothing reads eigenvectors of A
+    assert np.array_equal(p.sigma_A, np.linalg.eigvalsh(p.A))
+    with pytest.raises(ValueError):
+        p.sigma_A[0] = 0.0
+    w, v = np.linalg.eigh(p.C)
+    assert np.array_equal(p.eig_C.values, w)
+    assert np.array_equal(p.eig_C.vectors, v)
+    with pytest.raises(ValueError):
+        p.eig_C.values[0] = 0.0
+    with pytest.raises(ValueError):
+        p.eig_C.vectors[0, 0] = 0.0
 
 
 def test_block_problem_caches_its_norms():
     p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
     # the Hermitian blocks' norms are read off their cached spectra, which
     # agree with the SVD's largest singular value to rounding
-    for cached, M, w in ((p.norm_A, p.A, p.eig_A.values), (p.norm_C, p.C, p.eig_C.values)):
+    for cached, M, w in ((p.norm_A, p.A, p.sigma_A), (p.norm_C, p.C, p.eig_C.values)):
         assert cached == max(-w[0], w[-1])
         n = M.shape[0]
         assert abs(cached - rl.operator_norm(M)) <= 8 * n * np.finfo(float).eps * cached
@@ -76,7 +79,7 @@ def test_dist_spectra_takes_eigenvalue_arrays_and_is_every_spectral_distance(bat
     with pytest.raises(DimensionMismatch):
         rl.find_gaps(np.diag([0.0, 1.0]))
     for _, p, _, sol in battery500.items:
-        a, c, z = p.eig_A.values, p.eig_C.values, sol.z_eigs
+        a, c, z = p.sigma_A, p.eig_C.values, sol.z_eigs
         assert p.d == rl.dist_spectra(a, c)
         assert rl.certify_tan_theta(p, sol).details["delta"] == rl.dist_spectra(z, c)
         # radius = hull half-width + separation / 2, the separation taken by dist_spectra

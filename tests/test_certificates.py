@@ -21,6 +21,25 @@ def solved_example(d=1.0, b=0.5):
     return p, gap, rl.solve_spectral(p, gap)
 
 
+def test_certificates_take_no_eigenvectors(monkeypatch):
+    # sigma(A) and the squared blocks' spectra are values only: building a
+    # problem and its d takes one eigh, for C (whose U every resolvent of C
+    # reads), and certify_all on a solved problem takes none
+    q = rl.generate(rl.GenSpec(11, 8, 24, (-1.0, 1.0), 0.3, 0.5))
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    p = rl.BlockProblem(q.A, q.B, q.C)
+    p.d
+    assert len(calls) == 1
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    calls.clear()
+    results = rl.certify_all(p, gap, sol)
+    assert calls == []
+    assert [isinstance(cert, rl.Certificate) for _, cert in results] == [True] * 4 + [False, True]
+
+
 def test_certificate_margin_orientation_upper_bounds(battery500, battery200_subordinated):
     # every certificate of certify_all reports through one verdict rule:
     # margin is bound - observed (observed - bound for the one lower

@@ -15,7 +15,7 @@ from riccatilab.harness import CSV_COLUMNS, realize
 from riccatilab.linalg import operator_norm
 from riccatilab.rng import SplitMix64, rephased_q
 
-from cli_golden import SWEEP_MIXED_CSV, moved_rows, sweep_mixed_csv
+from cli_golden import SWEEP_MIXED_CSV, moved_columns, moved_rows, sweep_mixed_csv
 
 
 # ---------------------------------------------------------------- rng
@@ -187,7 +187,7 @@ def test_block_equals_next_u64(seed):
 )
 def test_generate_golden_values(placement, eig_A, eig_C, norm_B):
     p = rl.generate(rl.GenSpec(3, 2, 4, (-1.0, 1.0), 0.3, 0.5, placement))
-    np.testing.assert_allclose(p.eig_A.values, eig_A, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.sigma_A, eig_A, rtol=0, atol=1e-12)
     np.testing.assert_allclose(p.eig_C.values, eig_C, rtol=0, atol=1e-12)
     assert p.norm_B == pytest.approx(norm_B, rel=0, abs=1e-12)
 
@@ -262,7 +262,7 @@ def test_generate_hits_gap_endpoints_exactly():
 def test_generate_attains_d_target_exactly():
     spec = rl.GenSpec(seed=809, n_A=2, n_C=5, gap=(-1.0, 1.0), d_target=0.37, b_ratio=0.5)
     p = rl.generate(spec)
-    assert rl.dist_spectra(p.eig_A.values, p.eig_C.values) == pytest.approx(0.37, abs=1e-12)
+    assert rl.dist_spectra(p.sigma_A, p.eig_C.values) == pytest.approx(0.37, abs=1e-12)
 
 
 def test_generate_scales_coupling_exactly():
@@ -431,7 +431,7 @@ def test_sweep_csv_is_deterministic():
     assert len(outs[0].splitlines()) == 3
 
 
-SWEEP_MIXED_CSV_SHA256 = "c9e07c4edeb7e71b345c48cd7144a1651666b41eb521124516e7b61427910205"
+SWEEP_MIXED_CSV_SHA256 = "42483cf5bb11d2a4b1904a6a6cb20ff952376363859834ae8dfe4607f5f8884c"
 
 
 def test_sweep_mixed_csv_is_pinned():
@@ -450,13 +450,28 @@ def test_moved_rows_names_the_seed_and_the_changed_columns():
     lines = kept.splitlines(keepends=True)
     cells = lines[3].split(",")
     column = CSV_COLUMNS.index("x_norm")
-    cells[column] = repr(np.nextafter(float(cells[column]), np.inf))
+    cells[column] = repr(float(np.nextafter(float(cells[column]), np.inf)))
     moved = "".join(lines[:3] + [",".join(cells)] + lines[4:])
     assert moved_rows(kept, kept) == []
     assert moved_rows(kept, moved) == [
         f"row 3, seed {cells[0]}: x_norm: {lines[3].split(',')[column]!r} -> {cells[column]!r}"
     ]
     assert moved_rows(kept, "".join(lines[:-1])) == ["rows: 800 -> 799"]
+    # the per-column summary the regeneration script prints for a moved CSV
+    old_x, new_x = float(lines[3].split(",")[column]), float(cells[column])
+    assert moved_columns(kept, kept) == ["no *_pass or status cell moved"]
+    assert moved_columns(kept, moved) == [
+        f"x_norm: 1 rows moved, largest move {new_x - old_x:.3g}",
+        "no *_pass or status cell moved",
+    ]
+    cells[CSV_COLUMNS.index("existence_pass")] = "false"
+    cells[-1] = "SpectraOverlap\n"
+    verdicts = "".join(lines[:3] + [",".join(cells)] + lines[4:])
+    assert moved_columns(kept, verdicts)[1:] == [
+        "existence_pass: 1 rows moved",
+        "status: 1 rows moved",
+        "verdict columns moved: existence_pass, status",
+    ]
 
 
 def test_sweep_csv_empty_cells_for_missing_values():

@@ -81,7 +81,7 @@ def test_cached_eig_matches_jacobi(n):
     for _ in range(3):
         M = random_hermitian(rng, n)
         ref = jacobi_eigenvalues(M)
-        got = rl.BlockProblem(M, np.zeros((n, 1)), np.eye(1)).eig_A.values
+        got = rl.BlockProblem(M, np.zeros((n, 1)), np.eye(1)).sigma_A
         assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - ref)) <= 1e-10 * (1 + operator_norm(M))
 
@@ -90,7 +90,7 @@ def test_cached_eig_matches_jacobi(n):
 @settings(max_examples=40, deadline=None)
 def test_cached_eig_reconstructs(n, seed):
     M = random_hermitian(SplitMix64(seed), n)
-    vals, vecs = rl.BlockProblem(M, np.zeros((n, 1)), np.eye(1)).eig_A
+    vals, vecs = rl.BlockProblem(np.eye(1), np.zeros((1, n)), M).eig_C
     tol = 1e-11 * (1 + operator_norm(M))
     assert operator_norm(vecs @ np.diag(vals) @ vecs.conj().T - M) <= tol
     assert operator_norm(vecs.conj().T @ vecs - np.eye(n)) <= tol

@@ -75,6 +75,22 @@ def test_spectral_detects_non_graph_subspace():
         rl.solve_spectral(p, rl.SpectralGap(0.5, 1.5))
 
 
+def test_spectral_x_is_the_projector_formula_on_the_battery(battery500):
+    # the spectral route reads X = V2 V1^{-1} off the gap eigenvectors and
+    # tests smin(V1)^2; the projector Q = V V* gives the same X as
+    # Q21 Q11^{-1}, and smin(Q11) = smin(V1)^2 since Q11 = V1 V1*
+    for _, p, gap, sol in battery500.items:
+        w, U = np.linalg.eigh(rl.assemble_H(p))
+        V = U[:, gap.contains(w, linalg._spectral_tol())]
+        Q = V @ V.conj().T
+        Q11, Q21 = Q[: p.n_A, : p.n_A], Q[p.n_A :, : p.n_A]
+        X_ref = np.linalg.solve(Q11.T, Q21.T).T
+        assert operator_norm(sol.X - X_ref) <= 1e-14 * (1 + sol.x_norm)
+        smin_Q11 = np.linalg.svd(Q11, compute_uv=False)[-1]
+        smin_V1 = np.linalg.svd(V[: p.n_A], compute_uv=False)[-1]
+        assert abs(smin_V1**2 - smin_Q11) <= 1e-13 * smin_Q11
+
+
 def test_contour_invariants():
     c = rl.build_contour(np.array([0.0, 0.2]), np.array([-1.0, 1.0]))
     assert c.radius > 0
@@ -576,7 +592,7 @@ def test_fixedpoint_takes_no_eigvals_on_the_battery(battery500, monkeypatch):
             np.linalg, name, lambda *a, _n=name, _f=real, **k: calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **k)
         )
     for _, p, gap, _ in battery500.items:
-        p.eig_A, p.eig_C  # cached problem data, read before counting
+        p.sigma_A, p.eig_C  # cached problem data, read before counting
         _outcome(lambda: rl.solve_fixedpoint(p, gap))
     assert calls["eigvals"] == 0
     assert 0 < calls["eig"] <= 800 and calls["inv"] == calls["eig"]
