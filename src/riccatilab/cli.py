@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -43,6 +44,11 @@ from .solvers import build_contour, solve_contour, solve_fixedpoint, solve_spect
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads -5e-1 as an option; like -0.5, it is a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits with 2 on usage errors; the contract reserves 2 for
     # solver failures, so usage problems are remapped to 1
     def error(self, message):
@@ -57,21 +63,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve the Riccati equation for one problem")
-    solve.add_argument("problem", help="problem JSON file, or - for stdin")
-    solve.add_argument("--gap", type=float, default=None, help="interior point naming the gap")
-    solve.add_argument(
-        "--method",
-        choices=("spectral", "contour", "fixedpoint"),
-        default="spectral",
-    )
-
     certify = sub.add_parser("certify", help="evaluate every certificate on one problem")
-    certify.add_argument("problem", help="problem JSON file, or - for stdin")
-    certify.add_argument("--gap", type=float, default=None, help="interior point naming the gap")
-
     fact = sub.add_parser("factorize", help="factorization defect and spectral enclosure")
-    fact.add_argument("problem", help="problem JSON file, or - for stdin")
-    fact.add_argument("--gap", type=float, default=None, help="interior point naming the gap")
+    for command in (solve, certify, fact):
+        command.add_argument("problem", help="problem JSON file, or - for stdin")
+        command.add_argument("--gap", type=float, default=None, help="interior point naming the gap")
+    solve.add_argument("--method", choices=("spectral", "contour", "fixedpoint"), default="spectral")
 
     example = sub.add_parser("example", help="emit the closed-form sharpness instance")
     example.add_argument("--d", type=float, required=True, help="half gap length")

@@ -5,9 +5,9 @@ splits as M(lambda) = W(lambda) (lambda - Z) with
 W(lambda) = I - B (C - lambda)^{-1} X, and W stays invertible near the
 gap.  That factorization localizes sigma(Z) inside an interval computed
 from ||B|| and the gap geometry alone, and forces definite signs on M
-outside that interval.  Like M, W is evaluated in the cached eigenbasis
-of C = U diag(c) U*: the resolvent acts on U* X as a row scaling by
-1/(c - lambda), with no dense n_C x n_C solve per point.
+outside that interval.  M, W and the split's defect -B (C - lambda)^{-1} R,
+R the residual matrix of X, apply the resolvent of C = U diag(c) U* to
+U* X or U* R as a row scaling by 1/(c - lambda), with no dense solve.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .block import (
 )
 from .errors import DimensionMismatch, HypothesisViolated
 from .linalg import FRO_SLACK, as_matrix
+from .solvers import _residual_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -60,13 +61,8 @@ def compute_W(p: BlockProblem, X, lam) -> np.ndarray:
     else:
         lam = complex(lam)
     _require_off_sigma_C(p, lam)
-    return _w_batch(p, X, lam)
-
-
-def _w_batch(p: BlockProblem, X: np.ndarray, lams: np.ndarray | complex) -> np.ndarray:
-    """W at lams, stacked for a 1-d array, one matrix for one point; no checks."""
     UX = p.eig_C.vectors.conj().T @ X
-    return np.eye(p.n_A, dtype=complex) - _coupled_resolvent(p, lams, UX)
+    return np.eye(p.n_A, dtype=complex) - _coupled_resolvent(p, lam, UX)
 
 
 def factorization_grid(p: BlockProblem, gap: SpectralGap) -> np.ndarray:
@@ -93,32 +89,30 @@ def factorization_grid(p: BlockProblem, gap: SpectralGap) -> np.ndarray:
 def verify_factorization(p: BlockProblem, sol, grid) -> float:
     """Max normalized defect ||M(lam) - W(lam)(lam - Z)|| / (1 + ||M(lam)||) on the grid.
 
-    The defect is a 2-norm.  Frobenius norms bracket each point's ratio
-    (||.||_F / sqrt(n_A) <= ||.||_2 <= ||.||_F, widened by FRO_SLACK), and
-    the exact 2-norms are taken only at the points whose upper bracket
-    reaches the largest lower bracket: the maximizer is always among
-    them, so the result is the all-points maximum, bit for bit.  A
-    Frobenius norm that overflows sends every point to the 2-norms.
+    The defect is -B (C - lam)^{-1} R, R the residual matrix of sol.X (the
+    one field read): a product per point, no W or lam - Z.  Frobenius norms
+    bracket each point's 2-norm ratio (||.||_F / sqrt(n_A) <= ||.||_2 <=
+    ||.||_F, widened by FRO_SLACK); 2-norms are taken only where the upper
+    bracket reaches the largest lower one, which holds at the maximizer, so
+    the result is the all-points maximum, bit for bit.  A Frobenius norm
+    that overflows sends every point to the 2-norms.
     """
     lams = np.asarray(grid, dtype=complex).ravel()
     _require_off_sigma_C(p, lams, "grid point ")
     if lams.size == 0:
         return 0.0
     M = herglotz_batch(p, lams)
-    W = _w_batch(p, sol.X, lams)
-    eyeA = np.eye(p.n_A, dtype=complex)
-    pencil = lams[:, None, None] * eyeA - sol.Z[None, :, :]
-    diff = M - np.matmul(W, pencil)
-    if not (np.all(np.isfinite(diff)) and np.all(np.isfinite(M))):
+    defect = _coupled_resolvent(p, lams, p.eig_C.vectors.conj().T @ _residual_matrix(p, sol.X))
+    if not (np.all(np.isfinite(defect)) and np.all(np.isfinite(M))):
         raise ValueError("matrix has non-finite entries")
-    fro_diff, fro_M = (np.sqrt(np.einsum("kij,kij->k", a, a.conj()).real) for a in (diff, M))
-    if np.all(np.isfinite(fro_diff)) and np.all(np.isfinite(fro_M)):
+    fro_defect, fro_M = (np.sqrt(np.einsum("kij,kij->k", a, a.conj()).real) for a in (defect, M))
+    if np.all(np.isfinite(fro_defect)) and np.all(np.isfinite(fro_M)):
         root = math.sqrt(p.n_A)
-        lo = fro_diff / root * (1.0 - FRO_SLACK) / (1.0 + fro_M * (1.0 + FRO_SLACK))
-        hi = fro_diff * (1.0 + FRO_SLACK) / (1.0 + fro_M / root * (1.0 - FRO_SLACK))
+        lo = fro_defect / root * (1.0 - FRO_SLACK) / (1.0 + fro_M * (1.0 + FRO_SLACK))
+        hi = fro_defect * (1.0 + FRO_SLACK) / (1.0 + fro_M / root * (1.0 - FRO_SLACK))
         keep = hi >= np.max(lo)
-        diff, M = diff[keep], M[keep]
-    ratios = np.linalg.norm(diff, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
+        defect, M = defect[keep], M[keep]
+    ratios = np.linalg.norm(defect, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
     return float(np.max(ratios))
 
 

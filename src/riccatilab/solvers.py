@@ -141,7 +141,12 @@ def residual(p: BlockProblem, X) -> float:
     X = as_matrix(X)
     if X.shape != (p.n_C, p.n_A):
         raise DimensionMismatch(f"X must be {p.n_C}x{p.n_A}, got {X.shape}")
-    return operator_norm(X @ p.A - p.C @ X + X @ p.B @ X - p.B.conj().T)
+    return operator_norm(_residual_matrix(p, X))
+
+
+def _residual_matrix(p: BlockProblem, X: np.ndarray) -> np.ndarray:
+    """R = X A - C X + X B X - B* for an n_C x n_A X; no checks."""
+    return X @ p.A - p.C @ X + X @ p.B @ X - p.B.conj().T
 
 
 def residual_scale(p: BlockProblem, sol: RiccatiSolution) -> float:

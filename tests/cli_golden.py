@@ -17,10 +17,12 @@ After a change that moves output on purpose, rewrite the fixtures with
 
     PYTHONPATH=src python tests/cli_golden.py
 
-and list each rewritten file, and why, in CHANGES.md.  When the CSV
-moves, the script also prints its new sha256, which goes into
-SWEEP_MIXED_CSV_SHA256 in tests/test_harness.py, and a summary of the
-moved cells per column (moved_columns).
+and list each rewritten file, and why, in CHANGES.md.  For each moved
+in-process fixture the script prints the keys whose values moved, old ->
+new (moved_keys); the large cases are kept as digests only, so for them
+it can name no key.  When the CSV moves, the script also prints its new
+sha256, which goes into SWEEP_MIXED_CSV_SHA256 in tests/test_harness.py,
+and a summary of the moved cells per column (moved_columns).
 """
 
 from __future__ import annotations
@@ -192,27 +194,63 @@ def moved_columns(expected: str, actual: str) -> list[str]:
     return lines
 
 
-def regenerate(workdir: Path) -> list[str]:
+def _leaves(obj, prefix: str = "") -> dict:
+    """The values of a JSON object by dotted key path; a list is one value."""
+    if not isinstance(obj, dict):
+        return {prefix: obj}
+    out = {}
+    for key, value in obj.items():
+        out.update(_leaves(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def moved_keys(expected: bytes, actual: bytes) -> list[str]:
+    """One line per key of a JSON payload whose value moved, as old -> new,
+    with nested keys by dotted path and a moved list named without its
+    values; one line when either side is no JSON object."""
+    try:
+        old, new = json.loads(expected), json.loads(actual)
+    except ValueError:
+        old = new = None
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [f"not a JSON object on both sides: {len(expected)} -> {len(actual)} bytes"]
+    old, new = _leaves(old), _leaves(new)
+    lines = []
+    for key in {**old, **new}:
+        a, b = (repr(side[key]) if key in side else "<absent>" for side in (old, new))
+        if a != b:
+            listed = isinstance(old.get(key), list) or isinstance(new.get(key), list)
+            lines.append(f"{key}: list moved" if listed else f"{key}: {a} -> {b}")
+    return lines
+
+
+def regenerate(workdir: Path) -> dict[str, list[str]]:
     """Rewrite every fixture, the exit-code table, the large digests and
-    the sweep CSV; the names whose output changed."""
+    the sweep CSV; for each name whose output changed, its moved keys
+    (none for a digest or the CSV)."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     old_codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
-    codes, changed = {}, []
+    codes, changed = {}, {}
     for name in CASES:
         code, stdout = run_case(name, workdir)
         path = golden_path(name)
-        if old_codes.get(name) != code or not path.exists() or path.read_bytes() != stdout:
-            changed.append(name)
+        kept = path.read_bytes() if path.exists() else b""
+        if old_codes.get(name) != code:
+            changed[name] = [f"exit code: {old_codes.get(name)} -> {code}"]
+        if kept != stdout:
+            changed.setdefault(name, []).extend(moved_keys(kept, stdout))
         path.write_bytes(stdout)
         codes[name] = code
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     old_digests = json.loads(LARGE_DIGESTS.read_text()) if LARGE_DIGESTS.exists() else {}
     digests = large_digests(workdir)
-    changed += [name for name in LARGE_CASES if old_digests.get(name) != digests[name]]
+    for name in LARGE_CASES:
+        if old_digests.get(name) != digests[name]:
+            changed[name] = ["digest only: no key can be named"]
     LARGE_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     table = sweep_mixed_csv()
     if not SWEEP_MIXED_CSV.exists() or SWEEP_MIXED_CSV.read_text(encoding="utf-8") != table:
-        changed.append(SWEEP_MIXED_CSV.name)
+        changed[SWEEP_MIXED_CSV.name] = []
     SWEEP_MIXED_CSV.write_bytes(table.encode("utf-8"))
     return changed
 
@@ -226,7 +264,8 @@ if __name__ == "__main__":
     kept = SWEEP_MIXED_CSV.read_text(encoding="utf-8") if SWEEP_MIXED_CSV.exists() else ""
     with tempfile.TemporaryDirectory() as tmp:
         moved = regenerate(Path(tmp))
-    print("\n".join(f"changed: {name}" for name in moved) or "no fixture changed", file=sys.stderr)
+    lines = [line for name, keys in moved.items() for line in [f"changed: {name}"] + [f"  {k}" for k in keys]]
+    print("\n".join(lines) or "no fixture changed", file=sys.stderr)
     if SWEEP_MIXED_CSV.name in moved:
         table = SWEEP_MIXED_CSV.read_bytes()
         print(f"SWEEP_MIXED_CSV_SHA256 = {hashlib.sha256(table).hexdigest()!r}", file=sys.stderr)

@@ -412,7 +412,9 @@ def test_cached_coupling_keeps_the_gap_function_bit_for_bit():
     W = eye - coupled(U.conj().T @ sol.X)
     assert np.array_equal(rl.compute_W(p, sol.X, lams[3]), W[3])
     M = herglotz_batch(p, lams)
-    diff = M - np.matmul(W, lams[:, None, None] * eye - sol.Z)
+    # the factorization defect M - W (lambda - Z) as -B (C - lambda)^{-1} R
+    R = sol.X @ p.A - p.C @ sol.X + sol.X @ p.B @ sol.X - p.B.conj().T
+    diff = coupled(U.conj().T @ R)
     ratios = np.linalg.norm(diff, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
     assert rl.verify_factorization(p, sol, lams) == float(np.max(ratios))
 

@@ -259,6 +259,16 @@ def test_gap_flag_overrides_hint(capsys, tmp_path):
     assert json.loads(out)["x_norm"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["solve", "certify", "factorize"])
+def test_negative_gap_in_exponent_form_is_a_number(capsys, example_file, command):
+    # argparse's own pattern took -5e-1 for an option and exited 1 with
+    # "expected one argument"; repr writes a small negative point as -1e-05
+    for plain, exponent in [("-0.5", "-5e-1"), ("-0.1", "-1E-1"), ("-1e-05", "-0.00001"), ("-5", "-5e+0")]:
+        expected = run(capsys, command, example_file, "--gap", plain)
+        assert run(capsys, command, example_file, "--gap", exponent) == expected
+    assert run(capsys, command, example_file, "--gap", "-5e-1")[0] == 0
+
+
 def test_certify_payload_covers_every_theorem(capsys, example_file):
     code, out, _ = run(capsys, "certify", example_file)
     assert code == 0
@@ -335,25 +345,24 @@ def test_factorize_payload(capsys, example_file):
 
 
 def test_factorize_scans_W_in_one_batch(capsys, monkeypatch, tmp_path):
-    import riccatilab.factorization as factorization
+    from riccatilab import cli
 
     p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
     path = tmp_path / "problem.json"
     path.write_text(dumps(problem_to_dict(p, gap=(-1.0, 1.0))))
     batches = []
-    real_w_batch = factorization._w_batch
+    real_compute_W = cli.compute_W
 
     def spy(p, X, lams):
-        batches.append(lams.size)
-        return real_w_batch(p, X, lams)
+        batches.append(np.shape(lams))
+        return real_compute_W(p, X, lams)
 
-    monkeypatch.setattr(factorization, "_w_batch", spy)
+    monkeypatch.setattr(cli, "compute_W", spy)
     code, out, _ = run(capsys, "factorize", str(path))
     assert code == 0
     assert json.loads(out)["w_invertible"] is True
-    # one batch for the factorization grid, one for the 25-point W scan
-    grid = rl.factorization_grid(p, rl.select_gap(p, 0.0))
-    assert batches == [grid.size, 25]
+    # one batch for the 25-point W scan; the factorization defect forms no W
+    assert batches == [(25,)]
 
 
 def test_certify_takes_each_spectrum_once(monkeypatch):

@@ -16,6 +16,7 @@ from cli_golden import (
     first_difference,
     golden_path,
     large_digests,
+    moved_keys,
     run_case,
 )
 
@@ -57,3 +58,19 @@ def test_first_difference_names_the_byte_and_its_neighbourhood():
     diff = first_difference(b'{"x_norm": 0.5}', b'{"x_norm": 0.6}')
     assert "first difference at byte 13" in diff and "0.6" in diff
     assert "at byte 3" in first_difference(b"abc", b"abcd")
+
+
+def test_moved_keys_names_each_moved_value_old_to_new():
+    kept = golden_path("seed5_3x6.factorize").read_bytes()
+    payload = json.loads(kept)
+    assert moved_keys(kept, kept) == []
+    moved = {**payload, "defect": 1e-14, "enclosure": {**payload["enclosure"], "lower": -0.5}}
+    del moved["w_invertible"]
+    assert sorted(moved_keys(kept, json.dumps(moved).encode())) == [
+        f"defect: {payload['defect']!r} -> 1e-14",
+        f"enclosure.lower: {payload['enclosure']['lower']!r} -> -0.5",
+        "w_invertible: True -> <absent>",
+    ]
+    # a moved matrix is named without its entries; empty stdout is no object
+    assert moved_keys(b'{"X": [[1.0, 0.0]]}', b'{"X": [[2.0, 0.0]]}') == ["X: list moved"]
+    assert moved_keys(kept, b"") == [f"not a JSON object on both sides: {len(kept)} -> 0 bytes"]

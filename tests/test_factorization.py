@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab.block import herglotz_batch
+from riccatilab.block import _coupled_resolvent, herglotz_batch
 from riccatilab.errors import DimensionMismatch, HypothesisViolated, LambdaOnSpectrumOfC
-from riccatilab.factorization import _w_batch
 from riccatilab.linalg import TOL_SPEC, operator_norm
 
 
@@ -80,12 +79,17 @@ def test_verify_factorization_empty_grid_has_no_defect():
     assert rl.verify_factorization(p, sol, np.array([], dtype=complex)) == 0.0
 
 
+def residual_matrix(p, X):
+    return X @ p.A - p.C @ X + X @ p.B @ X - p.B.conj().T
+
+
 def _all_points_defect(p, sol, grid):
-    """verify_factorization's maximum with the exact 2-norms taken at every point."""
+    """verify_factorization's maximum with the exact 2-norms taken at every
+    point, the defect at each from the identity M - W (lambda - Z) =
+    -B (C - lambda)^{-1} R (its sign does not reach the norm)."""
     lams = np.asarray(grid, dtype=complex)
     M = herglotz_batch(p, lams)
-    pencil = lams[:, None, None] * np.eye(p.n_A, dtype=complex) - sol.Z[None, :, :]
-    diff = M - np.matmul(_w_batch(p, sol.X, lams), pencil)
+    diff = _coupled_resolvent(p, lams, p.eig_C.vectors.conj().T @ residual_matrix(p, sol.X))
     ratios = np.linalg.norm(diff, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(M, 2, axis=(1, 2)))
     return float(np.max(ratios))
 
@@ -129,7 +133,7 @@ def test_verify_factorization_takes_every_2_norm_when_a_frobenius_norm_overflows
 
 def test_verify_factorization_refuses_a_non_finite_defect():
     p, gap, sol = solved_example()
-    nan_X = SimpleNamespace(X=np.full_like(sol.X, np.nan), Z=sol.Z)
+    nan_X = SimpleNamespace(X=np.full_like(sol.X, np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         rl.verify_factorization(p, nan_X, rl.factorization_grid(p, gap))
 
@@ -139,22 +143,28 @@ def test_factorization_defect_is_the_residual_through_the_resolvent_of_C(seed, n
     # with R = X A - C X + X B X - B*, X Z = C X + B* + R for Z = A + B X,
     # so M(lambda) - W(lambda)(lambda - Z) = -B (C - lambda)^{-1} R exactly,
     # and its norm is at most ||B|| ||R|| / dist(lambda, sigma(C)); X + 1e-6
-    # makes R, and near sigma(C) the defect, large
+    # makes R, and near sigma(C) the defect, large.  verify_factorization
+    # computes the defect from the identity, and its maximum is the direct
+    # form's at the spectral X and at X + 1e-6
     p = rl.generate(rl.GenSpec(seed, n_A, n_C, (-1.0, 1.0), 0.3, 0.5, "interior"))
     gap = rl.select_gap(p, 0.0)
-    X = rl.solve_spectral(p, gap).X + 1e-6
-    Z = p.A + p.B @ X
-    R = X @ p.A - p.C @ X + X @ p.B @ X - p.B.conj().T
-    largest = 0.0
-    for lam in rl.factorization_grid(p, gap):
-        M = rl.herglotz_M(p, lam)
-        D = M - rl.compute_W(p, X, lam) @ (lam * np.eye(n_A) - Z)
-        identity = -p.B @ np.linalg.solve(p.C - lam * np.eye(n_C), R)
-        assert operator_norm(D - identity) <= 1e-11 * (1.0 + operator_norm(M))
-        dist = float(np.min(np.abs(p.eig_C.values - lam)))
-        assert operator_norm(D) <= p.norm_B * operator_norm(R) / dist
-        largest = max(largest, operator_norm(D))
-    assert largest > 1.0
+    grid = rl.factorization_grid(p, gap)
+    sol = rl.solve_spectral(p, gap)
+    for s in (sol, rl.RiccatiSolution(p, sol.X + 1e-6, "perturbed")):
+        R = residual_matrix(p, s.X)
+        defects, ratios = [], []
+        for lam in grid:
+            M = rl.herglotz_M(p, lam)
+            D = M - rl.compute_W(p, s.X, lam) @ (lam * np.eye(n_A) - s.Z)
+            identity = -p.B @ np.linalg.solve(p.C - lam * np.eye(n_C), R)
+            assert operator_norm(D - identity) <= 1e-11 * (1.0 + operator_norm(M))
+            defects.append(operator_norm(D))
+            ratios.append(defects[-1] / (1.0 + operator_norm(M)))
+        assert abs(rl.verify_factorization(p, s, grid) - max(ratios)) <= 1e-11
+    # the a-priori bound and the size, at X + 1e-6
+    dist = np.min(np.abs(p.eig_C.values[None, :] - grid[:, None]), axis=1)
+    assert np.all(np.array(defects) <= p.norm_B * operator_norm(R) / dist)
+    assert max(defects) > 1.0
 
 
 def test_verify_factorization_names_first_point_on_sigma_C():
@@ -395,28 +405,6 @@ def test_compute_W_matches_the_dense_definition(battery500):
             ref = dense_W(p, sol.X, lam)
             W = rl.compute_W(p, sol.X, lam)
             assert operator_norm(W - ref) <= 1e-12 * shift_condition(p, lam) * operator_norm(ref)
-
-
-def test_verify_factorization_W_matches_the_dense_definition(monkeypatch, battery500):
-    import riccatilab.factorization as factorization
-
-    seen = []
-    real_w_batch = factorization._w_batch
-
-    def spy(p, X, lams):
-        W = real_w_batch(p, X, lams)
-        seen.append((lams, W))
-        return W
-
-    monkeypatch.setattr(factorization, "_w_batch", spy)
-    for _, p, gap, sol in battery500.items[:30]:
-        grid = rl.factorization_grid(p, gap)
-        assert rl.verify_factorization(p, sol, grid) <= 1e-12
-        lams, W = seen.pop()
-        assert np.array_equal(lams, grid)
-        for lam, Wk in zip(lams, W):
-            ref = dense_W(p, sol.X, lam)
-            assert operator_norm(Wk - ref) <= 1e-12 * shift_condition(p, lam) * operator_norm(ref)
 
 
 def pointwise_grid(p, gap):
