@@ -21,7 +21,7 @@ import numpy as np
 
 from .block import BlockProblem, SpectralGap, select_gap
 from .certificates import Certificate, certify_all, gamma_center
-from .errors import InfeasibleSpec, RiccatiLabError
+from .errors import RiccatiLabError
 from .factorization import (
     compute_W,
     enclosure_bounds,
@@ -29,7 +29,7 @@ from .factorization import (
     sign_conditions,
     verify_factorization,
 )
-from .harness import ExampleSpec, GenSpec, example_problem, exact_example_solution, sweep
+from .harness import ExampleSpec, exact_example_solution, parse_grid, sweep
 from . import linalg
 from .serialize import (
     certificate_to_dict,
@@ -160,69 +160,12 @@ def _factorize_payload(p: BlockProblem, gap: SpectralGap) -> dict:
     return out
 
 
-def _example_payload(d: float, b: float) -> dict:
-    X = exact_example_solution(d, b)
-    out = problem_to_dict(example_problem(d, b), gap=(-d, d))
+def _example_payload(spec: ExampleSpec) -> dict:
+    X = exact_example_solution(spec.d, spec.b)
+    out = problem_to_dict(spec.problem(), gap=spec.gap)
     out["X_exact"] = matrix_to_json(X)
     out["x_norm"] = clean_number(linalg.operator_norm(X))
     return out
-
-
-# the JSON types of a sweep grid row's keys, by family; bool is no number
-_NUMBER = (int, float)
-_ROW_TYPES = {
-    "example": {"family": (str,), "d": _NUMBER, "b": _NUMBER},
-    "generated": {
-        "seed": (int,), "n_A": (int,), "n_C": (int,), "gap": (list,),
-        "d_target": _NUMBER, "b_ratio": _NUMBER, "placement": (str,),
-    },
-}
-
-
-def _check_row(row: dict) -> None:
-    """Raise ValueError on a key the row's family does not define, a value
-    of another JSON type, or a gap that is not two numbers."""
-    types = _ROW_TYPES["example" if row.get("family") == "example" else "generated"]
-    for key, value in row.items():
-        if key not in types:
-            raise ValueError(f"unknown key {key!r}")
-        if type(value) not in types[key]:
-            raise ValueError(f"{key}={value!r} is not of its JSON type")
-    gap = row.get("gap")
-    if gap is not None and (len(gap) != 2 or not all(type(x) in _NUMBER for x in gap)):
-        raise ValueError(f"gap must be [alpha, beta], got {gap!r}")
-
-
-def _parse_specs(obj) -> list:
-    if isinstance(obj, dict) and "specs" in obj:
-        obj = obj["specs"]
-    if not isinstance(obj, list):
-        raise ValueError("spec grid JSON must be a list (or {'specs': [...]})")
-    specs = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, dict):
-            raise ValueError(f"spec {i} must be an object")
-        try:
-            _check_row(row)
-            if row.get("family") == "example":
-                specs.append(ExampleSpec(d=float(row["d"]), b=float(row["b"])))
-                continue
-            specs.append(
-                GenSpec(
-                    seed=row["seed"],
-                    n_A=row["n_A"],
-                    n_C=row["n_C"],
-                    gap=(float(row["gap"][0]), float(row["gap"][1])),
-                    d_target=float(row["d_target"]),
-                    b_ratio=float(row["b_ratio"]),
-                    placement=row.get("placement", "interior"),
-                )
-            )
-        except KeyError as err:
-            raise ValueError(f"spec {i} lacks key {err}") from err
-        except (ValueError, OverflowError, InfeasibleSpec) as err:
-            raise ValueError(f"spec {i} is malformed: {err}") from err
-    return specs
 
 
 def _prepare(args):
@@ -233,10 +176,10 @@ def _prepare(args):
     """
     if args.command == "example":
         spec = ExampleSpec(d=args.d, b=args.b)
-        return lambda: sys.stdout.write(dumps(_example_payload(spec.d, spec.b)))
+        return lambda: sys.stdout.write(dumps(_example_payload(spec)))
 
     if args.command == "sweep":
-        specs = _parse_specs(_read_json(args.specs))
+        specs = parse_grid(_read_json(args.specs))
         # opened here, so a path that cannot be written is malformed input
         # before any instance is computed
         out = None if args.out is None else open(args.out, "w", encoding="utf-8")

@@ -1,17 +1,19 @@
-"""Deterministic instance generation and certificate sweeps.
+"""Deterministic instance generation, sweep families and certificate sweeps.
 
 Instances are built from a SplitMix64 stream so a (seed, spec) pair pins
 the problem bit for bit; the draw order is part of the contract and is
-documented in the README.  Sweeps run the spectral solver plus every
-applicable certifier over a grid of specs and collect one CSV row per
-instance, never dropping failures.
+documented in the README.  Each sweep family is one spec class, named in
+FAMILIES by a grid row's family key (a row without one is a GenSpec): its
+ROW reads the row, and it gives problem(), gap and seed.  Sweeps run the
+spectral solver plus every applicable certifier over a grid of specs and
+collect one CSV row per instance, never dropping failures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -23,9 +25,41 @@ from .solvers import solve_spectral
 
 PLACEMENTS = ("interior", "subordinated", "overlapping")
 
+_NUMBER = (int, float)
+
+
+def _interval(pair: list) -> tuple[float, float]:
+    return (float(pair[0]), float(pair[1]))
+
+
+# the JSON types a row value may have, by the conversion its family names
+# for its key; a bool is no number, and an interval is a list of two numbers
+_JSON_TYPES = {int: (int,), float: _NUMBER, str: (str,), _interval: (list,)}
+
+
+class _Family:
+    """Base of the sweep families: frozen dataclasses with problem(), gap and
+    seed, whose ROW maps each grid row key, a field, to its conversion."""
+
+    @classmethod
+    def from_row(cls, row: dict):
+        """The spec of a grid row, read as JSON gives it: ValueError on a key
+        not in ROW, a value of another JSON type or a gap that is not two
+        numbers, KeyError on a missing key whose field has no default."""
+        for key, value in row.items():
+            if key not in cls.ROW:
+                raise ValueError(f"unknown key {key!r}")
+            if type(value) not in _JSON_TYPES[cls.ROW[key]]:
+                raise ValueError(f"{key}={value!r} is not of its JSON type")
+        gap = row.get("gap")
+        if gap is not None and (len(gap) != 2 or not all(type(x) in _NUMBER for x in gap)):
+            raise ValueError(f"gap must be [alpha, beta], got {gap!r}")
+        given = [f.name for f in fields(cls) if f.name in row or f.default is MISSING]
+        return cls(**{key: cls.ROW[key](row[key]) for key in given})
+
 
 @dataclass(frozen=True)
-class GenSpec:
+class GenSpec(_Family):
     """Recipe for one random instance.
 
     gap is the target interval (alpha, beta); d_target is the distance
@@ -41,6 +75,8 @@ class GenSpec:
     d_target: float
     b_ratio: float
     placement: str = "interior"
+    ROW = {"seed": int, "n_A": int, "n_C": int, "gap": _interval, "d_target": float,
+           "b_ratio": float, "placement": str}
 
     def __post_init__(self):
         alpha, beta = self.gap
@@ -65,14 +101,19 @@ class GenSpec:
         if self.placement != "subordinated" and self.n_C < 2:
             raise InfeasibleSpec("a finite gap needs n_C >= 2 to hit both endpoints")
 
+    def problem(self) -> BlockProblem:
+        return generate(self)
+
 
 @dataclass(frozen=True)
-class ExampleSpec:
-    """One member of the closed-form sharpness family (see example_problem);
-    its closed-form X must have finite entries b / (sqrt2 d)."""
+class ExampleSpec(_Family):
+    """A member of the closed-form sharpness family (see example_problem):
+    gap (-d, d), no seed, and X's entries b / (sqrt2 d) must be finite."""
 
     d: float
     b: float
+    ROW = {"d": float, "b": float}
+    seed = None
 
     def __post_init__(self):
         if not 0 < self.d < math.inf:
@@ -82,8 +123,48 @@ class ExampleSpec:
         if not math.isfinite(self.b / (math.sqrt(2.0) * self.d)):
             raise InfeasibleSpec(f"d={self.d}, b={self.b}: the entry b/(sqrt2 d) of X overflows")
 
+    @property
+    def gap(self) -> tuple[float, float]:
+        return (-self.d, self.d)
 
-SweepSpec = Union[GenSpec, ExampleSpec]
+    def problem(self) -> BlockProblem:
+        return example_problem(self.d, self.b)
+
+
+FAMILIES = {"example": ExampleSpec}
+
+
+def parse_grid(obj) -> list:
+    """The specs of a sweep grid JSON value: a list of rows, or {"specs": [...]}
+    with no other key.
+
+    A row's family key, if a string in FAMILIES, names its class; any other
+    row is generated, and a family key in it is an unknown key.  Raises
+    ValueError on the first row that is malformed.
+    """
+    if isinstance(obj, dict) and "specs" in obj:
+        for key in obj:
+            if key != "specs":
+                raise ValueError(f"spec grid JSON has unknown top-level key {key!r}")
+        obj = obj["specs"]
+    if not isinstance(obj, list):
+        raise ValueError("spec grid JSON must be a list (or {'specs': [...]})")
+    specs = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, dict):
+            raise ValueError(f"spec {i} must be an object")
+        family = row.get("family")
+        # only a string is looked up: a list or an object is unhashable
+        cls = FAMILIES.get(family, GenSpec) if isinstance(family, str) else GenSpec
+        if cls is not GenSpec:
+            row = {key: value for key, value in row.items() if key != "family"}
+        try:
+            specs.append(cls.from_row(row))
+        except KeyError as err:
+            raise ValueError(f"spec {i} lacks key {err}") from err
+        except (ValueError, OverflowError, InfeasibleSpec) as err:
+            raise ValueError(f"spec {i} is malformed: {err}") from err
+    return specs
 
 
 def example_problem(d: float, b: float) -> BlockProblem:
@@ -166,43 +247,20 @@ def generate(spec: GenSpec) -> BlockProblem:
     return BlockProblem(A=A, B=B, C=C)
 
 
-def realize(spec: SweepSpec) -> tuple[BlockProblem, SpectralGap]:
-    """Instance plus its named gap for any sweep spec."""
-    if isinstance(spec, ExampleSpec):
-        p = example_problem(spec.d, spec.b)
-        return p, select_gap(p, 0.0)
-    p = generate(spec)
+def realize(spec) -> tuple[BlockProblem, SpectralGap]:
+    """Instance of any sweep spec plus the gap named by spec.gap's midpoint."""
+    p = spec.problem()
     alpha, beta = spec.gap
     return p, select_gap(p, (alpha + beta) / 2.0)
 
 
-CSV_COLUMNS = (
-    "seed",
-    "n_A",
-    "n_C",
-    "alpha",
-    "beta",
-    "d",
-    "b",
-    "method",
-    "residual",
-    "x_norm",
-    "existence_pass",
-    "existence_margin",
-    "contraction_pass",
-    "contraction_margin",
-    "tan_theta_pass",
-    "tan_theta_margin",
-    "apriori_pass",
-    "apriori_margin",
-    "tan2theta_pass",
-    "tan2theta_margin",
-    "squared_pass",
-    "squared_margin",
-    "status",
-)
 # certificate column prefixes, in certify_all's report order
-_CERT_PREFIXES = tuple(col[: -len("_pass")] for col in CSV_COLUMNS if col.endswith("_pass"))
+_CERT_PREFIXES = ("existence", "contraction", "tan_theta", "apriori", "tan2theta", "squared")
+CSV_COLUMNS = (
+    ("seed", "n_A", "n_C", "alpha", "beta", "d", "b", "method", "residual", "x_norm")
+    + tuple(f"{prefix}_{cell}" for prefix in _CERT_PREFIXES for cell in ("pass", "margin"))
+    + ("status",)
+)
 
 
 @dataclass(frozen=True)
@@ -225,7 +283,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def sweep(spec_grid: Iterable[SweepSpec]) -> SweepResult:
+def sweep(spec_grid: Iterable) -> SweepResult:
     """Solve and certify every spec; one row per instance, failures tagged.
 
     The spectral solver provides the X fed to every certifier.  When
@@ -237,10 +295,9 @@ def sweep(spec_grid: Iterable[SweepSpec]) -> SweepResult:
     """
     rows = []
     for spec in spec_grid:
-        alpha, beta = (spec.gap if isinstance(spec, GenSpec) else (-spec.d, spec.d))
+        alpha, beta = spec.gap
         row = dict.fromkeys(CSV_COLUMNS)
-        seed = spec.seed if isinstance(spec, GenSpec) else None
-        row.update(seed=seed, alpha=float(alpha), beta=float(beta))
+        row.update(seed=spec.seed, alpha=float(alpha), beta=float(beta))
         rows.append(row)
         try:
             p, gap = realize(spec)

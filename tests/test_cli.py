@@ -4,12 +4,13 @@ import io
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab import cli
+from riccatilab import cli, harness
 from riccatilab.cli import main
 from riccatilab.harness import _CERT_PREFIXES, realize
 from riccatilab.linalg import operator_norm
@@ -409,6 +410,17 @@ def test_example_rejects_non_finite_parameters(capsys, d, b):
 
 
 _GEN_ROW = '"seed": 7, "n_A": 2, "n_C": 4, "d_target": 0.3'
+_UNKNOWN_FAMILY = "spec 0 is malformed: unknown key 'family'"
+# rows whose whole message is pinned: a family that is no string is never
+# looked up (a list is unhashable) but stays an unknown key, and a grid
+# object has no key but specs
+_FULL_MESSAGES = {
+    '{"family": ["example"], "d": 1.0, "b": 0.5}': _UNKNOWN_FAMILY,
+    '{"family": {"x": 1}, "d": 1.0, "b": 0.5}': _UNKNOWN_FAMILY,
+    '{"family": 1, "d": 1.0, "b": 0.5}': _UNKNOWN_FAMILY,
+    '{"specs": [{"family": "example", "d": 1.0, "b": 0.5}], "seed": 3}':
+        "spec grid JSON has unknown top-level key 'seed'",
+}
 
 
 @pytest.mark.parametrize(
@@ -441,14 +453,18 @@ _GEN_ROW = '"seed": 7, "n_A": 2, "n_C": 4, "d_target": 0.3'
         '{"family": "example", "d": 1.0, "b": 0.5, "seed": 7}',
         '{"family": "other", "d": 1.0, "b": 0.5}',
         '{"family": null, %s, "gap": [-1.0, 1.0], "b_ratio": 0.5}' % _GEN_ROW,
+        *_FULL_MESSAGES,
     ],
 )
 def test_sweep_rejects_non_finite_or_mistyped_row(capsys, tmp_path, row):
     spec_path = tmp_path / "grid.json"
-    spec_path.write_text(f"[{row}]")
+    # a row is swept as a one-row grid, a grid object as it is written
+    spec_path.write_text(row if row.startswith('{"specs"') else f"[{row}]")
     code, out, err = run(capsys, "sweep", str(spec_path))
     assert (code, out) == (1, "")
     assert err.startswith("riccatilab: input error: ")
+    if row in _FULL_MESSAGES:
+        assert err == f"riccatilab: input error: {_FULL_MESSAGES[row]}\n"
 
 
 @pytest.mark.parametrize(
@@ -487,6 +503,36 @@ def test_sweep_rejects_malformed_spec(capsys, tmp_path):
     spec_path.write_text(json.dumps([{"family": "example", "d": 1.0}]))  # b missing
     code, _, err = run(capsys, "sweep", str(spec_path))
     assert code == 1
+
+
+@dataclass(frozen=True)
+class _HalfCoupling(harness._Family):
+    """A throwaway family: the example problem with b = d / 2, and a seed."""
+
+    d: float
+    seed: int
+    ROW = {"d": float, "seed": int}
+
+    @property
+    def gap(self):
+        return (-self.d, self.d)
+
+    def problem(self):
+        return rl.example_problem(self.d, self.d / 2)
+
+
+def test_a_registered_family_sweeps_through_the_cli(capsys, monkeypatch):
+    # registering the class is all a family takes: cli and sweep name none
+    monkeypatch.setitem(harness.FAMILIES, "half", _HalfCoupling)
+    grid = [{"family": "half", "d": 2.0, "seed": 5}, {"family": "example", "d": 2.0, "b": 1.0}]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(grid)))
+    code, out, err = run(capsys, "sweep", "-")
+    assert (code, err) == (0, "")
+    header, half, example = out.splitlines()
+    # the family's own cells come first; the rest is the example row's
+    assert half.split(",")[:5] == ["5", "1", "2", "-2.0", "2.0"]
+    assert half == "5" + example
+    assert dict(zip(header.split(","), half.split(",")))["status"] == "ok"
 
 
 @pytest.mark.parametrize(
@@ -584,7 +630,7 @@ def test_sweep_cells_agree_with_certify(capsys, tmp_path):
     applied = set()
     for spec, row in zip(grid, rl.sweep(grid).rows):
         p, _ = realize(spec)
-        point = 0.0 if isinstance(spec, rl.ExampleSpec) else sum(spec.gap) / 2
+        point = sum(spec.gap) / 2
         path = tmp_path / "problem.json"
         path.write_text(dumps(problem_to_dict(p)))
         code, out, _ = run(capsys, "certify", str(path), "--gap", repr(point))

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 import riccatilab as rl
 from riccatilab.errors import InfeasibleSpec
-from riccatilab.harness import CSV_COLUMNS, realize
+from riccatilab.harness import CSV_COLUMNS, PLACEMENTS, parse_grid, realize
 from riccatilab.linalg import operator_norm
 from riccatilab.rng import SplitMix64, rephased_q
 
 from cli_golden import SWEEP_MIXED_CSV, moved_columns, moved_rows, sweep_mixed_csv
+from conftest import sweep_mixed_grid
 
 
 # ---------------------------------------------------------------- rng
@@ -348,6 +350,28 @@ def test_realize_returns_the_named_gap():
     assert p.d == pytest.approx(0.3, abs=1e-12)
     p2, gap2 = realize(rl.ExampleSpec(d=2.0, b=0.5))
     assert (gap2.alpha, gap2.beta) == (-2.0, 2.0)
+
+
+def _bench_row(spec) -> dict:
+    # the row bench/workloads.py's _spec_row writes for every sweep_mixed spec
+    return {
+        "seed": spec.seed, "n_A": spec.n_A, "n_C": spec.n_C, "gap": list(spec.gap),
+        "d_target": spec.d_target, "b_ratio": spec.b_ratio, "placement": spec.placement,
+    }
+
+
+def test_grid_rows_parse_back_to_equal_specs():
+    specs = sweep_mixed_grid()
+    assert {spec.placement for spec in specs} == set(PLACEMENTS)
+    rows = json.loads(json.dumps([_bench_row(spec) for spec in specs]))
+    assert parse_grid(rows) == specs
+    assert parse_grid({"specs": rows}) == specs
+    # placement has a default, so a row may leave it out
+    row = {key: value for key, value in rows[0].items() if key != "placement"}
+    assert specs[0].placement == "interior" and parse_grid([row]) == specs[:1]
+    example = rl.ExampleSpec(d=0.3, b=0.5)
+    assert (example.gap, example.seed) == ((-0.3, 0.3), None)
+    assert parse_grid(json.loads('[{"family": "example", "d": 0.3, "b": 0.5}]')) == [example]
 
 
 # ---------------------------------------------------------------- sweep
