@@ -111,7 +111,7 @@ def certify_existence(
 
 
 def certify_contraction(
-    p: BlockProblem, gap: SpectralGap, sol: RiccatiSolution
+    p: BlockProblem, gap: SpectralGap, sol: RiccatiSolution, frame: tuple | None = None
 ) -> Certificate:
     """Strict contractivity ||X|| < 1 under ||B||^2 < d (|gap| - d).
 
@@ -120,9 +120,10 @@ def certify_contraction(
     stated.  A ray, or a frame that overflows, raises HypothesisViolated.
     The bound's atan2 reads the coupling and d (|gap| - d) - ||B||^2 in the
     frame scaled by a power of two that _hypothesis uses, so neither
-    overflows; the reported denominator is the unscaled one.
+    overflows; the reported denominator is the unscaled one.  frame is
+    _shifted_frame(p, gap), built here when not given.
     """
-    gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap)
+    gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap) if frame is None else frame
     coupling = linalg.operator_norm(Bhat)
     e = math.frexp(gap.length)[1]
     d, b = math.ldexp(p.d, -e), math.ldexp(p.norm_B, -e)
@@ -199,23 +200,34 @@ def certify_apriori(
     )
 
 
-def certify_tan2theta(p: BlockProblem) -> Certificate:
+def certify_tan2theta(p: BlockProblem, sol: RiccatiSolution | None = None) -> Certificate:
     """||X|| <= tan(arctan(2||B||/d)/2) when sigma(A) lies strictly below sigma(C).
 
-    No smallness of B is required; the subordination midpoint splits
-    sigma(H) into n_A eigenvalues below and n_C above, and X is recovered
-    from that splitting directly.
+    No smallness of B is required; X is the solution whose graph is the
+    spectral subspace of H below the subordination midpoint mid, which
+    splits sigma(H) into n_A eigenvalues below and n_C above.  A given
+    sol is that solution, and its X is certified, when it is accurate
+    (residual_acceptable) with sigma(Z) below mid - _spectral_tol and
+    sigma(Zhat) above mid + _spectral_tol; otherwise, and without sol, X
+    is the spectral route's on (-inf, mid).
     """
     a = p.sigma_A
     c = p.eig_C.values
-    if not float(a[-1]) < float(c[0]) - linalg._spectral_tol():
+    tol = linalg._spectral_tol()
+    if not float(a[-1]) < float(c[0]) - tol:
         raise NotSubordinated(
             f"sup sigma(A) = {a[-1]:.6g} not below inf sigma(C) = {c[0]:.6g}"
         )
     # with sigma(A) below sigma(C), d = p.d is c[0] - a[-1] bit for bit
     d = p.d
     mid = (float(a[-1]) + float(c[0])) / 2.0
-    sol = solve_spectral(p, SpectralGap(-math.inf, mid))
+    if not (
+        sol is not None
+        and residual_acceptable(p, sol, sol.residual)
+        and float(sol.z_eigs[-1]) < mid - tol
+        and float(sol.zhat_eigs[0]) > mid + tol
+    ):
+        sol = solve_spectral(p, SpectralGap(-math.inf, mid))
     b = p.norm_B
     observed = sol.x_norm
     return _certificate(
@@ -225,26 +237,22 @@ def certify_tan2theta(p: BlockProblem) -> Certificate:
     )
 
 
-def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Certificate]:
-    """Square H - gamma at the gap midpoint and certify the induced subordination.
-
-    The shifted square has diagonal blocks (A-gamma)^2 + BB* and
-    (C-gamma)^2 + B*B whose spectra separate by at least
-    d(|gap|-d) - ||B||^2, with the first block confined to
-    [0, (|gap|/2 - d)^2 + ||B||^2].  Both claims are certified; the margin
-    is the slack in the separation lower bound.  HypothesisViolated when
-    the hypothesis fails or the shifted blocks overflow.
-    """
-    gamma, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap)
+def _squared_subordination(
+    p: BlockProblem, gap: SpectralGap, frame: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Certificate]:
+    """squared_shift's blocks (A-hat, B-hat, C-hat) and certificate, in the
+    given frame (_shifted_frame(p, gap) when None); A-hat and C-hat are
+    symmetrized once, (M + M*)/2, as require_hermitian would return them."""
+    gamma, threshold, hyp, Ash, Csh, Bhat, floor = _shifted_frame(p, gap) if frame is None else frame
     b = p.norm_B
     if not hyp:
         raise HypothesisViolated(f"fails at ||B||={b:.6g}, sqrt(d(|gap|-d))={threshold:.6g}")
     with np.errstate(over="ignore", invalid="ignore"):
         Ahat = _finite(Ash @ Ash + p.B @ p.B.conj().T)
         Chat = _finite(Csh @ Csh + p.B.conj().T @ p.B)
-    sq = BlockProblem(A=Ahat, B=Bhat, C=Chat)
+    Ahat, Chat = (Ahat + Ahat.conj().T) / 2.0, (Chat + Chat.conj().T) / 2.0
     # values only: nothing reads the eigenvectors of the squared blocks
-    ahat, chat = sq.sigma_A, np.linalg.eigvalsh(sq.C)
+    ahat, chat = np.linalg.eigvalsh(Ahat), np.linalg.eigvalsh(Chat)
     achieved = dist_spectra(ahat, chat)
     subordinated = bool(float(ahat[-1]) < float(chat[0]))
     top = (gap.length / 2.0 - p.d) ** 2 + b * b
@@ -264,7 +272,22 @@ def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Cert
         side=(subordinated, contained),
         lower=True,
     )
-    return sq, cert
+    return Ahat, Bhat, Chat, cert
+
+
+def squared_shift(p: BlockProblem, gap: SpectralGap) -> tuple[BlockProblem, Certificate]:
+    """Square H - gamma at the gap midpoint and certify the induced subordination.
+
+    The shifted square has diagonal blocks (A-gamma)^2 + BB* and
+    (C-gamma)^2 + B*B whose spectra separate by at least
+    d(|gap|-d) - ||B||^2, with the first block confined to
+    [0, (|gap|/2 - d)^2 + ||B||^2].  Both claims are certified; the margin
+    is the slack in the separation lower bound.  HypothesisViolated when
+    the hypothesis fails or the shifted blocks overflow.  The returned
+    problem holds the blocks the certificate read.
+    """
+    Ahat, Bhat, Chat, cert = _squared_subordination(p, gap)
+    return BlockProblem(A=Ahat, B=Bhat, C=Chat), cert
 
 
 def certify_all(
@@ -275,18 +298,25 @@ def certify_all(
     Each theorem name is paired with its Certificate, or with the
     RiccatiLabError that made the theorem inapplicable to the instance
     (HypothesisViolated, DeltaNonpositive, NotSubordinated); any other
-    exception is a fault and propagates.
+    exception is a fault and propagates.  Each entry is what its public
+    certifier returns alone; the gap-midpoint frame is built once, tan
+    2-theta reads sol where it can, and the squared certificate builds no
+    BlockProblem.
     """
     # the certifiers are looked up by name when called, so rebinding one
     # of these module attributes (as a tracer does) is seen here
+    try:
+        frame = _shifted_frame(p, gap)
+    except RiccatiLabError:
+        frame = None  # each framed certifier rebuilds it and raises the same error
     out = []
     for theorem, attempt in (
         ("existence_1i", lambda: certify_existence(p, gap, sol)),
-        ("contraction_1ii", lambda: certify_contraction(p, gap, sol)),
+        ("contraction_1ii", lambda: certify_contraction(p, gap, sol, frame=frame)),
         ("tan_theta_2", lambda: certify_tan_theta(p, sol)),
         ("apriori_bound", lambda: certify_apriori(p, gap, sol)),
-        ("tan_2theta_dk", lambda: certify_tan2theta(p)),
-        ("squared_subordination", lambda: squared_shift(p, gap)[1]),
+        ("tan_2theta_dk", lambda: certify_tan2theta(p, sol)),
+        ("squared_subordination", lambda: _squared_subordination(p, gap, frame)[-1]),
     ):
         try:
             out.append((theorem, attempt()))

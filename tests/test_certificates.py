@@ -8,11 +8,12 @@ from riccatilab.errors import (
     DeltaNonpositive,
     HypothesisViolated,
     NotSubordinated,
+    RiccatiLabError,
     WrongSubspaceDimension,
 )
 from riccatilab.linalg import TOL_CERT, operator_norm
 from riccatilab.rng import SplitMix64
-from riccatilab.solvers import RiccatiSolution
+from riccatilab.solvers import RiccatiSolution, residual_acceptable
 
 
 def solved_example(d=1.0, b=0.5):
@@ -384,7 +385,7 @@ def test_certify_all_lets_a_non_library_error_propagate(monkeypatch):
     # a fault, and reporting it as a verdict would hide it
     import riccatilab.certificates as certificates
 
-    def broken(p, gap, sol):
+    def broken(p, gap, sol, frame=None):
         raise ValueError("math domain error")
 
     p, gap, sol = solved_example()
@@ -398,17 +399,155 @@ def test_certify_all_calls_certifiers_by_name(monkeypatch):
     # call through them, not through references taken at import
     import riccatilab.certificates as certificates
 
+    names = (
+        "_shifted_frame",
+        "certify_existence",
+        "certify_contraction",
+        "certify_tan_theta",
+        "certify_apriori",
+        "certify_tan2theta",
+        "_squared_subordination",
+    )
     calls = []
-    original = certificates.certify_tan_theta
 
-    def spy(p, sol):
-        calls.append(p)
-        return original(p, sol)
+    def spy(name, original):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(certificates, "certify_tan_theta", spy)
+        return called
+
+    for name in names:
+        monkeypatch.setattr(certificates, name, spy(name, getattr(certificates, name)))
     p, gap, sol = solved_example()
     rl.certify_all(p, gap, sol)
-    assert calls == [p]
+    assert sorted(calls) == sorted(names)
+
+
+def _subordinated_solved(spec=rl.GenSpec(11, 8, 24, (0.0, 1.0), 0.3, 1.2, "subordinated")):
+    p = rl.generate(spec)
+    gap = rl.select_gap(p, (spec.gap[0] + spec.gap[1]) / 2)
+    return p, gap, rl.solve_spectral(p, gap)
+
+
+def _spy_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_certify_all_on_a_solved_subordinated_problem_solves_nothing(monkeypatch):
+    # tan 2-theta certifies the given spectral X, so no eigh of H and no
+    # second spectral solve
+    import riccatilab.certificates as certificates
+
+    p, gap, sol = _subordinated_solved()
+    eighs = _spy_calls(monkeypatch, np.linalg, "eigh")
+    solves = _spy_calls(monkeypatch, certificates, "solve_spectral")
+    pairs = dict(rl.certify_all(p, gap, sol))
+    assert eighs == [] and solves == []
+    assert pairs["tan_2theta_dk"].passed
+
+
+def test_certify_all_builds_one_frame_and_validates_nothing(monkeypatch):
+    import riccatilab.block as block
+    import riccatilab.certificates as certificates
+
+    p, gap, sol = solved_example()
+    frames = _spy_calls(monkeypatch, certificates, "_shifted_frame")
+    validations = _spy_calls(monkeypatch, block, "require_hermitian")
+    pairs = dict(rl.certify_all(p, gap, sol))
+    assert len(frames) == 1 and validations == []
+    assert pairs["contraction_1ii"].passed and pairs["squared_subordination"].passed
+
+
+def test_tan2theta_certifies_the_given_solution_bit_for_bit(monkeypatch, battery200_subordinated):
+    # on every instance the given spectral X is the one the re-solve on
+    # (-inf, mid) reads off the same eigenvectors, so reusing it moves no bit
+    import riccatilab.certificates as certificates
+
+    solves = _spy_calls(monkeypatch, certificates, "solve_spectral")
+    for s, p in battery200_subordinated.items:
+        sol = rl.solve_spectral(p, rl.select_gap(p, (s.gap[0] + s.gap[1]) / 2))
+        solves.clear()
+        given = rl.certify_tan2theta(p, sol)
+        assert solves == []
+        assert repr(given) == repr(rl.certify_tan2theta(p))
+        assert len(solves) == 1
+
+
+def test_tan2theta_falls_back_to_the_re_solve(monkeypatch, battery200_subordinated):
+    # a solution of another gap, or an inaccurate X, is not the theorem's
+    # solution: the certificate is then the re-solve's
+    import riccatilab.certificates as certificates
+
+    others = []
+    for s, p in battery200_subordinated.items:
+        for gap in rl.find_gaps(p.eig_C.values)[1:]:
+            try:
+                others.append((p, rl.solve_spectral(p, gap)))
+            except RiccatiLabError:
+                pass
+    assert len(others) >= 5
+    for s, p in battery200_subordinated.items[:20]:
+        sol = rl.solve_spectral(p, rl.select_gap(p, (s.gap[0] + s.gap[1]) / 2))
+        bad = RiccatiSolution(p, sol.X + 0.1, "perturbed")
+        assert not residual_acceptable(p, bad, bad.residual)
+        others.append((p, bad))
+    solves = _spy_calls(monkeypatch, certificates, "solve_spectral")
+    for p, other in others:
+        solves.clear()
+        assert repr(rl.certify_tan2theta(p, other)) == repr(rl.certify_tan2theta(p))
+        assert len(solves) == 2
+
+
+def test_certify_all_agrees_with_each_public_certifier(battery300, battery200_subordinated):
+    # the shared frame, the given X and the bare squared blocks change no
+    # bit of any certificate, and no error class
+    instances = [(p, gap, sol) for _, p, gap, sol in battery300.items[:60]]
+    for s, p in battery200_subordinated.items[:60]:
+        instances.append(_subordinated_solved(s))
+    instances.append(solved_example(1.0, 1.0))  # contraction hypothesis fails
+    standalone = {
+        "existence_1i": lambda p, gap, sol: rl.certify_existence(p, gap, sol),
+        "contraction_1ii": lambda p, gap, sol: rl.certify_contraction(p, gap, sol),
+        "tan_theta_2": lambda p, gap, sol: rl.certify_tan_theta(p, sol),
+        "apriori_bound": lambda p, gap, sol: rl.certify_apriori(p, gap, sol),
+        "tan_2theta_dk": lambda p, gap, sol: rl.certify_tan2theta(p),
+        "squared_subordination": lambda p, gap, sol: rl.squared_shift(p, gap)[1],
+    }
+    kinds = set()
+    for p, gap, sol in instances:
+        for theorem, cert in rl.certify_all(p, gap, sol):
+            try:
+                alone = standalone[theorem](p, gap, sol)
+            except RiccatiLabError as err:
+                alone = err
+            if isinstance(cert, Exception):
+                assert type(cert) is type(alone), theorem
+            else:
+                assert repr(cert) == repr(alone), theorem
+            kinds.add((theorem, type(cert).__name__))
+    for theorem in standalone:
+        assert (theorem, "Certificate") in kinds
+    assert ("squared_subordination", "HypothesisViolated") in kinds
+    assert ("tan_2theta_dk", "NotSubordinated") in kinds
+
+
+def test_squared_shift_blocks_are_the_symmetrized_squares_bit_for_bit(battery300):
+    for s, p, gap, sol in battery300.items[:50]:
+        Ash = p.A - gap.midpoint * np.eye(p.n_A)
+        Csh = p.C - gap.midpoint * np.eye(p.n_C)
+        Ahat = Ash @ Ash + p.B @ p.B.conj().T
+        Chat = Csh @ Csh + p.B.conj().T @ p.B
+        shifted, _ = rl.squared_shift(p, gap)
+        for block, expected in (
+            (shifted.A, (Ahat + Ahat.conj().T) / 2.0),
+            (shifted.B, Ash @ p.B + p.B @ Csh),
+            (shifted.C, (Chat + Chat.conj().T) / 2.0),
+        ):
+            assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
 
 
 def test_inaccurate_solution_is_reported_not_refused():
