@@ -200,34 +200,27 @@ def certify_apriori(
     )
 
 
-def certify_tan2theta(p: BlockProblem, sol: RiccatiSolution | None = None) -> Certificate:
+def certify_tan2theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     """||X|| <= tan(arctan(2||B||/d)/2) when sigma(A) lies strictly below sigma(C).
 
     No smallness of B is required; X is the solution whose graph is the
     spectral subspace of H below the subordination midpoint mid, which
-    splits sigma(H) into n_A eigenvalues below and n_C above.  A given
-    sol is that solution, and its X is certified, when it is accurate
-    (residual_acceptable) with sigma(Z) below mid - _spectral_tol and
-    sigma(Zhat) above mid + _spectral_tol; otherwise, and without sol, X
-    is the spectral route's on (-inf, mid).
+    splits sigma(H) into n_A eigenvalues below and n_C above.  sol's X is
+    certified when uniqueness_class_check on (-inf, mid) says it is that
+    solution; otherwise X is the spectral route's on (-inf, mid).
     """
     a = p.sigma_A
     c = p.eig_C.values
-    tol = linalg._spectral_tol()
-    if not float(a[-1]) < float(c[0]) - tol:
+    if not float(a[-1]) < float(c[0]) - linalg._spectral_tol():
         raise NotSubordinated(
             f"sup sigma(A) = {a[-1]:.6g} not below inf sigma(C) = {c[0]:.6g}"
         )
     # with sigma(A) below sigma(C), d = p.d is c[0] - a[-1] bit for bit
     d = p.d
     mid = (float(a[-1]) + float(c[0])) / 2.0
-    if not (
-        sol is not None
-        and residual_acceptable(p, sol, sol.residual)
-        and float(sol.z_eigs[-1]) < mid - tol
-        and float(sol.zhat_eigs[0]) > mid + tol
-    ):
-        sol = solve_spectral(p, SpectralGap(-math.inf, mid))
+    below = SpectralGap(-math.inf, mid)
+    if not uniqueness_class_check(p, sol, below):
+        sol = solve_spectral(p, below)
     b = p.norm_B
     observed = sol.x_norm
     return _certificate(
@@ -300,8 +293,8 @@ def certify_all(
     (HypothesisViolated, DeltaNonpositive, NotSubordinated); any other
     exception is a fault and propagates.  Each entry is what its public
     certifier returns alone; the gap-midpoint frame is built once, tan
-    2-theta reads sol where it can, and the squared certificate builds no
-    BlockProblem.
+    2-theta solves only when sol is not its root below mid, and the
+    squared certificate builds no BlockProblem.
     """
     # the certifiers are looked up by name when called, so rebinding one
     # of these module attributes (as a tracer does) is seen here

@@ -250,9 +250,9 @@ def test_apriori_propagates_hypothesis_failure():
 
 
 def test_tan2theta_requires_subordination():
-    p = rl.example_problem(1.0, 0.5)  # sigma(A) inside the gap of C
+    p, _, sol = solved_example()  # sigma(A) inside the gap of C
     with pytest.raises(NotSubordinated):
-        rl.certify_tan2theta(p)
+        rl.certify_tan2theta(p, sol)
 
 
 def test_tan2theta_scalar_equality():
@@ -260,7 +260,7 @@ def test_tan2theta_scalar_equality():
     # exactly tan(arctan(2b/d)/2)
     for d, b in [(1.0, 0.7), (2.0, 3.0), (0.5, 0.1)]:
         p = rl.BlockProblem(np.array([[0.0]]), np.array([[b]]), np.array([[d]]))
-        cert = rl.certify_tan2theta(p)
+        cert = rl.certify_tan2theta(p, rl.solve_spectral(p, rl.select_gap(p)))
         expected = (np.hypot(d, 2 * b) - d) / (2 * b)
         assert cert.observed_value == pytest.approx(expected, rel=1e-12)
         assert abs(cert.margin) <= 1e-10
@@ -270,7 +270,7 @@ def test_tan2theta_scalar_equality():
 
 def test_tan2theta_on_battery(battery200_subordinated):
     for s, p in battery200_subordinated.items[:50]:
-        cert = rl.certify_tan2theta(p)
+        cert = rl.certify_tan2theta(p, _subordinated_solved(s)[2])
         assert cert.passed
         assert cert.observed_value < 1.0
 
@@ -430,6 +430,15 @@ def _subordinated_solved(spec=rl.GenSpec(11, 8, 24, (0.0, 1.0), 0.3, 1.2, "subor
     return p, gap, rl.solve_spectral(p, gap)
 
 
+def _solved_below_mid(p):
+    # the theorem's X, from the spectral route on (-inf, mid) as certificates
+    # calls it, so a spy on certificates.solve_spectral counts this solve too
+    import riccatilab.certificates as certificates
+
+    mid = (float(p.sigma_A[-1]) + float(p.eig_C.values[0])) / 2.0
+    return certificates.solve_spectral(p, rl.SpectralGap(-np.inf, mid))
+
+
 def _spy_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -473,7 +482,7 @@ def test_tan2theta_certifies_the_given_solution_bit_for_bit(monkeypatch, battery
         solves.clear()
         given = rl.certify_tan2theta(p, sol)
         assert solves == []
-        assert repr(given) == repr(rl.certify_tan2theta(p))
+        assert repr(given) == repr(rl.certify_tan2theta(p, _solved_below_mid(p)))
         assert len(solves) == 1
 
 
@@ -498,7 +507,8 @@ def test_tan2theta_falls_back_to_the_re_solve(monkeypatch, battery200_subordinat
     solves = _spy_calls(monkeypatch, certificates, "solve_spectral")
     for p, other in others:
         solves.clear()
-        assert repr(rl.certify_tan2theta(p, other)) == repr(rl.certify_tan2theta(p))
+        reference = rl.certify_tan2theta(p, _solved_below_mid(p))
+        assert repr(rl.certify_tan2theta(p, other)) == repr(reference)
         assert len(solves) == 2
 
 
@@ -514,7 +524,7 @@ def test_certify_all_agrees_with_each_public_certifier(battery300, battery200_su
         "contraction_1ii": lambda p, gap, sol: rl.certify_contraction(p, gap, sol),
         "tan_theta_2": lambda p, gap, sol: rl.certify_tan_theta(p, sol),
         "apriori_bound": lambda p, gap, sol: rl.certify_apriori(p, gap, sol),
-        "tan_2theta_dk": lambda p, gap, sol: rl.certify_tan2theta(p),
+        "tan_2theta_dk": lambda p, gap, sol: rl.certify_tan2theta(p, sol),
         "squared_subordination": lambda p, gap, sol: rl.squared_shift(p, gap)[1],
     }
     kinds = set()
