@@ -38,10 +38,11 @@ def _hermitian_norm(w: np.ndarray) -> float:
 class BlockProblem:
     """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
 
-    sigma(A) (values only, ascending), the eigendecomposition of C, B* and B
-    in the eigenbasis of C, the operator norms of A, B and C (those of A and
-    C read off their spectra) and d = dist(sigma(A), sigma(C)) are computed
-    on first use and cached, so every consumer of one problem shares them.
+    sigma(A) (values only, ascending), the eigendecomposition C = U diag(c) U*,
+    U*, B* and B in the eigenbasis of C, the operator norms of A, B and C
+    (those of A and C read off their spectra) and d = dist(sigma(A),
+    sigma(C)) are computed on first use and cached, so every consumer of
+    one problem shares them.
     """
 
     A: np.ndarray
@@ -74,10 +75,16 @@ class BlockProblem:
         return EigDecomposition(values=_read_only(w), vectors=_read_only(v))
 
     @cached_property
+    def Ustar(self) -> np.ndarray:
+        """U* for C = U diag(c) U*, read-only, shape (nC, nC): the map into C's eigenbasis."""
+        Ustar = self.eig_C.vectors.conj().T
+        Ustar.flags.writeable = False
+        return Ustar
+
+    @cached_property
     def Bstar_in_eig_C(self) -> np.ndarray:
         """U* B* for C = U diag(c) U*, read-only, shape (nC, nA)."""
-        U = self.eig_C.vectors
-        G = U.conj().T @ self.B.conj().T
+        G = self.Ustar @ self.B.conj().T
         G.flags.writeable = False
         return G
 
@@ -256,7 +263,9 @@ def _coupled_resolvent(p: BlockProblem, lams: np.ndarray | complex, UY: np.ndarr
     point gives the bits it gets in any batch.
     """
     c = p.eig_C.values
-    return np.matmul(p.B_in_eig_C / (c - np.asarray(lams)[..., None, None]), UY)
+    if isinstance(lams, complex):
+        return (p.B_in_eig_C / (c - lams)) @ UY
+    return np.matmul(p.B_in_eig_C / (c - lams[:, None, None]), UY)
 
 
 def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
@@ -295,7 +304,7 @@ def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:
         raise LambdaOnSpectrum(f"lambda={lam} is within tol of sigma(H)")
     nA, nC = p.n_A, p.n_C
     c, U = p.eig_C
-    Cres = (U * (1.0 / (c - lam))) @ U.conj().T
+    Cres = (U * (1.0 / (c - lam))) @ p.Ustar
     col = np.vstack([np.eye(nA, dtype=complex), -Cres @ p.B.conj().T])
     row = np.hstack([np.eye(nA, dtype=complex), -p.B @ Cres])
     out = np.zeros((nA + nC, nA + nC), dtype=complex)

@@ -6,7 +6,7 @@ a gap of C:
 
 * spectral: eigendecompose H and read X = V2 V1^{-1} off the
   eigenvectors V = [V1; V2] of the gap eigenvalues;
-* contour: integrate (C-lambda)^{-1} B* (Z-lambda)^{-1} around a circle
+* contour: integrate (C-lambda)^{-1} B* (Z-lambda)^{-1} around an ellipse
   separating sigma(Z) from sigma(C);
 * fixed point: iterate the Sylvester map X -> solve(X (A+BX_k) - C X = B*).
 
@@ -41,7 +41,7 @@ from .linalg import _frobenius, _read_only, as_matrix, operator_norm
 
 TOL_QUAD = 1e-12  # relative stop for contour node doubling
 TOL_FIX = 1e-12  # relative stop for fixed-point steps
-START_NODES = 16  # first quadrature level; nodes double from here
+START_NODES = 16  # quadrature levels are START_NODES 2^k; 4 START_NODES is the least accepted
 MAX_NODES = 4096
 MAX_ITER = 500
 DIVERGE_NORM = 1e6
@@ -126,14 +126,39 @@ def _compression(M: np.ndarray, V: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Contour:
-    """Circle separating sigma(Z) (inside) from sigma(C) (outside)."""
+    """Ellipse separating sigma(Z) (inside) from sigma(C) (outside).
+
+    Its center is on the real line, radius is the semi-major axis a (along
+    the real line) and center +- focus are its foci, so the semi-minor
+    axis is b = sqrt(a^2 - focus^2); focus 0 is the circle of that radius.
+    """
 
     center: float
     radius: float
+    focus: float = 0.0
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if not 0.0 <= self.focus < self.radius:
+            raise ValueError("focus must lie in [0, radius)")
+
+    @property
+    def minor(self) -> float:
+        """The semi-minor axis b, exactly the radius on a circle."""
+        a, f = self.radius, self.focus
+        return a if f == 0.0 else math.sqrt(a - f) * math.sqrt(a + f)
+
+
+def _ellipse_size(x, center: float, focus: float) -> np.ndarray:
+    """epsilon(x) = |u + sqrt(u - f) sqrt(u + f)|, u = x - center, f = focus:
+    the size a + b of the ellipse through each x with foci center +- f (the
+    root of larger modulus of w^2 - 2uw + f^2), so f on the focal segment
+    and 2|u| on a circle."""
+    u = np.asarray(x, dtype=complex) - center
+    if focus == 0.0:
+        return 2.0 * np.abs(u)
+    return np.abs(u + np.sqrt(u - focus) * np.sqrt(u + focus))
 
 
 def residual(p: BlockProblem, X) -> float:
@@ -197,10 +222,16 @@ def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
 
 
 def build_contour(z_spectrum, c_spectrum) -> Contour:
-    """Circle centered on sigma(Z)'s hull, radius halfway out to sigma(C).
+    """The ellipse confocal with sigma(Z)'s real hull, sized halfway out to sigma(C).
 
-    center = midpoint of [min z, max z]; radius = half-width of that hull
-    plus half the spectral distance, so both separations are strict.
+    The foci are the hull's ends: center m, focus f = the hull's half-width.
+    With _ellipse_size's epsilon, the hull has size f and sigma(C) at least
+    eps_C = min epsilon(sigma(C)); the ellipse has the geometric mean
+    s = a + b = sqrt(max(f, eps_C / 4) eps_C) of the two, so the trapezoid
+    rate max(f / s, s / eps_C) is sqrt(f / eps_C) (Trefethen & Weideman,
+    SIAM Review 2014).  A one-point hull gives the circle of radius half
+    the separation.  Spectra within _spectral_tol(2), or a sigma(C) that
+    meets the hull, raise SpectraTooClose.
     """
     z = np.asarray(z_spectrum, dtype=float).ravel()
     c = np.asarray(c_spectrum, dtype=float).ravel()
@@ -209,9 +240,14 @@ def build_contour(z_spectrum, c_spectrum) -> Contour:
     sep = dist_spectra(z, c)
     if sep <= linalg._spectral_tol(2):
         raise SpectraTooClose(f"spectra are only {sep:.3e} apart")
-    center = (z.max() + z.min()) / 2.0
-    radius = (z.max() - z.min()) / 2.0 + sep / 2.0
-    return Contour(center=float(center), radius=float(radius))
+    center = float(z.max() + z.min()) / 2.0
+    focus = float(z.max() - z.min()) / 2.0
+    eps_C = float(np.min(_ellipse_size(c, center, focus)))
+    s = math.sqrt(max(focus, eps_C / 4.0) * eps_C)
+    radius = (s + focus * focus / s) / 2.0
+    if not radius > focus:
+        raise SpectraTooClose(f"sigma(C) meets the hull [{z.min():.6g}, {z.max():.6g}] of sigma(Z)")
+    return Contour(center=center, radius=radius, focus=focus)
 
 
 def _quad_sum(
@@ -246,30 +282,35 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
     """Trapezoid quadrature of the contour representation of X.
 
     X = (2 pi i)^{-1} oint (C-lambda)^{-1} B* (Z-lambda)^{-1} d lambda over
-    the counterclockwise circle; on N equispaced nodes this collapses to
-    an average of integrand samples weighted by (lambda_k - center).
+    the counterclockwise ellipse lambda(theta) = m + a cos theta + i b sin
+    theta; on N equispaced angles this collapses to an average of
+    integrand samples weighted by lambda'(theta) / i = b cos theta + i a sin theta.
 
-    The integrand is analytic for r_Z < |lambda - center| < r_C, where
-    r_Z = max |sigma(Z) - center| and r_C = min |sigma(C) - center|, so on
-    the circle of radius r the error of N nodes decays like rho^N with
-    rho = max(r_Z / r, r / r_C) (Trefethen & Weideman, SIAM Review 2014).
-    Nodes double from START_NODES, and X_2N is accepted once
-    ||X_2N - X_N||_F rho^N / (1 - rho^N) <= TOL_QUAD (1 + ||X_2N||_F), with
-    rho^(2N) <= TOL_QUAD and at least two doublings made.  A circle that
-    does not separate the spectra (rho >= 1) raises SpectraTooClose, and a
-    rho too close to 1 for any level up to MAX_NODES raises QuadratureStall,
-    both before any node is evaluated; QuadratureStall is also raised when
-    the nodes run out.  The sum runs in the eigenbasis of C and is mapped
-    back once per doubling.
+    The integrand is analytic between the confocal ellipses through the
+    outermost point of sigma(Z) and the innermost of sigma(C), so with
+    _ellipse_size's epsilon the error of N nodes decays like rho^N with
+    rho = max(max epsilon(sigma(Z)) / s, s / min epsilon(sigma(C))) and
+    s = a + b (Trefethen & Weideman, SIAM Review 2014); on a circle this is
+    max(r_Z / r, r / r_C).  rho is known before any node is evaluated, so
+    the first level holds N*/2 nodes, N* the first level 2^k START_NODES
+    of at least 4 START_NODES with rho^(N*) <= TOL_QUAD, and nodes double
+    from there.  X_2N is accepted once ||X_2N - X_N||_F rho^N / (1 - rho^N)
+    <= TOL_QUAD (1 + ||X_2N||_F).  A contour that does not separate the
+    spectra (rho >= 1) raises SpectraTooClose, and a rho too close to 1 for
+    any level up to MAX_NODES raises QuadratureStall, both before any node
+    is evaluated; QuadratureStall is also raised when the nodes run out.
+    The sum runs in the eigenbasis of C and is mapped back once per doubling.
     """
     Z = as_matrix(Z)
     if Z.shape != (p.n_A, p.n_A):
         raise DimensionMismatch(f"Z must be {p.n_A}x{p.n_A}, got {Z.shape}")
     c, U = p.eig_C
     G = p.Bstar_in_eig_C
-    center, r = contour.center, contour.radius
-    r_Z = float(np.max(np.abs(np.linalg.eigvals(Z) - center)))
-    r_C = float(np.min(np.abs(c - center)))
+    center, a, b = contour.center, contour.radius, contour.minor
+    # half sizes: on a circle, the radius and the distances from the center
+    r = (a + b) / 2.0
+    r_Z = float(np.max(_ellipse_size(np.linalg.eigvals(Z), center, contour.focus))) / 2.0
+    r_C = float(np.min(_ellipse_size(c, center, contour.focus))) / 2.0
     rho = max(r_Z / r, r / r_C) if r_C > 0 else math.inf
     if not rho < 1.0:
         raise SpectraTooClose(
@@ -282,11 +323,13 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
     def level_sum(n: int, offset: bool) -> np.ndarray:
         # offset picks the midpoints of an existing n-grid, i.e. the new
         # nodes created when n doubles
-        k = np.arange(n) + (0.5 if offset else 0.0)
-        lams = center + r * np.exp(2j * np.pi * k / n)
-        return _quad_sum(c, G, Z, lams, lams - center)
+        theta = 2.0 * np.pi * (np.arange(n) + (0.5 if offset else 0.0)) / n
+        cos, sin = np.cos(theta), np.sin(theta)
+        return _quad_sum(c, G, Z, (center + a * cos) + 1j * (b * sin), b * cos + 1j * (a * sin))
 
-    n = START_NODES
+    n = 2 * START_NODES  # half the first level that may be accepted
+    while rho ** (2 * n) > TOL_QUAD:
+        n *= 2
     total = level_sum(n, offset=False)
     X_prev = U @ total / n
     while True:
@@ -296,10 +339,9 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
         q = rho**n  # rho^N of the level just refined
         n *= 2
         X_new = U @ total / n
-        if n >= 4 * START_NODES and rho**n <= TOL_QUAD:
-            tol = TOL_QUAD * (1.0 - q) / q if q > 0.0 else math.inf
-            if _frobenius(X_new - X_prev) <= tol * (1.0 + _frobenius(X_new)):
-                return RiccatiSolution(p, X_new, "contour")
+        tol = TOL_QUAD * (1.0 - q) / q if q > 0.0 else math.inf
+        if _frobenius(X_new - X_prev) <= tol * (1.0 + _frobenius(X_new)):
+            return RiccatiSolution(p, X_new, "contour")
         X_prev = X_new
 
 

@@ -82,9 +82,16 @@ def test_dist_spectra_takes_eigenvalue_arrays_and_is_every_spectral_distance(bat
         a, c, z = p.sigma_A, p.eig_C.values, sol.z_eigs
         assert p.d == rl.dist_spectra(a, c)
         assert rl.certify_tan_theta(p, sol).details["delta"] == rl.dist_spectra(z, c)
-        # radius = hull half-width + separation / 2, the separation taken by dist_spectra
-        radius = rl.build_contour(z, c).radius
-        assert radius == float((z.max() - z.min()) / 2.0 + rl.dist_spectra(z, c) / 2.0)
+        # the contour's foci are the hull's ends; sigma(C) lies outside the hull,
+        # so the nearest eigenvalue of C by dist_spectra has the least size
+        # eps = |u| + sqrt(u^2 - f^2), and a + b is the geometric mean sqrt(f eps)
+        contour = rl.build_contour(z, c)
+        f = (z.max() - z.min()) / 2.0
+        assert (contour.center, contour.focus) == ((z.max() + z.min()) / 2.0, f)
+        u = f + rl.dist_spectra(z, c)
+        eps = u + np.sqrt(u * u - f * f)
+        size = np.sqrt(max(f, eps / 4.0) * eps)
+        assert contour.radius + contour.minor == pytest.approx(size, rel=1e-13)
 
 
 def test_assemble_H_is_hermitian():
@@ -382,6 +389,11 @@ def test_resolvent_matches_the_dense_inverse(battery500):
 
 def test_rotated_coupling_is_cached_read_only():
     p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    Ustar = p.Ustar
+    assert Ustar is p.Ustar
+    assert np.array_equal(Ustar, p.eig_C.vectors.conj().T)
+    with pytest.raises(ValueError):
+        Ustar[0, 0] = 0.0
     G = p.Bstar_in_eig_C
     assert G is p.Bstar_in_eig_C
     assert np.array_equal(G, p.eig_C.vectors.conj().T @ p.B.conj().T)

@@ -1,5 +1,6 @@
 """The three solution routes and their failure modes."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from riccatilab.solvers import (
     residual_scale,
 )
 
-from conftest import sylvester_in_eig_C, sylvester_steps
+from conftest import MASTER_OVERLAPPING, overlapping_specs, sylvester_in_eig_C, sylvester_steps
 
 
 @pytest.mark.parametrize("d,b", [(0.5, 0.1), (1.0, 0.5), (2.0, 1.2)])
@@ -93,10 +94,39 @@ def test_spectral_x_is_the_projector_formula_on_the_battery(battery500):
 
 def test_contour_invariants():
     c = rl.build_contour(np.array([0.0, 0.2]), np.array([-1.0, 1.0]))
-    assert c.radius > 0
+    # the foci are the hull's ends, and the ellipse is confocal with it
+    assert (c.center, c.focus) == (0.1, 0.1)
+    assert c.radius > c.focus and c.minor == pytest.approx(np.sqrt(c.radius**2 - c.focus**2), rel=1e-15)
     # sigma(Z) strictly inside, sigma(C) strictly outside
     assert abs(0.2 - c.center) < c.radius
     assert abs(1.0 - c.center) > c.radius
+    # a one-point hull gives the circle of radius half the separation
+    assert rl.build_contour(np.array([0.25]), np.array([-1.0, 1.0])) == rl.Contour(0.25, 0.375)
+
+
+@pytest.mark.parametrize("radius, focus", [(0.0, 0.0), (1.0, 1.0), (1.0, -0.5)])
+def test_contour_refuses_a_degenerate_ellipse(radius, focus):
+    with pytest.raises(ValueError):
+        rl.Contour(center=0.0, radius=radius, focus=focus)
+
+
+def inside_ellipse(contour, x):
+    """(Re x - m)^2 / a^2 + (Im x)^2 / b^2 < 1, elementwise."""
+    x = np.asarray(x, dtype=complex)
+    return ((x.real - contour.center) / contour.radius) ** 2 + (x.imag / contour.minor) ** 2 < 1.0
+
+
+def test_build_contour_encloses_sigma_Z_and_excludes_sigma_C(battery500, battery300):
+    for _, p, _, sol in battery500.items + battery300.items:
+        contour = rl.build_contour(np.linalg.eigvals(sol.Z).real, p.eig_C.values)
+        assert np.all(inside_ellipse(contour, np.linalg.eigvals(sol.Z)))
+        assert not np.any(inside_ellipse(contour, p.eig_C.values))
+
+
+def test_build_contour_refuses_sigma_C_inside_the_hull():
+    # no ellipse confocal with the hull [-1, 1] keeps 0 outside
+    with pytest.raises(SpectraTooClose, match="meets the hull"):
+        rl.build_contour(np.array([-1.0, 1.0]), np.array([0.0]))
 
 
 def test_build_contour_rejects_touching_spectra():
@@ -116,16 +146,25 @@ def test_contour_agrees_with_spectral():
     assert sol.method == "contour"
 
 
-def direct_trapezoid(p, Z, center, radius, nodes):
+def ellipse_nodes(contour, nodes):
+    """lambda(theta_k) = m + a cos theta_k + i b sin theta_k on nodes equispaced
+    angles, and the trapezoid weights lambda'(theta_k) / i of
+    (2 pi i)^{-1} oint f d lambda = (1 / nodes) sum f(lambda_k) lambda'(theta_k) / i."""
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    a, b = contour.radius, np.sqrt(contour.radius**2 - contour.focus**2)
+    lams = contour.center + a * np.cos(theta) + 1j * b * np.sin(theta)
+    return lams, (-a * np.sin(theta) + 1j * b * np.cos(theta)) / 1j
+
+
+def direct_trapezoid(p, Z, contour, nodes):
     """One-shot trapezoid sum, written independently of the library loop."""
     n_A = p.n_A
     total = np.zeros((p.n_C, n_A), dtype=complex)
-    for k in range(nodes):
-        lam = center + radius * np.exp(2j * np.pi * k / nodes)
+    for lam, weight in zip(*ellipse_nodes(contour, nodes)):
         F = np.linalg.solve(
             p.C - lam * np.eye(p.n_C), p.B.conj().T
         ) @ np.linalg.inv(Z - lam * np.eye(n_A))
-        total += F * (lam - center)
+        total += F * weight
     return total / nodes
 
 
@@ -137,7 +176,7 @@ def test_quadrature_error_decays_geometrically():
     c = rl.build_contour(z, np.linalg.eigvalsh(p.C))
     errs = []
     for nodes in (8, 16, 32):
-        X = direct_trapezoid(p, ref.Z, c.center, c.radius, nodes)
+        X = direct_trapezoid(p, ref.Z, c, nodes)
         errs.append(operator_norm(X - ref.X))
     floor = 1e-14 * (1 + operator_norm(ref.X))
     # each doubling must at least halve the error until the floor
@@ -208,15 +247,15 @@ def test_contour_inside_sigma_Z_raises_before_any_node(monkeypatch):
 
 def test_contour_takes_two_doublings_even_when_rho_underflows(monkeypatch):
     # a circle of radius 1e-12 about the one eigenvalue of Z: rho < 1e-11,
-    # so rho^32 underflows to 0.0; the second level already meets the
-    # tolerance, yet acceptance waits for the third
+    # so rho^32 underflows to 0.0; 32 nodes would already meet the
+    # tolerance, yet the first test waits for 64, the least level accepted
     p = rl.example_problem(1.0, 0.5)
     ref = rl.solve_spectral(p, rl.select_gap(p))
     z0 = float(np.linalg.eigvals(ref.Z).real[0])
     assert (1e-12 / np.min(np.abs(p.eig_C.values - z0))) ** 32 == 0.0
     sizes = spy_quad_nodes(monkeypatch)
     sol = rl.solve_contour(p, ref.Z, rl.Contour(center=z0, radius=1e-12))
-    assert sum(sizes) == 64
+    assert sizes == [32, 32]
     assert operator_norm(sol.X - ref.X) <= 1e-12 * (1 + ref.x_norm)
 
 
@@ -226,7 +265,7 @@ def test_contour_waits_for_the_rho_guard_when_levels_agree_exactly(monkeypatch):
     p = rl.BlockProblem(np.zeros((1, 1)), np.zeros((1, 2)), np.diag([-1.0, 1.0]))
     sizes = spy_quad_nodes(monkeypatch)
     sol = rl.solve_contour(p, np.zeros((1, 1)), rl.Contour(center=0.0, radius=0.9))
-    assert sum(sizes) == 512
+    assert sizes == [256, 256]
     assert not sol.X.any()
 
 
@@ -243,11 +282,87 @@ def test_contour_meets_the_tolerance_for_a_defective_Z():
     assert operator_norm(sol.X - want) <= TOL_QUAD * (1 + operator_norm(want))
 
 
+def circle_around_hull(z, c):
+    """The circle about sigma(Z)'s hull whose radius is the hull's half-width
+    plus half the separation from sigma(C)."""
+    return rl.Contour(
+        center=float((z.max() + z.min()) / 2.0),
+        radius=float((z.max() - z.min()) / 2.0 + rl.dist_spectra(z, c) / 2.0),
+    )
+
+
+def first_level(rho):
+    """Half of the least level 16 2^k >= 64 with rho^level <= TOL_QUAD."""
+    n = 64
+    while rho**n > TOL_QUAD:
+        n *= 2
+    return n // 2
+
+
+def test_a_circle_keeps_its_rate_and_its_message(monkeypatch, battery500):
+    # a focus-0 Contour is the circle: rho = max(r_Z / r, r / r_C) with
+    # r_Z = max |sigma(Z) - center| and r_C = min |sigma(C) - center| picks
+    # the first level, and a circle that fails to separate is named by them
+    sizes = spy_quad_nodes(monkeypatch)
+    for _, p, _, sol in battery500.items[:40]:
+        z = np.linalg.eigvals(sol.Z)
+        circle = circle_around_hull(z.real, p.eig_C.values)
+        r_Z = np.max(np.abs(z - circle.center))
+        r_C = np.min(np.abs(p.eig_C.values - circle.center))
+        # a circle's sizes are twice the distances from its center, exactly
+        assert np.array_equal(solvers._ellipse_size(z, circle.center, 0.0), 2.0 * np.abs(z - circle.center))
+        sizes.clear()
+        alt = rl.solve_contour(p, sol.Z, circle)
+        assert sizes[0] == first_level(max(r_Z / circle.radius, circle.radius / r_C))
+        assert operator_norm(alt.X - sol.X) <= 1e-11 * (1 + sol.x_norm)
+    p = rl.example_problem(1.0, 0.5)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    r_Z = abs(np.linalg.eigvals(ref.Z)[0])
+    message = (
+        f"contour of radius r=1.5 does not separate sigma(Z) (out to "
+        f"r_Z={r_Z:.6g} from its center) from sigma(C) (from r_C=1)"
+    )
+    with pytest.raises(SpectraTooClose) as err:
+        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, radius=1.5))
+    assert str(err.value) == message
+
+
+def test_the_64x192_reference_problem_takes_64_nodes(monkeypatch):
+    # the circle about the hull took 256 nodes here
+    p = rl.generate(rl.GenSpec(11, 64, 192, (-1.0, 1.0), 0.3, 0.5))
+    ref = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    sizes = spy_quad_nodes(monkeypatch)
+    sol = rl.solve_contour(p, ref.Z, rl.build_contour(ref.z_eigs, p.eig_C.values))
+    assert sizes == [32, 32]
+    assert operator_norm(sol.X - ref.X) <= 1e-12 * (1 + ref.x_norm)
+
+
+def test_the_ellipse_converges_where_the_circle_stalls():
+    # among the first 100 overlapping specs, the circle about the hull
+    # passes too close to sigma(C) on six, and the ellipse confocal with
+    # the hull converges on all six
+    stalled = []
+    for i, spec in enumerate(overlapping_specs(100, MASTER_OVERLAPPING)):
+        p = rl.generate(spec)
+        try:
+            ref = rl.solve_spectral(p, rl.select_gap(p, (spec.gap[0] + spec.gap[1]) / 2))
+        except WrongSubspaceDimension:
+            continue
+        z = np.linalg.eigvals(ref.Z).real
+        try:
+            rl.solve_contour(p, ref.Z, circle_around_hull(z, p.eig_C.values))
+        except QuadratureStall:
+            stalled.append(i)
+            sol = rl.solve_contour(p, ref.Z, rl.build_contour(z, p.eig_C.values))
+            assert operator_norm(sol.X - ref.X) <= 1e-10 * (1 + ref.x_norm)
+    assert stalled == [15, 16, 44, 61, 77, 79]
+
+
 def contour_kernel(p, Z, contour, nodes):
     """The library's node sum on one fixed grid, mapped back out of C's eigenbasis."""
-    lams = contour.center + contour.radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    lams, weights = ellipse_nodes(contour, nodes)
     c, U = p.eig_C
-    return U @ solvers._quad_sum(c, p.Bstar_in_eig_C, Z, lams, lams - contour.center) / nodes
+    return U @ solvers._quad_sum(c, p.Bstar_in_eig_C, Z, lams, weights) / nodes
 
 
 @pytest.mark.parametrize(
@@ -266,18 +381,18 @@ def test_quadrature_kernel_matches_direct_trapezoid(problem, nodes):
     ref = rl.solve_spectral(p, rl.select_gap(p, 0.0))
     contour = rl.build_contour(np.linalg.eigvals(ref.Z).real, p.eig_C.values)
     got = contour_kernel(p, ref.Z, contour, nodes)
-    want = direct_trapezoid(p, ref.Z, contour.center, contour.radius, nodes)
+    want = direct_trapezoid(p, ref.Z, contour, nodes)
     assert operator_norm(got - want) <= 1e-13 * operator_norm(want)
 
 
-def direct_trapezoid_batched(p, Z, center, radius, nodes):
+def direct_trapezoid_batched(p, Z, contour, nodes):
     """direct_trapezoid with the dense solves of all nodes stacked."""
-    lams = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    lams, weights = ellipse_nodes(contour, nodes)
     shiftC = p.C[None, :, :] - lams[:, None, None] * np.eye(p.n_C)
     Bstar = np.broadcast_to(p.B.conj().T, (nodes, p.n_C, p.n_A))
     shiftZ = Z[None, :, :] - lams[:, None, None] * np.eye(p.n_A)
     F = np.linalg.solve(shiftC, Bstar) @ np.linalg.inv(shiftZ)
-    return np.tensordot(lams - center, F, axes=1) / nodes
+    return np.tensordot(weights, F, axes=1) / nodes
 
 
 def test_accepted_contour_X_is_within_tolerance_of_one_more_doubling(monkeypatch, battery500):
@@ -286,7 +401,7 @@ def test_accepted_contour_X_is_within_tolerance_of_one_more_doubling(monkeypatch
         contour = rl.build_contour(np.linalg.eigvals(sol.Z).real, p.eig_C.values)
         sizes.clear()
         alt = rl.solve_contour(p, sol.Z, contour)
-        finer = direct_trapezoid_batched(p, sol.Z, contour.center, contour.radius, 2 * sum(sizes))
+        finer = direct_trapezoid_batched(p, sol.Z, contour, 2 * sum(sizes))
         assert operator_norm(alt.X - finer) <= 10 * TOL_QUAD * (1 + alt.x_norm)
 
 
@@ -297,8 +412,8 @@ def test_quadrature_batch_memory_is_bounded_by_the_node_stack(n_A, n_C, nodes):
     p = rl.generate(rl.GenSpec(11, n_A, n_C, (-1.0, 1.0), 0.3, 0.5))
     ref = rl.solve_spectral(p, rl.select_gap(p, 0.0))
     contour = rl.build_contour(np.linalg.eigvals(ref.Z).real, p.eig_C.values)
-    lams = contour.center + contour.radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    c, G, weights = p.eig_C.values, p.Bstar_in_eig_C, lams - contour.center
+    lams, weights = ellipse_nodes(contour, nodes)
+    c, G = p.eig_C.values, p.Bstar_in_eig_C
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -383,6 +498,21 @@ def test_fixedpoint_follows_the_frobenius_norm_rule(battery500):
     assert len(gave_up) >= 2
     # item 18 cycles; the cycle stop, too, is decided in the Frobenius norm
     assert any(msg.startswith("period-2 cycle at step ") for msg in gave_up)
+
+
+# SHA-256 over the 500 battery instances in index order: X.tobytes() of each
+# converged fixed point, f"{type(err).__name__}: {err}" as UTF-8 for each give-up
+BATTERY_FIXEDPOINT_SHA256 = "aff591adccddcd19cb28bffdcfff94790e8aebf074ba934946630e0f43b0f741"
+
+
+def test_battery_fixed_points_are_pinned_by_digest(battery500):
+    digest = hashlib.sha256()
+    for _, p, gap, _ in battery500.items:
+        try:
+            digest.update(rl.solve_fixedpoint(p, gap).X.tobytes())
+        except rl.RiccatiLabError as err:
+            digest.update(f"{type(err).__name__}: {err}".encode("utf-8"))
+    assert digest.hexdigest() == BATTERY_FIXEDPOINT_SHA256
 
 
 def test_fixedpoint_stops_cycles_and_keeps_every_convergence(battery500):
