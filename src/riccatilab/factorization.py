@@ -102,22 +102,25 @@ def verify_factorization(p: BlockProblem, sol, grid) -> float:
     _require_off_sigma_C(p, lams, "grid point ")
     if lams.size == 0:
         return 0.0
-    M = herglotz_batch(p, lams)
-    defect = _coupled_resolvent(p, lams, p.Ustar @ _residual_matrix(p, sol.X))
     k = lams.size
-    both = np.concatenate([defect, M])  # the k defects, then the k M
+    # the k M, then the k defects; M first, so the defect is built beside
+    # one stack and not beside M's peak, and neither is kept beside both
+    both = np.concatenate(
+        [herglotz_batch(p, lams), _coupled_resolvent(p, lams, p.Ustar @ _residual_matrix(p, sol.X))]
+    )
     if not np.all(np.isfinite(both)):
         raise ValueError("matrix has non-finite entries")
-    col_sq = np.einsum("kij,kij->kj", both, both.conj()).real
+    # squared column norms from views of the real and imaginary parts, no conj copy
+    col_sq = np.einsum("kij,kij->kj", both.real, both.real) + np.einsum("kij,kij->kj", both.imag, both.imag)
     fro = np.sqrt(col_sq.sum(axis=1))
     if np.all(np.isfinite(fro)):
         col = np.maximum(np.sqrt(col_sq.max(axis=1)), fro / math.sqrt(p.n_A))
-        lo = col[:k] * (1.0 - FRO_SLACK) / (1.0 + fro[k:] * (1.0 + FRO_SLACK))
-        hi = fro[:k] * (1.0 + FRO_SLACK) / (1.0 + col[k:] * (1.0 - FRO_SLACK))
+        lo = col[k:] * (1.0 - FRO_SLACK) / (1.0 + fro[:k] * (1.0 + FRO_SLACK))
+        hi = fro[k:] * (1.0 + FRO_SLACK) / (1.0 + col[:k] * (1.0 - FRO_SLACK))
         keep = hi >= np.max(lo)
         both, k = both[np.concatenate([keep, keep])], int(np.count_nonzero(keep))
     norms = np.linalg.svd(both, compute_uv=False)[:, 0]
-    return float(np.max(norms[:k] / (1.0 + norms[k:])))
+    return float(np.max(norms[k:] / (1.0 + norms[:k])))
 
 
 def enclosure_bounds(p: BlockProblem, gap: SpectralGap) -> EnclosureBounds:

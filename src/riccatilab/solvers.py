@@ -145,9 +145,8 @@ class Contour:
 
     @property
     def minor(self) -> float:
-        """The semi-minor axis b, exactly the radius on a circle."""
-        a, f = self.radius, self.focus
-        return a if f == 0.0 else math.sqrt(a - f) * math.sqrt(a + f)
+        """The semi-minor axis b."""
+        return math.sqrt(self.radius - self.focus) * math.sqrt(self.radius + self.focus)
 
 
 def _ellipse_size(x, center: float, focus: float) -> np.ndarray:
@@ -156,8 +155,6 @@ def _ellipse_size(x, center: float, focus: float) -> np.ndarray:
     root of larger modulus of w^2 - 2uw + f^2), so f on the focal segment
     and 2|u| on a circle."""
     u = np.asarray(x, dtype=complex) - center
-    if focus == 0.0:
-        return 2.0 * np.abs(u)
     return np.abs(u + np.sqrt(u - focus) * np.sqrt(u + focus))
 
 
@@ -240,13 +237,13 @@ def build_contour(z_spectrum, c_spectrum) -> Contour:
     sep = dist_spectra(z, c)
     if sep <= linalg._spectral_tol(2):
         raise SpectraTooClose(f"spectra are only {sep:.3e} apart")
+    if np.any((c >= z.min()) & (c <= z.max())):
+        raise SpectraTooClose(f"sigma(C) meets the hull [{z.min():.6g}, {z.max():.6g}] of sigma(Z)")
     center = float(z.max() + z.min()) / 2.0
     focus = float(z.max() - z.min()) / 2.0
     eps_C = float(np.min(_ellipse_size(c, center, focus)))
     s = math.sqrt(max(focus, eps_C / 4.0) * eps_C)
     radius = (s + focus * focus / s) / 2.0
-    if not radius > focus:
-        raise SpectraTooClose(f"sigma(C) meets the hull [{z.min():.6g}, {z.max():.6g}] of sigma(Z)")
     return Contour(center=center, radius=radius, focus=focus)
 
 
