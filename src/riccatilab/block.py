@@ -77,23 +77,17 @@ class BlockProblem:
     @cached_property
     def Ustar(self) -> np.ndarray:
         """U* for C = U diag(c) U*, read-only, shape (nC, nC): the map into C's eigenbasis."""
-        Ustar = self.eig_C.vectors.conj().T
-        Ustar.flags.writeable = False
-        return Ustar
+        return _read_only(self.eig_C.vectors.conj().T)
 
     @cached_property
     def Bstar_in_eig_C(self) -> np.ndarray:
         """U* B* for C = U diag(c) U*, read-only, shape (nC, nA)."""
-        G = self.Ustar @ self.B.conj().T
-        G.flags.writeable = False
-        return G
+        return _read_only(self.Ustar @ self.B.conj().T)
 
     @cached_property
     def B_in_eig_C(self) -> np.ndarray:
         """B U = (U* B*)*, read-only, shape (nA, nC)."""
-        BU = self.Bstar_in_eig_C.conj().T
-        BU.flags.writeable = False
-        return BU
+        return _read_only(self.Bstar_in_eig_C.conj().T)
 
     @cached_property
     def norm_A(self) -> float:
@@ -269,24 +263,25 @@ def _coupled_resolvent(p: BlockProblem, lams: np.ndarray | complex, UY: np.ndarr
 
 
 def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
-    """M(lambda) stacked over a 1-d array of lambdas, shape (N, nA, nA).
+    """M(lambda) stacked over a 1-d array of lambdas, shape (N, nA, nA):
+    the one body of the gap function.
 
-    No spectrum checks here; callers guarantee the points sit in rho(C).
+    The stack is built in the coupled term's array, so lambda - A is never
+    held beside the scaled rows of B U.  No spectrum checks here; callers
+    guarantee the points sit in rho(C).
     """
-    return _herglotz(p, np.asarray(lams, dtype=complex).ravel())
-
-
-def _herglotz(p: BlockProblem, lams: np.ndarray | complex) -> np.ndarray:
-    """M at lams, stacked for a 1-d array, one matrix for one point; no checks."""
-    lam_eye = np.asarray(lams)[..., None, None] * np.eye(p.n_A, dtype=complex)
-    return lam_eye - p.A + _coupled_resolvent(p, lams, p.Bstar_in_eig_C)
+    lams = np.asarray(lams, dtype=complex).ravel()
+    M = _coupled_resolvent(p, lams, p.Bstar_in_eig_C)
+    M += lams[:, None, None] * np.eye(p.n_A) - p.A
+    return M
 
 
 def herglotz_M(p: BlockProblem, lam: complex) -> np.ndarray:
-    """The gap function M(lambda) = lambda - A + B (C-lambda)^{-1} B* at one point."""
+    """The gap function M(lambda) = lambda - A + B (C-lambda)^{-1} B* at one
+    point: the one-point herglotz_batch, refused within tol of sigma(C)."""
     lam = complex(lam)
     _require_off_sigma_C(p, lam)
-    return _herglotz(p, lam)
+    return herglotz_batch(p, np.array([lam]))[0]
 
 
 def resolvent_H(p: BlockProblem, lam: complex) -> np.ndarray:

@@ -92,7 +92,7 @@ def certify_existence(
     """
     threshold, hyp = _hypothesis(p, gap, gap.length)
     b = p.norm_B
-    res_ok = residual_acceptable(p, sol, sol.residual)
+    res_ok = residual_acceptable(p, sol)
     uniq = uniqueness_class_check(p, sol, gap)
     proper = bool(np.all(gap.contains(sol.z_eigs, linalg._spectral_tol())))
     return _certificate(
@@ -162,7 +162,7 @@ def certify_tan_theta(p: BlockProblem, sol: RiccatiSolution) -> Certificate:
     # z is sorted; its hull lies in one gap of C when no eigenvalue of C falls between
     # its ends, which are over _spectral_tol from sigma(C) and so from every find_gaps cluster
     in_one_gap = bool(np.searchsorted(c, z[0]) == np.searchsorted(c, z[-1]))
-    res_ok = residual_acceptable(p, sol, sol.residual)
+    res_ok = residual_acceptable(p, sol)
     b = p.norm_B
     return _certificate(
         "tan_theta_2", bool(in_one_gap and res_ok), b / delta, sol.x_norm,

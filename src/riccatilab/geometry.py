@@ -73,6 +73,6 @@ def block_diagonalize(p: BlockProblem, X) -> RiccatiSolution:
     carries the Hermitian compressions Lambda and LambdaHat of Z and Zhat.
     """
     sol = RiccatiSolution(p, X, "given")
-    if not residual_acceptable(p, sol, sol.residual):
+    if not residual_acceptable(p, sol):
         raise ResidualTooLarge(f"Riccati residual {sol.residual:.3e} too large to diagonalize")
     return sol

@@ -178,9 +178,9 @@ def residual_scale(p: BlockProblem, sol: RiccatiSolution) -> float:
     return coeff * (1.0 + sol.x_norm) ** 2
 
 
-def residual_acceptable(p: BlockProblem, sol: RiccatiSolution, res: float) -> bool:
-    """True when a residual res of sol is at most TOL_ACCEPT times residual_scale."""
-    return res <= TOL_ACCEPT * residual_scale(p, sol)
+def residual_acceptable(p: BlockProblem, sol: RiccatiSolution) -> bool:
+    """True when sol's residual is at most TOL_ACCEPT times residual_scale."""
+    return sol.residual <= TOL_ACCEPT * residual_scale(p, sol)
 
 
 def solve_spectral(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
@@ -381,7 +381,7 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
         scale = 1.0 + y_norm
         if step <= TOL_FIX * scale:
             sol = RiccatiSolution(p, p.eig_C.vectors @ Y_next, "fixedpoint")
-            if not residual_acceptable(p, sol, sol.residual):
+            if not residual_acceptable(p, sol):
                 raise ResidualTooLarge(f"fixed point stopped at residual {sol.residual:.3e}")
             if not uniqueness_class_check(p, sol, gap):
                 raise OutsideUniquenessClass(f"not the root of ({gap.alpha}, {gap.beta})")
@@ -403,7 +403,7 @@ def uniqueness_class_check(p: BlockProblem, sol: RiccatiSolution, gap: SpectralG
     test gap.contains with a _spectral_tol margin, so endpoint roundoff cannot
     flip the answer.
     """
-    if not residual_acceptable(p, sol, sol.residual):
+    if not residual_acceptable(p, sol):
         return False
     z_inside = np.all(gap.contains(sol.z_eigs, linalg._spectral_tol()))
     return bool(z_inside and not np.any(gap.contains(sol.zhat_eigs, linalg._spectral_tol())))

