@@ -247,33 +247,57 @@ def _require_off_sigma_C(
         raise LambdaOnSpectrumOfC(f"{label}{first} is within tol of sigma(C)")
 
 
-def _coupled_resolvent(p: BlockProblem, lams: np.ndarray | complex, UY: np.ndarray) -> np.ndarray:
+POINT_BLOCK_ENTRIES = 1 << 16  # entries of B U scaled per block of points: 1 MiB complex
+
+
+def _point_blocks(p: BlockProblem, k: int) -> list[slice]:
+    """Slices of k points, each block holding at most POINT_BLOCK_ENTRIES
+    scaled entries of B U (one point at least); read at call time."""
+    step = max(1, POINT_BLOCK_ENTRIES // (p.n_A * p.n_C))
+    return [slice(i, i + step) for i in range(0, k, step)]
+
+
+def _coupled_resolvent(
+    p: BlockProblem, lams: np.ndarray | complex, UY: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """B (C - lambda)^{-1} Y for Y given as UY = U* Y: stacked over lams
-    when it is a 1-d array, one matrix when it is one point.
+    when it is a 1-d array (into out when given), one matrix when it is
+    one point.
 
     With C = U diag(c) U*, B (C - lambda)^{-1} U is (U* B*)* with its
-    columns scaled by 1/(c - lambda).  Each point is its own product, so
-    its value does not depend on the other points of the batch, and one
-    point gives the bits it gets in any batch.
+    columns scaled by 1/(c - lambda).  The stack is filled a block of
+    points at a time (_point_blocks), so the scaled copies never outgrow
+    one block.  Each point is its own product, so its value does not
+    depend on the other points of the batch, and one point gives the bits
+    it gets in any batch.
     """
     c = p.eig_C.values
     if isinstance(lams, complex):
         return (p.B_in_eig_C / (c - lams)) @ UY
-    return np.matmul(p.B_in_eig_C / (c - lams[:, None, None]), UY)
+    if out is None:
+        out = np.empty((lams.size, p.n_A, UY.shape[1]), dtype=complex)
+    for rows in _point_blocks(p, lams.size):
+        np.matmul(p.B_in_eig_C / (c - lams[rows, None, None]), UY, out=out[rows])
+    return out
 
 
-def herglotz_batch(p: BlockProblem, lams: np.ndarray) -> np.ndarray:
-    """M(lambda) stacked over a 1-d array of lambdas, shape (N, nA, nA):
-    the one body of the gap function.
+def herglotz_batch(p: BlockProblem, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """M(lambda) stacked over a 1-d array of lambdas, shape (N, nA, nA),
+    into out when given: the one body of the gap function.
 
-    The stack is built in the coupled term's array, so lambda - A is never
-    held beside the scaled rows of B U.  No spectrum checks here; callers
-    guarantee the points sit in rho(C).
+    Each block of points builds its coupled term in the output and adds
+    lambda - A there, so neither lambda - A nor the scaled rows of B U
+    outgrow one block.  No spectrum checks here; callers guarantee the
+    points sit in rho(C).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    M = _coupled_resolvent(p, lams, p.Bstar_in_eig_C)
-    M += lams[:, None, None] * np.eye(p.n_A) - p.A
-    return M
+    if out is None:
+        out = np.empty((lams.size, p.n_A, p.n_A), dtype=complex)
+    eye = np.eye(p.n_A)
+    for rows in _point_blocks(p, lams.size):
+        M = _coupled_resolvent(p, lams[rows], p.Bstar_in_eig_C, out=out[rows])
+        M += lams[rows, None, None] * eye - p.A
+    return out
 
 
 def herglotz_M(p: BlockProblem, lam: complex) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,20 @@ def compute_W(p: BlockProblem, X, lam) -> np.ndarray:
     """The factor W(lambda) = I - B (C - lambda)^{-1} X at one point, or
     stacked over a 1-d ndarray of points, each with the bits it gets alone.
 
-    An X that is not n_C x n_A raises DimensionMismatch, and a lambda
-    within tol of sigma(C) (an array's first) LambdaOnSpectrumOfC.
+    An X that is not n_C x n_A, or a lambda that is neither one number
+    nor a 1-d ndarray, raises DimensionMismatch, and a lambda within tol
+    of sigma(C) (an array's first) LambdaOnSpectrumOfC.
     """
     X = as_matrix(X)
     if X.shape != (p.n_C, p.n_A):
         raise DimensionMismatch(f"X must be {p.n_C}x{p.n_A}, got {X.shape}")
     if isinstance(lam, np.ndarray) and lam.ndim == 1:
         lam = lam.astype(complex, copy=False)
-    else:
+    elif isinstance(lam, numbers.Number) or (isinstance(lam, np.ndarray) and lam.ndim == 0):
         lam = complex(lam)
+    else:
+        kind = f"{lam.ndim}-d ndarray" if isinstance(lam, np.ndarray) else type(lam).__name__
+        raise DimensionMismatch(f"lambda must be one number or a 1-d ndarray, got a {kind}")
     _require_off_sigma_C(p, lam)
     return np.eye(p.n_A, dtype=complex) - _coupled_resolvent(p, lam, p.Ustar @ X)
 
@@ -94,31 +99,39 @@ def verify_factorization(p: BlockProblem, sol, grid) -> float:
     below ||.||_F / sqrt(n_A), <= ||.||_2 <= ||.||_F, widened by
     FRO_SLACK); 2-norms are taken only where the upper bracket reaches the
     largest lower one, which holds at the maximizer, so the result is the
-    all-points maximum, bit for bit.  The defects and M are one stack, so
-    the brackets are one pass and the kept points' 2-norms one batched
-    SVD.  A Frobenius norm that overflows sends every point to the 2-norms.
+    all-points maximum, bit for bit.  The defects and M are one stack,
+    filled in place a block of points at a time and compacted in place to
+    the kept points, so the brackets are one pass and the kept points'
+    2-norms one batched SVD.  A Frobenius norm that overflows sends every
+    point to the 2-norms.
     """
     lams = np.asarray(grid, dtype=complex).ravel()
     _require_off_sigma_C(p, lams, "grid point ")
     if lams.size == 0:
         return 0.0
     k = lams.size
-    # the k M, then the k defects; M first, so the defect is built beside
-    # one stack and not beside M's peak, and neither is kept beside both
-    both = np.concatenate(
-        [herglotz_batch(p, lams), _coupled_resolvent(p, lams, p.Ustar @ _residual_matrix(p, sol.X))]
-    )
-    if not np.all(np.isfinite(both)):
-        raise ValueError("matrix has non-finite entries")
+    # U* R before the stack, whose halves are filled with the k M and then
+    # the k defects, so R's n_C x n_C temporaries are never held beside it
+    UR = p.Ustar @ _residual_matrix(p, sol.X)
+    both = np.empty((2 * k, p.n_A, p.n_A), dtype=complex)
+    herglotz_batch(p, lams, out=both[:k])
+    _coupled_resolvent(p, lams, UR, out=both[k:])
     # squared column norms from views of the real and imaginary parts, no conj copy
     col_sq = np.einsum("kij,kij->kj", both.real, both.real) + np.einsum("kij,kij->kj", both.imag, both.imag)
+    # finite column norms vouch for finite entries without a mask of the stack
+    if not np.all(np.isfinite(col_sq)) and not np.all(np.isfinite(both)):
+        raise ValueError("matrix has non-finite entries")
     fro = np.sqrt(col_sq.sum(axis=1))
     if np.all(np.isfinite(fro)):
         col = np.maximum(np.sqrt(col_sq.max(axis=1)), fro / math.sqrt(p.n_A))
         lo = col[k:] * (1.0 - FRO_SLACK) / (1.0 + fro[:k] * (1.0 + FRO_SLACK))
         hi = fro[k:] * (1.0 + FRO_SLACK) / (1.0 + col[:k] * (1.0 - FRO_SLACK))
-        keep = hi >= np.max(lo)
-        both, k = both[np.concatenate([keep, keep])], int(np.count_nonzero(keep))
+        kept = np.flatnonzero(hi >= np.max(lo))
+        # moved forward in place, the kept M and then their defects: each
+        # source lies at or past its target and past every earlier source
+        for j, i in enumerate(np.concatenate([kept, k + kept])):
+            both[j] = both[i]
+        both, k = both[: 2 * kept.size], kept.size
     norms = np.linalg.svd(both, compute_uv=False)[:, 0]
     return float(np.max(norms[k:] / (1.0 + norms[:k])))
 

@@ -307,6 +307,30 @@ def test_squared_shift_blocks_are_the_literal_square():
     assert operator_norm(rl.assemble_H(shifted) - sq) <= 1e-12
 
 
+def test_squared_shift_meets_its_floor_whenever_n_A_is_one(battery500):
+    # with A = [a], |a - gamma| = |gap|/2 - d, so A-hat = (a - gamma)^2 +
+    # ||B||^2 is the containment top, and a rank-one B*B cannot lift both
+    # gap ends of (C - gamma)^2, so min sigma(C-hat) = (|gap|/2)^2 and the
+    # separation is the floor d(|gap| - d) - ||B||^2: both hold up to
+    # rounding, the margin within eigvalsh's few eps of ||C-hat|| (3.9 eps
+    # at worst here) and A-hat within a few eps of the top (3.7 eps)
+    eps = np.finfo(float).eps
+    applicable = 0
+    for s, p, gap, sol in battery500.items:
+        if p.n_A != 1:
+            continue
+        try:
+            shifted, cert = rl.squared_shift(p, gap)
+        except HypothesisViolated:
+            continue
+        applicable += 1
+        chat_norm = float(np.linalg.eigvalsh(shifted.C)[-1])
+        assert abs(cert.margin) <= 16 * eps * chat_norm
+        top = cert.details["ahat_interval_top"]
+        assert abs(float(shifted.A[0, 0].real) - top) <= 8 * eps * top
+    assert applicable == 64
+
+
 def test_squared_shift_rejects_weak_hypothesis():
     p, gap, sol = solved_example(1.0, 1.0)
     with pytest.raises(HypothesisViolated):

@@ -1,12 +1,14 @@
 """Gap function factorization M = W (lambda - Z) and the spectral enclosure."""
 
 import logging
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import riccatilab as rl
+from riccatilab import block
 from riccatilab.block import _coupled_resolvent, herglotz_batch
 from riccatilab.errors import DimensionMismatch, HypothesisViolated, LambdaOnSpectrumOfC
 from riccatilab.linalg import TOL_SPEC, operator_norm
@@ -191,6 +193,14 @@ def test_compute_W_refuses_a_misshapen_X(shape):
     message = rf"^X must be 6x3, got \({shape[0]}, {shape[1]}\)$"
     with pytest.raises(DimensionMismatch, match=message):
         rl.compute_W(p, np.ones(shape), 0.0)
+
+
+@pytest.mark.parametrize("lam", [[0.3, 0.5], np.zeros((2, 2)), "0.3"], ids=["list", "2-d", "str"])
+def test_compute_W_refuses_points_that_are_not_a_number_or_a_1d_array(lam):
+    # complex() raised a bare TypeError for the list and the 2-d array
+    p, gap, sol = solved_example()
+    with pytest.raises(DimensionMismatch, match=r"^lambda must be one number or a 1-d ndarray, got a "):
+        rl.compute_W(p, sol.X, lam)
 
 
 def test_compute_W_on_an_array_is_bit_identical_per_point(battery500):
@@ -445,3 +455,70 @@ def test_factorize_is_invariant_under_large_scaling():
     gap = rl.select_gap(ps, 0.0)
     defect = rl.verify_factorization(ps, rl.solve_spectral(ps, gap), rl.factorization_grid(ps, gap))
     assert defect <= 1e-9
+
+
+def _assert_blocks_keep_each_points_bits(p, sol, lams):
+    """herglotz_batch, compute_W on the array and the defect stack, each
+    point bit for bit as its one-point evaluation gives it."""
+    UR = p.Ustar @ residual_matrix(p, sol.X)
+    M, W = herglotz_batch(p, lams), rl.compute_W(p, sol.X, lams)
+    D = _coupled_resolvent(p, lams, UR)
+    for lam, Mk, Wk, Dk in zip(lams, M, W, D):
+        assert np.array_equal(Mk, rl.herglotz_M(p, lam))
+        assert np.array_equal(Wk, rl.compute_W(p, sol.X, complex(lam)))
+        assert np.array_equal(Dk, _coupled_resolvent(p, complex(lam), UR))
+
+
+@pytest.mark.parametrize("per_block", [3, 7])
+def test_blocks_of_points_keep_every_bit(monkeypatch, per_block):
+    # the budget cut to per_block points, so the 50 grid points fill
+    # several blocks and end in a short one
+    p = rl.generate(rl.GenSpec(7, 3, 5, (-1.0, 1.0), 0.3, 0.5, "interior"))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    lams = rl.factorization_grid(p, gap)
+    whole, value = herglotz_batch(p, lams), rl.verify_factorization(p, sol, lams)
+    assert len(block._point_blocks(p, lams.size)) == 1
+    monkeypatch.setattr(block, "POINT_BLOCK_ENTRIES", per_block * p.n_A * p.n_C)
+    sizes = [len(range(lams.size)[rows]) for rows in block._point_blocks(p, lams.size)]
+    assert len(sizes) > 2 and sizes[-1] < sizes[0]
+    _assert_blocks_keep_each_points_bits(p, sol, lams)
+    assert np.array_equal(herglotz_batch(p, lams), whole)
+    assert rl.verify_factorization(p, sol, lams) == value
+
+
+def test_blocks_of_points_keep_every_bit_at_32x96():
+    # at the default budget 32x96 takes 21 points a block: 21, 21 and 8
+    p = rl.generate(rl.GenSpec(3, 32, 96, (-1.0, 1.0), 0.3, 0.8))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    lams = rl.factorization_grid(p, gap)
+    sizes = [len(range(lams.size)[rows]) for rows in block._point_blocks(p, lams.size)]
+    assert sizes == [21, 21, 8]
+    _assert_blocks_keep_each_points_bits(p, sol, lams)
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_factorization_check_peaks_at_its_stack_plus_a_few_blocks():
+    # M and the defects are filled in place a block of points at a time:
+    # no stack of scaled rows of B U beside them, no concatenated copy
+    p = rl.generate(rl.GenSpec(11, 64, 192, (-1.0, 1.0), 0.3, 0.5))
+    gap = rl.select_gap(p, 0.0)
+    sol = rl.solve_spectral(p, gap)
+    lams = rl.factorization_grid(p, gap)
+    value = rl.verify_factorization(p, sol, lams)  # builds p's cached eigenbasis products
+    budget = block.POINT_BLOCK_ENTRIES * 16
+    stack = lams.size * p.n_A * p.n_A * 16
+    M, peak = _traced_peak(lambda: herglotz_batch(p, lams))
+    assert M.nbytes == stack and peak <= stack + 2 * budget
+    again, peak = _traced_peak(lambda: rl.verify_factorization(p, sol, lams))
+    assert again == value and peak <= 2 * stack + 3 * budget
