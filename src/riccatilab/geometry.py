@@ -50,19 +50,14 @@ def graph_projection(X) -> GraphProjection:
 
 
 def operator_angle(proj: GraphProjection) -> AngleReport:
-    """Norms of the angle operator between the graph and the first component."""
-    X = proj.X
-    n = X.shape[1]
-    Q11 = proj.Q[:n, :n]
-    w = np.linalg.eigvalsh(np.eye(n, dtype=complex) - Q11)
-    s2 = float(np.clip(w[-1], 0.0, 1.0))  # ||sin Theta||^2
-    P = np.zeros_like(proj.Q)
-    P[:n, :n] = np.eye(n)
-    return AngleReport(
-        theta_norm=math.asin(math.sqrt(s2)),
-        sin_norm=operator_norm(proj.Q - P),
-        tan_norm=operator_norm(X),
-    )
+    """Norms of the angle operator between the graph and the first component.
+
+    tan Theta = (X*X)^{1/2}, so with t = ||X|| the largest angle is
+    atan t and ||sin Theta|| = ||Q - P|| = t / hypot(1, t), both in closed
+    form: no eigenvalue of I - Q11, where 1 - 1/(1 + t^2) cancels for small t.
+    """
+    t = operator_norm(proj.X)
+    return AngleReport(theta_norm=math.atan(t), sin_norm=t / math.hypot(1.0, t), tan_norm=t)
 
 
 def block_diagonalize(p: BlockProblem, X) -> RiccatiSolution:

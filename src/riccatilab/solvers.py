@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .block import BlockProblem, SpectralGap, assemble_H, dist_spectra
+from .block import BlockProblem, SpectralGap, _spectrum, assemble_H, dist_spectra
 from .errors import (
     DimensionMismatch,
     IterationDiverged,
@@ -126,36 +126,37 @@ def _compression(M: np.ndarray, V: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Contour:
-    """Ellipse separating sigma(Z) (inside) from sigma(C) (outside).
-
-    Its center is on the real line, radius is the semi-major axis a (along
-    the real line) and center +- focus are its foci, so the semi-minor
-    axis is b = sqrt(a^2 - focus^2); focus 0 is the circle of that radius.
-    """
+    """Ellipse separating sigma(Z) (inside) from sigma(C) (outside): center on
+    the real line, foci center +- focus and size a + b, the sum of its
+    semi-axes, so a, b = (size +- focus^2 / size) / 2; focus 0 is the circle
+    of diameter size."""
 
     center: float
-    radius: float
+    size: float
     focus: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if not 0.0 <= self.focus < self.radius:
-            raise ValueError("focus must lie in [0, radius)")
+        if not 0.0 <= self.focus < self.size:
+            raise ValueError("focus must lie in [0, size)")
 
-    @property
-    def minor(self) -> float:
-        """The semi-minor axis b."""
-        return math.sqrt(self.radius - self.focus) * math.sqrt(self.radius + self.focus)
+
+def _sqrt_product(x, y):
+    """sqrt(x y) of two lengths, elementwise, with x and y first taken in
+    units of 2^e, the binary exponent of max(|x|, |y|).  The rescaling is
+    exact, so the product does not overflow where the root fits, and the
+    root scales exactly with x and y under x, y -> 2^k x, 2^k y."""
+    unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1])
+    return np.sqrt((x / unit) * (y / unit)) * unit
 
 
 def _ellipse_size(x, center: float, focus: float) -> np.ndarray:
-    """epsilon(x) = |u + sqrt(u - f) sqrt(u + f)|, u = x - center, f = focus:
-    the size a + b of the ellipse through each x with foci center +- f (the
-    root of larger modulus of w^2 - 2uw + f^2), so f on the focal segment
-    and 2|u| on a circle."""
+    """epsilon(x) = max |u +- sqrt((u - f)(u + f))|, u = x - center,
+    f = focus: the size a + b of the ellipse through each x with foci
+    center +- f (the root of larger modulus of w^2 - 2uw + f^2), so f on
+    the focal segment and 2|u| on a circle."""
     u = np.asarray(x, dtype=complex) - center
-    return np.abs(u + np.sqrt(u - focus) * np.sqrt(u + focus))
+    w = _sqrt_product(u - focus, u + focus)
+    return np.maximum(np.abs(u + w), np.abs(u - w))
 
 
 def residual(p: BlockProblem, X) -> float:
@@ -224,14 +225,15 @@ def build_contour(z_spectrum, c_spectrum) -> Contour:
     The foci are the hull's ends: center m, focus f = the hull's half-width.
     With _ellipse_size's epsilon, the hull has size f and sigma(C) at least
     eps_C = min epsilon(sigma(C)); the ellipse has the geometric mean
-    s = a + b = sqrt(max(f, eps_C / 4) eps_C) of the two, so the trapezoid
-    rate max(f / s, s / eps_C) is sqrt(f / eps_C) (Trefethen & Weideman,
-    SIAM Review 2014).  A one-point hull gives the circle of radius half
-    the separation.  Spectra within _spectral_tol(2), or a sigma(C) that
-    meets the hull, raise SpectraTooClose.
+    s = sqrt(max(f, eps_C / 4) eps_C) of the two (_sqrt_product), so the
+    trapezoid rate max(f / s, s / eps_C) is sqrt(f / eps_C) (Trefethen &
+    Weideman, SIAM Review 2014).  A one-point hull gives the circle whose
+    diameter is the separation.  Both spectra are 1-d arrays of eigenvalues,
+    else DimensionMismatch.  Spectra within _spectral_tol(2), or a sigma(C)
+    that meets the hull, raise SpectraTooClose.
     """
-    z = np.asarray(z_spectrum, dtype=float).ravel()
-    c = np.asarray(c_spectrum, dtype=float).ravel()
+    z = _spectrum(z_spectrum).astype(float)
+    c = _spectrum(c_spectrum).astype(float)
     if z.size == 0 or c.size == 0:
         raise ValueError("both spectra must be nonempty")
     sep = dist_spectra(z, c)
@@ -242,9 +244,8 @@ def build_contour(z_spectrum, c_spectrum) -> Contour:
     center = float(z.max() + z.min()) / 2.0
     focus = float(z.max() - z.min()) / 2.0
     eps_C = float(np.min(_ellipse_size(c, center, focus)))
-    s = math.sqrt(max(focus, eps_C / 4.0) * eps_C)
-    radius = (s + focus * focus / s) / 2.0
-    return Contour(center=center, radius=radius, focus=focus)
+    size = float(_sqrt_product(max(focus, eps_C / 4.0), eps_C))
+    return Contour(center=center, size=size, focus=focus)
 
 
 def _quad_sum(
@@ -280,39 +281,40 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
 
     X = (2 pi i)^{-1} oint (C-lambda)^{-1} B* (Z-lambda)^{-1} d lambda over
     the counterclockwise ellipse lambda(theta) = m + a cos theta + i b sin
-    theta; on N equispaced angles this collapses to an average of
+    theta, with a, b = (s +- f (f / s)) / 2 for the contour's size s and
+    focus f; on N equispaced angles this collapses to an average of
     integrand samples weighted by lambda'(theta) / i = b cos theta + i a sin theta.
 
     The integrand is analytic between the confocal ellipses through the
     outermost point of sigma(Z) and the innermost of sigma(C), so with
     _ellipse_size's epsilon the error of N nodes decays like rho^N with
-    rho = max(max epsilon(sigma(Z)) / s, s / min epsilon(sigma(C))) and
-    s = a + b (Trefethen & Weideman, SIAM Review 2014); on a circle this is
-    max(r_Z / r, r / r_C).  rho is known before any node is evaluated, so
-    the first level holds N*/2 nodes, N* the first level 2^k START_NODES
-    of at least 4 START_NODES with rho^(N*) <= TOL_QUAD, and nodes double
-    from there.  X_2N is accepted once ||X_2N - X_N||_F rho^N / (1 - rho^N)
-    <= TOL_QUAD (1 + ||X_2N||_F).  A contour that does not separate the
-    spectra (rho >= 1) raises SpectraTooClose, and a rho too close to 1 for
-    any level up to MAX_NODES raises QuadratureStall, both before any node
-    is evaluated; QuadratureStall is also raised when the nodes run out.
-    The sum runs in the eigenbasis of C and is mapped back once per doubling.
+    rho = max(s_Z / s, s / s_C), s_Z = max epsilon(sigma(Z)) and
+    s_C = min epsilon(sigma(C)) (Trefethen & Weideman, SIAM Review 2014).
+    rho is known before any node is evaluated, so the first level holds
+    N*/2 nodes, N* the first level 2^k START_NODES of at least
+    4 START_NODES with rho^(N*) <= TOL_QUAD, and nodes double from there.
+    X_2N is accepted once ||X_2N - X_N||_F rho^N / (1 - rho^N) <= TOL_QUAD
+    (1 + ||X_2N||_F).  A contour that does not separate the spectra
+    (rho >= 1) raises SpectraTooClose, naming s, s_Z and s_C, and a rho too
+    close to 1 for any level up to MAX_NODES raises QuadratureStall, both
+    before any node is evaluated; QuadratureStall is also raised when the
+    nodes run out.  The sum runs in the eigenbasis of C and is mapped back
+    once per doubling.
     """
     Z = as_matrix(Z)
     if Z.shape != (p.n_A, p.n_A):
         raise DimensionMismatch(f"Z must be {p.n_A}x{p.n_A}, got {Z.shape}")
     c, U = p.eig_C
     G = p.Bstar_in_eig_C
-    center, a, b = contour.center, contour.radius, contour.minor
-    # half sizes: on a circle, the radius and the distances from the center
-    r = (a + b) / 2.0
-    r_Z = float(np.max(_ellipse_size(np.linalg.eigvals(Z), center, contour.focus))) / 2.0
-    r_C = float(np.min(_ellipse_size(c, center, contour.focus))) / 2.0
-    rho = max(r_Z / r, r / r_C) if r_C > 0 else math.inf
+    center, s, f = contour.center, contour.size, contour.focus
+    a, b = (s + f * (f / s)) / 2.0, (s - f * (f / s)) / 2.0
+    s_Z = float(np.max(_ellipse_size(np.linalg.eigvals(Z), center, f)))
+    s_C = float(np.min(_ellipse_size(c, center, f)))
+    rho = max(s_Z / s, s / s_C) if s_C > 0 else math.inf
     if not rho < 1.0:
         raise SpectraTooClose(
-            f"contour of radius r={r:.6g} does not separate sigma(Z) (out to "
-            f"r_Z={r_Z:.6g} from its center) from sigma(C) (from r_C={r_C:.6g})"
+            f"contour of size s={s:.6g} does not separate sigma(Z) (out to "
+            f"size s_Z={s_Z:.6g}) from sigma(C) (from size s_C={s_C:.6g})"
         )
     if rho**MAX_NODES > TOL_QUAD:
         raise QuadratureStall(f"no convergence within {MAX_NODES} nodes")

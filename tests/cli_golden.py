@@ -22,8 +22,9 @@ and list each rewritten file, and why, in CHANGES.md.  For each moved
 in-process fixture the script prints the keys whose values moved, old ->
 new (moved_keys); the large cases are kept as digests only, so for them
 it can name no key.  A moved pinned digest is named with its old and new
-value.  When the CSV moves, the script also prints a summary of the moved
-cells per column (moved_columns).
+value.  A moved list (a matrix) is named with its largest entry move,
+absolute and relative (list_move).  When the CSV moves, the script also
+prints a summary of the moved cells per column (moved_columns).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import riccatilab as rl
 from riccatilab import cli
@@ -219,10 +222,24 @@ def _leaves(obj, prefix: str = "") -> dict:
     return out
 
 
+def list_move(old, new) -> str:
+    """How far a moved list of numbers (a matrix as nested lists) moved: the
+    largest entry move, absolute and relative to the largest old entry; a
+    changed shape, or a list that is not all numbers, is only named."""
+    try:
+        a, b = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    except (TypeError, ValueError):
+        return "list moved"
+    if a.shape != b.shape:
+        return f"list moved, shape {a.shape} -> {b.shape}"
+    move, largest = float(np.max(np.abs(b - a))), float(np.max(np.abs(a)))
+    return f"list moved, largest entry move {move:.3g}, {move / largest if largest else math.inf:.3g} relative"
+
+
 def moved_keys(expected: bytes, actual: bytes) -> list[str]:
     """One line per key of a JSON payload whose value moved, as old -> new,
-    with nested keys by dotted path and a moved list named without its
-    values; one line when either side is no JSON object."""
+    with nested keys by dotted path and a moved list named by how far it
+    moved (list_move); one line when either side is no JSON object."""
     try:
         old, new = json.loads(expected), json.loads(actual)
     except ValueError:
@@ -234,8 +251,12 @@ def moved_keys(expected: bytes, actual: bytes) -> list[str]:
     for key in {**old, **new}:
         a, b = (repr(side[key]) if key in side else "<absent>" for side in (old, new))
         if a != b:
-            listed = isinstance(old.get(key), list) or isinstance(new.get(key), list)
-            lines.append(f"{key}: list moved" if listed else f"{key}: {a} -> {b}")
+            if isinstance(old.get(key), list) and isinstance(new.get(key), list):
+                lines.append(f"{key}: {list_move(old[key], new[key])}")
+            elif isinstance(old.get(key), list) or isinstance(new.get(key), list):
+                lines.append(f"{key}: list moved")
+            else:
+                lines.append(f"{key}: {a} -> {b}")
     return lines
 
 

@@ -98,14 +98,14 @@ def test_dist_spectra_takes_eigenvalue_arrays_and_is_every_spectral_distance(bat
         assert rl.certify_tan_theta(p, sol).details["delta"] == rl.dist_spectra(z, c)
         # the contour's foci are the hull's ends; sigma(C) lies outside the hull,
         # so the nearest eigenvalue of C by dist_spectra has the least size
-        # eps = |u| + sqrt(u^2 - f^2), and a + b is the geometric mean sqrt(f eps)
+        # eps = |u| + sqrt(u^2 - f^2), and the size a + b is the geometric mean sqrt(f eps)
         contour = rl.build_contour(z, c)
         f = (z.max() - z.min()) / 2.0
         assert (contour.center, contour.focus) == ((z.max() + z.min()) / 2.0, f)
         u = f + rl.dist_spectra(z, c)
         eps = u + np.sqrt(u * u - f * f)
         size = np.sqrt(max(f, eps / 4.0) * eps)
-        assert contour.radius + contour.minor == pytest.approx(size, rel=1e-13)
+        assert contour.size == pytest.approx(size, rel=1e-13)
 
 
 def test_assemble_H_is_hermitian():

@@ -71,6 +71,13 @@ def test_moved_keys_names_each_moved_value_old_to_new():
         f"enclosure.lower: {payload['enclosure']['lower']!r} -> -0.5",
         "w_invertible: True -> <absent>",
     ]
-    # a moved matrix is named without its entries; empty stdout is no object
-    assert moved_keys(b'{"X": [[1.0, 0.0]]}', b'{"X": [[2.0, 0.0]]}') == ["X: list moved"]
+    # a moved matrix is named with its largest entry move, absolute and
+    # relative to its largest entry, so a last-bit move reads as one; a
+    # reshaped one with both shapes; empty stdout is no object
+    assert moved_keys(b'{"X": [[[4.0, 0.0], [1.0, -2.0]]]}', b'{"X": [[[4.0, 0.0], [1.5, -2.0]]]}') == [
+        "X: list moved, largest entry move 0.5, 0.125 relative"
+    ]
+    last_bit = json.dumps({"X": [[0.1, 1 + 2**-52]]}).encode()
+    assert moved_keys(b'{"X": [[0.1, 1.0]]}', last_bit) == ["X: list moved, largest entry move 2.22e-16, 2.22e-16 relative"]
+    assert moved_keys(b'{"X": [[1.0, 0.0]]}', b'{"X": [[1.0]]}') == ["X: list moved, shape (1, 2) -> (1, 1)"]
     assert moved_keys(kept, b"") == [f"not a JSON object on both sides: {len(kept)} -> 0 bytes"]

@@ -74,15 +74,36 @@ def test_angle_identities_random(n_A, n_C, seed):
     assert 0 <= report.theta_norm < np.pi / 2
 
 
-def test_sin_norm_is_projector_distance():
-    # ||sin Theta|| equals the norm distance between the graph projection
-    # and the reference projection onto the A component
+ANGLE_SCALES = [0.0, 1e-12, 1e-9, 1e-6, 1.0, 1e8]
+
+
+def X_of_norm(x):
+    """A random complex 3 x 2 X scaled to ||X|| = x, up to rounding."""
     X = random_X(99, 3, 2)
-    proj = rl.graph_projection(X)
+    return X * (x / operator_norm(X))
+
+
+@pytest.mark.parametrize("x", ANGLE_SCALES)
+def test_angle_is_atan_of_the_norm_at_every_scale(x):
+    # 1 - 1/(1 + t^2) cancels for small t, so an angle read off I - Q11
+    # is 0 at ||X|| = 1e-9 and below
+    X = X_of_norm(x)
+    report = rl.operator_angle(rl.graph_projection(X))
+    assert report.tan_norm == operator_norm(X)
+    assert report.theta_norm == pytest.approx(np.arctan(report.tan_norm), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("x", ANGLE_SCALES)
+def test_sin_norm_is_projector_distance(x):
+    # ||sin Theta|| equals the norm distance between the graph projection
+    # and the reference projection onto the A component; Q11 = (I + X*X)^{-1}
+    # rounds I + X*X, so ||Q - P|| is off by up to min(||X||^2, eps)
+    proj = rl.graph_projection(X_of_norm(x))
     P = np.zeros((5, 5))
     P[:2, :2] = np.eye(2)
     report = rl.operator_angle(proj)
-    assert report.sin_norm == pytest.approx(operator_norm(proj.Q - P), abs=1e-11)
+    distance = operator_norm(proj.Q - P)
+    assert abs(report.sin_norm - distance) <= 1e-11 * distance + min(x * x, np.finfo(float).eps)
 
 
 def test_block_diagonalize_example():

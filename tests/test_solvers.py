@@ -92,28 +92,37 @@ def test_spectral_x_is_the_projector_formula_on_the_battery(battery500):
         assert abs(smin_V1**2 - smin_Q11) <= 1e-13 * smin_Q11
 
 
+def semi_axes(contour):
+    """(a, b) of the ellipse of size a + b = s with foci center +- f:
+    a - b = f^2 / s, since (a - b)(a + b) = f^2."""
+    s, f = contour.size, contour.focus
+    return (s + f**2 / s) / 2, (s - f**2 / s) / 2
+
+
 def test_contour_invariants():
     c = rl.build_contour(np.array([0.0, 0.2]), np.array([-1.0, 1.0]))
     # the foci are the hull's ends, and the ellipse is confocal with it
     assert (c.center, c.focus) == (0.1, 0.1)
-    assert c.radius > c.focus and c.minor == pytest.approx(np.sqrt(c.radius**2 - c.focus**2), rel=1e-15)
+    a, b = semi_axes(c)
+    assert a > c.focus and b == pytest.approx(np.sqrt(a**2 - c.focus**2), rel=1e-15)
     # sigma(Z) strictly inside, sigma(C) strictly outside
-    assert abs(0.2 - c.center) < c.radius
-    assert abs(1.0 - c.center) > c.radius
-    # a one-point hull gives the circle of radius half the separation
-    assert rl.build_contour(np.array([0.25]), np.array([-1.0, 1.0])) == rl.Contour(0.25, 0.375)
+    assert abs(0.2 - c.center) < a
+    assert abs(1.0 - c.center) > a
+    # a one-point hull gives the circle whose diameter is the separation
+    assert rl.build_contour(np.array([0.25]), np.array([-1.0, 1.0])) == rl.Contour(0.25, 0.75)
 
 
-@pytest.mark.parametrize("radius, focus", [(0.0, 0.0), (1.0, 1.0), (1.0, -0.5)])
-def test_contour_refuses_a_degenerate_ellipse(radius, focus):
+@pytest.mark.parametrize("size, focus", [(0.0, 0.0), (1.0, 1.0), (1.0, -0.5)])
+def test_contour_refuses_a_degenerate_ellipse(size, focus):
     with pytest.raises(ValueError):
-        rl.Contour(center=0.0, radius=radius, focus=focus)
+        rl.Contour(center=0.0, size=size, focus=focus)
 
 
 def inside_ellipse(contour, x):
     """(Re x - m)^2 / a^2 + (Im x)^2 / b^2 < 1, elementwise."""
     x = np.asarray(x, dtype=complex)
-    return ((x.real - contour.center) / contour.radius) ** 2 + (x.imag / contour.minor) ** 2 < 1.0
+    a, b = semi_axes(contour)
+    return ((x.real - contour.center) / a) ** 2 + (x.imag / b) ** 2 < 1.0
 
 
 def test_build_contour_encloses_sigma_Z_and_excludes_sigma_C(battery500, battery300):
@@ -135,6 +144,24 @@ def test_build_contour_refuses_an_empty_spectrum():
     with pytest.raises(ValueError) as err:
         rl.build_contour([], [1.0])
     assert str(err.value) == "both spectra must be nonempty"
+
+
+def test_build_contour_refuses_a_matrix():
+    # a matrix's entries are no spectrum, on either side
+    for z, c in ((np.eye(2), np.array([3.0])), (np.array([0.0]), np.diag([2.0, 3.0]))):
+        with pytest.raises(DimensionMismatch, match="ndim=2"):
+            rl.build_contour(z, c)
+
+
+@pytest.mark.parametrize("d", [1e160, 1e300])
+def test_contour_solves_far_from_the_center(d):
+    # sigma(C) = {-d, d} about 0: the size of the contour and the sizes of
+    # sigma(C) are roots of products of two lengths near d^2, past the
+    # float range from d = 1e155 on unless each product is rescaled first
+    p = rl.example_problem(d, d / 2)
+    ref = rl.solve_spectral(p, rl.select_gap(p))
+    sol = rl.solve_contour(p, ref.Z, rl.build_contour(ref.z_eigs, p.eig_C.values))
+    assert operator_norm(sol.X - ref.X) <= 1e-15 * (1 + ref.x_norm)
 
 
 def test_solve_contour_refuses_a_Z_of_the_wrong_shape():
@@ -176,7 +203,7 @@ def ellipse_nodes(contour, nodes):
     angles, and the trapezoid weights lambda'(theta_k) / i of
     (2 pi i)^{-1} oint f d lambda = (1 / nodes) sum f(lambda_k) lambda'(theta_k) / i."""
     theta = 2 * np.pi * np.arange(nodes) / nodes
-    a, b = contour.radius, np.sqrt(contour.radius**2 - contour.focus**2)
+    a, b = semi_axes(contour)
     lams = contour.center + a * np.cos(theta) + 1j * b * np.sin(theta)
     return lams, (-a * np.sin(theta) + 1j * b * np.cos(theta)) / 1j
 
@@ -217,7 +244,7 @@ def test_quadrature_stalls_on_hugging_contour():
     ref = rl.solve_spectral(p, gap)
     z0 = float(np.linalg.eigvals(ref.Z).real[0])
     dist_C = np.min(np.abs(np.linalg.eigvalsh(p.C) - z0))
-    contour = rl.Contour(center=z0, radius=dist_C * (1 - 1e-5))
+    contour = rl.Contour(center=z0, size=2 * dist_C * (1 - 1e-5))
     with pytest.raises(QuadratureStall):
         rl.solve_contour(p, ref.Z, contour)
 
@@ -243,7 +270,7 @@ def test_hugging_contour_stalls_before_any_node(monkeypatch):
     dist_C = np.min(np.abs(np.linalg.eigvalsh(p.C) - z0))
     sizes = spy_quad_nodes(monkeypatch)
     with pytest.raises(QuadratureStall, match=f"within {MAX_NODES} nodes"):
-        rl.solve_contour(p, ref.Z, rl.Contour(center=z0, radius=dist_C * (1 - 1e-5)))
+        rl.solve_contour(p, ref.Z, rl.Contour(center=z0, size=2 * dist_C * (1 - 1e-5)))
     assert sizes == []
 
 
@@ -254,8 +281,8 @@ def test_contour_around_sigma_C_raises_before_any_node(monkeypatch, radius):
     p = rl.example_problem(1.0, 0.5)
     ref = rl.solve_spectral(p, rl.select_gap(p))
     sizes = spy_quad_nodes(monkeypatch)
-    with pytest.raises(SpectraTooClose, match=r"r=.* r_Z=.* r_C="):
-        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, radius=radius))
+    with pytest.raises(SpectraTooClose, match=r"s=.* s_Z=.* s_C="):
+        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, size=2 * radius))
     assert sizes == []
 
 
@@ -266,7 +293,7 @@ def test_contour_inside_sigma_Z_raises_before_any_node(monkeypatch):
     assert z0 > 0
     sizes = spy_quad_nodes(monkeypatch)
     with pytest.raises(SpectraTooClose):
-        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, radius=z0 / 2))
+        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, size=2 * (z0 / 2)))
     assert sizes == []
 
 
@@ -279,7 +306,7 @@ def test_contour_first_test_waits_for_64_nodes_even_when_rho_underflows(monkeypa
     z0 = float(np.linalg.eigvals(ref.Z).real[0])
     assert (1e-12 / np.min(np.abs(p.eig_C.values - z0))) ** 32 == 0.0
     sizes = spy_quad_nodes(monkeypatch)
-    sol = rl.solve_contour(p, ref.Z, rl.Contour(center=z0, radius=1e-12))
+    sol = rl.solve_contour(p, ref.Z, rl.Contour(center=z0, size=2 * 1e-12))
     assert sizes == [32, 32]
     assert operator_norm(sol.X - ref.X) <= 1e-12 * (1 + ref.x_norm)
 
@@ -289,7 +316,7 @@ def test_contour_waits_for_the_rho_guard_when_levels_agree_exactly(monkeypatch):
     # rho^(2N) <= TOL_QUAD, first met at 2N = 512
     p = rl.BlockProblem(np.zeros((1, 1)), np.zeros((1, 2)), np.diag([-1.0, 1.0]))
     sizes = spy_quad_nodes(monkeypatch)
-    sol = rl.solve_contour(p, np.zeros((1, 1)), rl.Contour(center=0.0, radius=0.9))
+    sol = rl.solve_contour(p, np.zeros((1, 1)), rl.Contour(center=0.0, size=2 * 0.9))
     assert sizes == [256, 256]
     assert not sol.X.any()
 
@@ -303,7 +330,7 @@ def test_contour_meets_the_tolerance_for_a_defective_Z():
     # X Z - C X = B*, solved through its Kronecker form
     K = np.kron(Z.T, np.eye(2)) - np.kron(np.eye(n), p.C)
     want = np.linalg.solve(K, p.B.T.reshape(-1, order="F")).reshape(2, n, order="F")
-    sol = rl.solve_contour(p, Z, rl.Contour(center=0.0, radius=0.8))
+    sol = rl.solve_contour(p, Z, rl.Contour(center=0.0, size=2 * 0.8))
     assert operator_norm(sol.X - want) <= TOL_QUAD * (1 + operator_norm(want))
 
 
@@ -312,7 +339,7 @@ def circle_around_hull(z, c):
     plus half the separation from sigma(C)."""
     return rl.Contour(
         center=float((z.max() + z.min()) / 2.0),
-        radius=float((z.max() - z.min()) / 2.0 + rl.dist_spectra(z, c) / 2.0),
+        size=2 * float((z.max() - z.min()) / 2.0 + rl.dist_spectra(z, c) / 2.0),
     )
 
 
@@ -325,9 +352,10 @@ def first_level(rho):
 
 
 def test_a_circle_keeps_its_rate_and_its_message(monkeypatch, battery500):
-    # a focus-0 Contour is the circle: rho = max(r_Z / r, r / r_C) with
-    # r_Z = max |sigma(Z) - center| and r_C = min |sigma(C) - center| picks
-    # the first level, and a circle that fails to separate is named by them
+    # a focus-0 Contour is the circle of radius r = size / 2: rho =
+    # max(r_Z / r, r / r_C) with r_Z = max |sigma(Z) - center| and
+    # r_C = min |sigma(C) - center| picks the first level, and a circle that
+    # fails to separate is named by its sizes, twice r, r_Z and r_C
     sizes = spy_quad_nodes(monkeypatch)
     for _, p, _, sol in battery500.items[:40]:
         z = np.linalg.eigvals(sol.Z)
@@ -336,17 +364,18 @@ def test_a_circle_keeps_its_rate_and_its_message(monkeypatch, battery500):
         r_C = np.min(np.abs(p.eig_C.values - circle.center))
         sizes.clear()
         alt = rl.solve_contour(p, sol.Z, circle)
-        assert sizes[0] == first_level(max(r_Z / circle.radius, circle.radius / r_C))
+        r = circle.size / 2
+        assert sizes[0] == first_level(max(r_Z / r, r / r_C))
         assert operator_norm(alt.X - sol.X) <= 1e-11 * (1 + sol.x_norm)
     p = rl.example_problem(1.0, 0.5)
     ref = rl.solve_spectral(p, rl.select_gap(p))
     r_Z = abs(np.linalg.eigvals(ref.Z)[0])
     message = (
-        f"contour of radius r=1.5 does not separate sigma(Z) (out to "
-        f"r_Z={r_Z:.6g} from its center) from sigma(C) (from r_C=1)"
+        f"contour of size s=3 does not separate sigma(Z) (out to "
+        f"size s_Z={2 * r_Z:.6g}) from sigma(C) (from size s_C=2)"
     )
     with pytest.raises(SpectraTooClose) as err:
-        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, radius=1.5))
+        rl.solve_contour(p, ref.Z, rl.Contour(center=0.0, size=2 * 1.5))
     assert str(err.value) == message
 
 
