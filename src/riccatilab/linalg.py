@@ -140,7 +140,9 @@ def _bauer_fike_floor(sep: float, kappa: float, scale: float, E: np.ndarray) -> 
     The FRO_SLACK terms, times kappa, cover all but ||E||_F as long as
     k n eps kappa stays far below FRO_SLACK (_eig_reference keeps no
     iterate where it does not), and with ||C|| they cover the rounding of
-    c, of min|z - c| and of this floor.
+    c, of min|z - c| and of this floor.  Around A the fixed point passes
+    the E of its own iterate Z = fl(A + E), which differs from A + E by at
+    most eps ||Z||, a rounding the FRO_SLACK scale term covers too.
     """
     return sep - kappa * (1.0 + FRO_SLACK) * _frobenius(E) - kappa * FRO_SLACK * scale
 
@@ -204,17 +206,18 @@ class _SylvesterSteps:
         self._A = _OverlapReference(A, d, 1.0, norm_A + norm_C)
         self._refs: deque[_OverlapReference] = deque(maxlen=2)
 
-    def solve(self, Z: np.ndarray) -> np.ndarray:
+    def solve(self, Z: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """Y for the iterate Z = fl(A + E); the A reference's floor reads E."""
         c = self._c
         if self._rows is None:
             z, P = np.linalg.eig(Z)
             _require_apart(z, c)
             W = (self._G @ P) / (z[None, :] - c[:, None])
             return np.linalg.solve(P.T, W.T).T
-        for r in (self._A, *self._refs):
-            if _bauer_fike_floor(r.sep, r.kappa, r.scale, Z - r.Z) > _spectral_tol():
-                break
-        else:
+        A, tol = self._A, _spectral_tol()
+        if _bauer_fike_floor(A.sep, A.kappa, A.scale, E) <= tol and not any(
+            _bauer_fike_floor(r.sep, r.kappa, r.scale, Z - r.Z) > tol for r in self._refs
+        ):
             ref = _eig_reference(Z, c, self._norm_C)
             if ref is not None:
                 self._refs.append(ref)

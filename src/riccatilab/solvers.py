@@ -20,6 +20,7 @@ compressions, whichever route produced it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +42,7 @@ from .linalg import _frobenius, _read_only, as_matrix, operator_norm
 
 TOL_QUAD = 1e-12  # relative stop for contour node doubling
 TOL_FIX = 1e-12  # relative stop for fixed-point steps
+CYCLE_MARGIN = 64.0  # a cycle's step exceeds this multiple of how far a converger can still move
 START_NODES = 16  # quadrature levels are START_NODES 2^k; 4 START_NODES is the least accepted
 MAX_NODES = 4096
 MAX_ITER = 500
@@ -345,8 +347,21 @@ def solve_contour(p: BlockProblem, Z, contour: Contour) -> RiccatiSolution:
 
 
 def _fixedpoint_step(p: BlockProblem, Y: np.ndarray, steps: linalg._SylvesterSteps) -> np.ndarray:
-    """The next iterate in C's eigenbasis: Y' (A + (B U) Y) - diag(c) Y' = U* B*."""
-    return steps.solve(p.A + p.B_in_eig_C @ Y)
+    """The next iterate in C's eigenbasis: Y' (A + E) - diag(c) Y' = U* B*, E = (B U) Y."""
+    E = p.B_in_eig_C @ Y
+    return steps.solve(p.A + E, E)
+
+
+def _cycle_apart(k: int, step: float, two_steps: deque[float]) -> bool:
+    """True from step 6 on when the two-step norms e_{k-3}, ..., e_k
+    shrink by some r < 1 and the step is more than CYCLE_MARGIN times
+    (e_k + e_{k-1}) r / (1 - r), how far Y_k and Y_{k-1} can still move
+    at that rate."""
+    if k < 6 or len(two_steps) < 4:
+        return False
+    e3, e2, e1, e0 = two_steps
+    r = max(e0 / e2, e1 / e3)
+    return r < 1.0 and step > CYCLE_MARGIN * (e0 + e1) * r / (1.0 - r)
 
 
 def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
@@ -360,21 +375,33 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
     picks the row or eig path and raises SpectraOverlap for a Z_k within
     _spectral_tol of sigma(C), screening that test by Bauer-Fike floors.
     Stops on a relative step of TOL_FIX.  Raises IterationDiverged
-    past norm 1e6, at a period-2 cycle, or past MAX_ITER steps.  A cycle
-    is Y_k within TOL_FIX of Y_{k-2} (relative, as the stop) while the
-    step Y_k - Y_{k-1} is not within sqrt(TOL_FIX), tested first: the
-    guard keeps oscillating convergers, whose two-step difference falls
-    below TOL_FIX a few steps before their step does.  A linearly
-    oscillating sequence that passes both tests keeps at least
-    1 - sqrt(TOL_FIX) of its error per step, far too much to stop within
-    MAX_ITER.  These stop rules are heuristics, decided in the Frobenius
-    norm, which U leaves unchanged and which takes no SVD; the residual and
-    x_norm of the result stay 2-norms.  A stop at a residual that is not
+    past norm 1e6, at a period-2 cycle, or past MAX_ITER steps.  Outside
+    a guard, a step Y_k - Y_{k-1} not within sqrt(TOL_FIX) (relative, as
+    the stop), the two-step norms e_k = ||Y_k - Y_{k-2}||_F are taken;
+    a step inside the guard clears them.  From step 6 on, with four of
+    them in a row, r = max(e_k/e_{k-2}, e_{k-1}/e_{k-3}) estimates how
+    fast they shrink, and if they keep shrinking by r, Y_k and Y_{k-1}
+    can still move at most (e_k + e_{k-1}) r / (1 - r) in all.  A
+    sequence with a single limit therefore has, by the triangle
+    inequality, a step within that distance, and every linear converger
+    Y* + lambda^k V does, with r = |lambda|^2.  A cycle is a step beyond
+    CYCLE_MARGIN times it while r < 1 (_cycle_apart); the margin covers a
+    misestimated r, since from step 6 on the battery's convergers reach
+    at most 7.7 times it.  The late backstop is Y_k within TOL_FIX of
+    Y_{k-2} outside the guard.  The guard keeps oscillating convergers,
+    whose two-step difference falls below TOL_FIX a few steps before
+    their step does.  A linearly oscillating sequence that passes the
+    guard and the backstop keeps at least 1 - sqrt(TOL_FIX) of its error
+    per step, far too much to stop within MAX_ITER.  These stop rules
+    are heuristics, decided in the Frobenius norm, which U leaves
+    unchanged and which takes no SVD; the residual and x_norm of the
+    result stay 2-norms.  A stop at a residual that is not
     residual_acceptable raises ResidualTooLarge, and one at another gap's
     root (uniqueness_class_check) OutsideUniquenessClass.
     """
     steps = linalg._SylvesterSteps(p.A, p.eig_C.values, p.Bstar_in_eig_C, p.d, p.norm_A, p.norm_C)
     Y_back = Y = np.zeros((p.n_C, p.n_A), dtype=complex)  # Y_{k-2} and Y_{k-1} at step k
+    two_steps: deque[float] = deque(maxlen=4)  # e_j = ||Y_j - Y_{j-2}||_F up to e_k, unbroken by the guard
     for k in range(1, MAX_ITER + 1):
         Y_next = _fixedpoint_step(p, Y, steps)
         step, y_norm = _frobenius(Y_next - Y), _frobenius(Y_next)
@@ -389,8 +416,12 @@ def solve_fixedpoint(p: BlockProblem, gap: SpectralGap) -> RiccatiSolution:
                 raise OutsideUniquenessClass(f"not the root of ({gap.alpha}, {gap.beta})")
             return sol
         # the guard first, so a converger's late steps take no two-step norm
-        if step > math.sqrt(TOL_FIX) * scale and _frobenius(Y_next - Y_back) <= TOL_FIX * scale:
-            raise IterationDiverged(f"period-2 cycle at step {k}")
+        if step <= math.sqrt(TOL_FIX) * scale:
+            two_steps.clear()
+        else:
+            two_steps.append(_frobenius(Y_next - Y_back))
+            if two_steps[-1] <= TOL_FIX * scale or _cycle_apart(k, step, two_steps):
+                raise IterationDiverged(f"period-2 cycle at step {k}")
         Y_back, Y = Y, Y_next
     raise IterationDiverged(f"no convergence within {MAX_ITER} iterations")
 

@@ -12,7 +12,8 @@ loads, and only the exit code and the sha256 of stdout are kept
 command).  The CSV of ``riccatilab sweep`` over the benchmark's 800-spec
 sweep_mixed grid is kept whole in ``tests/golden/sweep_mixed.csv``, so a
 moved digest can name the rows that moved.  ``tests/golden/pinned_sha256.json``
-holds that CSV's sha256 and the interior battery's fixed-point digest.
+holds that CSV's sha256 and the interior battery's two fixed-point
+digests, one of the converged X and one of the give-up messages.
 
 After a change that moves output on purpose, rewrite the fixtures with
 
@@ -155,17 +156,22 @@ def sweep_mixed_csv() -> str:
     return buf.getvalue()
 
 
-def battery_fixedpoint_sha256(items) -> str:
-    """SHA-256 over battery items (spec, problem, gap, solution) in order:
-    X.tobytes() of each converged fixed point, f"{type(err).__name__}: {err}"
-    as UTF-8 for each give-up."""
-    digest = hashlib.sha256()
+def battery_fixedpoint_digests(items) -> dict[str, str]:
+    """The fixed point's two SHA-256 digests over battery items (spec,
+    problem, gap, solution) in order.  battery_fixedpoint_X covers
+    X.tobytes() of each converged fixed point and only the error class of
+    each give-up, type(err).__name__ as UTF-8; battery_fixedpoint_gave_up
+    covers each give-up's f"{type(err).__name__}: {err}" as UTF-8.  A stop
+    rule that moves where a give-up stops, or its message, moves the
+    second alone."""
+    converged, gave_up = hashlib.sha256(), hashlib.sha256()
     for _, p, gap, _ in items:
         try:
-            digest.update(rl.solve_fixedpoint(p, gap).X.tobytes())
+            converged.update(rl.solve_fixedpoint(p, gap).X.tobytes())
         except rl.RiccatiLabError as err:
-            digest.update(f"{type(err).__name__}: {err}".encode("utf-8"))
-    return digest.hexdigest()
+            converged.update(type(err).__name__.encode("utf-8"))
+            gave_up.update(f"{type(err).__name__}: {err}".encode("utf-8"))
+    return {"battery_fixedpoint_X": converged.hexdigest(), "battery_fixedpoint_gave_up": gave_up.hexdigest()}
 
 
 def moved_rows(expected: str, actual: str) -> list[str]:
@@ -291,7 +297,7 @@ def regenerate(workdir: Path) -> dict[str, list[str]]:
     SWEEP_MIXED_CSV.write_bytes(table.encode("utf-8"))
     old_pins = json.loads(PINNED_DIGESTS.read_text()) if PINNED_DIGESTS.exists() else {}
     pins = {
-        "battery_fixedpoint": battery_fixedpoint_sha256(_solve_battery(interior_specs(500, MASTER_INTERIOR)).items),
+        **battery_fixedpoint_digests(_solve_battery(interior_specs(500, MASTER_INTERIOR)).items),
         SWEEP_MIXED_CSV.name: hashlib.sha256(table.encode("utf-8")).hexdigest(),
     }
     for name, digest in pins.items():

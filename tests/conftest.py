@@ -90,7 +90,7 @@ def sylvester_in_eig_C(Z, c, G):
     """Y Z - diag(c) Y = G through linalg._SylvesterSteps, built for this one
     Z with d = 0, so no Bauer-Fike floor settles its overlap test and eig(Z)
     decides it; ROW_SOLVE_LIMIT, read at call time, picks the path."""
-    return _SylvesterSteps(Z, c, G, 0.0, 0.0, 0.0).solve(Z)
+    return _SylvesterSteps(Z, c, G, 0.0, 0.0, 0.0).solve(Z, np.zeros_like(Z))
 
 
 def sylvester_steps(p):

@@ -326,12 +326,13 @@ def test_bauer_fike_screen_never_skips_a_refusal():
         E = t * (c[i] - a[j]) * np.outer(V[:, j], V[:, j].conj())
         E = E + (TOL_SPEC if trial % 3 else 0.1 * d) * rng.uniform() * N / np.linalg.norm(N)
         Z, norm_A, norm_C = A + E, operator_norm(A), operator_norm(C)
-        floor = _bauer_fike_floor(d, 1.0, norm_A + norm_C, Z - A)
+        floor = _bauer_fike_floor(d, 1.0, norm_A + norm_C, E)  # the screen reads E, not Z - A
         sep = np.min(np.abs(np.linalg.eigvals(Z)[None, :] - c[:, None]))
-        assert floor <= sep
+        assert max(floor, _bauer_fike_floor(d, 1.0, norm_A + norm_C, Z - A)) <= sep
         G = rng.complex_normal_matrix(n_C, n_A)
+        steps = _SylvesterSteps(A, c, G, d, norm_A, norm_C)
         outcomes = []
-        for solve in (_SylvesterSteps(A, c, G, d, norm_A, norm_C).solve, lambda Z: sylvester_in_eig_C(Z, c, G)):
+        for solve in (lambda Z: steps.solve(Z, E), lambda Z: sylvester_in_eig_C(Z, c, G)):
             try:
                 outcomes.append(solve(Z))
             except SpectraOverlap:
@@ -396,10 +397,10 @@ def test_bauer_fike_screen_around_a_non_normal_reference_never_skips_a_refusal()
         assert floor <= sep
         G = rng.complex_normal_matrix(n_C, n_A)
         held = _SylvesterSteps(Z_r, c, G, 0.0, 0.0, norm_C)
-        held.solve(Z_r)
+        held.solve(Z_r, np.zeros_like(Z_r))
         assert len(held._refs) == 1 and held._refs[0][1:] == ref[1:]
         outcomes = []
-        for solve in (held.solve, lambda Z: sylvester_in_eig_C(Z, c, G)):
+        for solve in (lambda Z: held.solve(Z, Z - Z_r), lambda Z: sylvester_in_eig_C(Z, c, G)):
             try:
                 outcomes.append(solve(Z))
             except SpectraOverlap:

@@ -26,6 +26,7 @@ import pytest
 
 import riccatilab as rl
 from riccatilab import cli
+from riccatilab.linalg import ROW_SOLVE_LIMIT
 from riccatilab.rng import SplitMix64
 
 from cli_golden import PROBLEMS
@@ -250,3 +251,31 @@ def test_the_factorization_defect_is_exact_under_power_of_two_scaling(outcomes):
             if isinstance(base, dict) and isinstance(scaled, dict) and base["defect"] != scaled["defect"]:
                 lines.append(f"{case} at 2^{k} H: {base['defect']!r} -> {scaled['defect']!r}")
     assert not lines, "\n".join(lines[:30])
+
+
+@pytest.fixture(scope="module")
+def battery_give_ups(battery500):
+    """(problem, gap point, message) of each interior battery fixed point that gives up at H."""
+    give_ups = []
+    for s, p, gap, _ in battery500.items:
+        try:
+            rl.solve_fixedpoint(p, gap)
+        except rl.RiccatiLabError as err:
+            give_ups.append((p, (s.gap[0] + s.gap[1]) / 2, f"{type(err).__name__}: {err}"))
+    return give_ups
+
+
+@pytest.mark.parametrize("k", (-3, 3, 10))
+def test_the_fixed_point_gives_up_at_the_same_step_under_power_of_two_scaling(battery_give_ups, k):
+    # the cycle stops compare norms and ratios of norms of the iterates,
+    # which a power of two leaves exact, so each of the 24 period-2 cycles
+    # (all on the row path) stops at the same step, and every give-up
+    # message is the one at H
+    assert sum("period-2 cycle at step " in message for _, _, message in battery_give_ups) == 24
+    t = 2.0**k
+    for p, point, message in battery_give_ups:
+        assert p.n_A * p.n_C < ROW_SOLVE_LIMIT
+        scaled = rl.BlockProblem(p.A * t, p.B * t, p.C * t)
+        with pytest.raises(rl.RiccatiLabError) as err:
+            rl.solve_fixedpoint(scaled, rl.select_gap(scaled, point * t))
+        assert f"{err.type.__name__}: {err.value}" == message
