@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, HypothesisViolated, LambdaOnSpectrum, Lam
 from .linalg import (
     EigDecomposition,
     _read_only,
+    _sqrt_product,
     as_matrix,
     operator_norm,
     require_hermitian,
@@ -36,7 +37,7 @@ def _hermitian_norm(w: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BlockProblem:
-    """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC).
+    """Immutable problem data (A, B, C) with shapes (nA,nA), (nA,nC), (nC,nC), nA, nC >= 1.
 
     sigma(A) (values only, ascending), the eigendecomposition C = U diag(c) U*,
     U*, B* and B in the eigenbasis of C, the operator norms of A, B and C
@@ -52,6 +53,8 @@ class BlockProblem:
     def __post_init__(self):
         A = require_hermitian(self.A, "A")
         C = require_hermitian(self.C, "C")
+        if A.size == 0 or C.size == 0:
+            raise DimensionMismatch(f"A and C must not be empty, got {A.shape} and {C.shape}")
         B = as_matrix(self.B)
         if not np.all(np.isfinite(B)):
             raise ValueError("B has non-finite entries")
@@ -150,15 +153,13 @@ def _hypothesis(p: BlockProblem, gap: SpectralGap, span: float) -> tuple[float, 
 
     threshold = sqrt(max(d span, 0)), span |gap| (existence, enclosure) or
     |gap| - d (contraction, squared shift); holds means sigma(A) is inside
-    the gap (margin _spectral_tol) and ||B|| < threshold - _slack_tol(1).  d span is
-    formed scaled by 2^-2e, 2^(e-1) <= |gap| < 2^e, so it cannot overflow;
-    a power of two is exact, so no threshold whose d span is a normal
-    double moves a bit.
+    the gap (margin _spectral_tol) and ||B|| < threshold - _slack_tol(1).
+    The root is linalg._sqrt_product's, so d span cannot overflow where
+    the threshold fits, and the threshold scales exactly under H -> 2^k H.
     """
     if not gap.is_finite:
         raise HypothesisViolated(f"the theorem needs a finite gap, not ({gap.alpha}, {gap.beta})")
-    e = math.frexp(gap.length)[1]
-    threshold = math.ldexp(math.sqrt(max(math.ldexp(p.d, -e) * math.ldexp(span, -e), 0.0)), e)
+    threshold = float(_sqrt_product(p.d, max(span, 0.0)))
     holds = bool(np.all(gap.contains(p.sigma_A, linalg._spectral_tol())))
     return threshold, holds and p.norm_B < threshold - linalg._slack_tol(1)
 

@@ -119,8 +119,8 @@ def certify_contraction(
     the gap midpoint, where the bound is sharpest and shift-invariantly
     stated.  A ray, or a frame that overflows, raises HypothesisViolated.
     The bound's atan2 reads the coupling and d (|gap| - d) - ||B||^2 in the
-    frame scaled by a power of two that _hypothesis uses, so neither
-    overflows; the reported denominator is the unscaled one.  frame is
+    frame scaled by 2^-e, 2^(e-1) <= |gap| < 2^e, so neither overflows;
+    the reported denominator is the unscaled one.  frame is
     _shifted_frame(p, gap), built here when not given.
     """
     gamma, threshold, hyp, _, _, Bhat, denom = _shifted_frame(p, gap) if frame is None else frame

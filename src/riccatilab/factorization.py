@@ -95,11 +95,10 @@ def verify_factorization(p: BlockProblem, sol, grid) -> float:
 
     The defect is -B (C - lam)^{-1} R, R the residual matrix of sol.X (the
     one field read): a product per point, no W or lam - Z.  Column norms
-    bracket each point's 2-norm ratio (the largest column norm, never
-    below ||.||_F / sqrt(n_A), <= ||.||_2 <= ||.||_F, widened by
-    FRO_SLACK); 2-norms are taken only where the upper bracket reaches the
-    largest lower one, which holds at the maximizer, so the result is the
-    all-points maximum, bit for bit.  The defects and M are one stack,
+    bracket each point's 2-norm ratio (the largest column norm <= ||.||_2
+    <= ||.||_F, widened by FRO_SLACK); 2-norms are taken only where the
+    upper bracket reaches the largest lower one, which holds at the
+    maximizer, so the result is the all-points maximum, bit for bit.  The defects and M are one stack,
     filled in place a block of points at a time and compacted in place to
     the kept points, so the brackets are one pass and the kept points'
     2-norms one batched SVD.  A Frobenius norm that overflows sends every
@@ -123,7 +122,7 @@ def verify_factorization(p: BlockProblem, sol, grid) -> float:
         raise ValueError("matrix has non-finite entries")
     fro = np.sqrt(col_sq.sum(axis=1))
     if np.all(np.isfinite(fro)):
-        col = np.maximum(np.sqrt(col_sq.max(axis=1)), fro / math.sqrt(p.n_A))
+        col = np.sqrt(col_sq.max(axis=1))
         lo = col[k:] * (1.0 - FRO_SLACK) / (1.0 + fro[:k] * (1.0 + FRO_SLACK))
         hi = fro[k:] * (1.0 + FRO_SLACK) / (1.0 + col[:k] * (1.0 - FRO_SLACK))
         kept = np.flatnonzero(hi >= np.max(lo))

@@ -20,6 +20,7 @@ import numpy as np
 from .block import BlockProblem, SpectralGap, select_gap
 from .certificates import Certificate, certify_all
 from .errors import InfeasibleSpec, RiccatiLabError
+from .linalg import operator_norm
 from .rng import SplitMix64, rephased_q
 from .solvers import solve_spectral
 
@@ -189,10 +190,6 @@ def exact_example_solution(d: float, b: float) -> np.ndarray:
     return np.array([[-s], [s]], dtype=complex)
 
 
-def _spread_uniforms(rng: SplitMix64, count: int) -> list[float]:
-    return [rng.uniform() for _ in range(count)]
-
-
 def generate(spec: GenSpec) -> BlockProblem:
     """Build the instance for a spec; same spec, same bits, every time.
 
@@ -208,19 +205,19 @@ def generate(spec: GenSpec) -> BlockProblem:
     rng = SplitMix64(spec.seed)
 
     if spec.placement == "subordinated":
-        c_eigs = [beta] + [beta + spread * u for u in _spread_uniforms(rng, spec.n_C - 1)]
+        c_eigs = [beta] + [beta + spread * rng.uniform() for _ in range(spec.n_C - 1)]
     else:
         k_lo = 1 + rng.next_u64() % (spec.n_C - 1)
         k_hi = spec.n_C - k_lo
-        c_eigs = [alpha] + [alpha - spread * u for u in _spread_uniforms(rng, k_lo - 1)]
-        c_eigs += [beta] + [beta + spread * u for u in _spread_uniforms(rng, k_hi - 1)]
+        c_eigs = [alpha] + [alpha - spread * rng.uniform() for _ in range(k_lo - 1)]
+        c_eigs += [beta] + [beta + spread * rng.uniform() for _ in range(k_hi - 1)]
 
     if spec.placement == "interior":
         lo, hi = alpha + spec.d_target, beta - spec.d_target
-        a_eigs = [lo] + [lo + (hi - lo) * u for u in _spread_uniforms(rng, spec.n_A - 1)]
+        a_eigs = [lo] + [lo + (hi - lo) * rng.uniform() for _ in range(spec.n_A - 1)]
     elif spec.placement == "subordinated":
         hi = beta - spec.d_target
-        a_eigs = [hi] + [alpha + (hi - alpha) * u for u in _spread_uniforms(rng, spec.n_A - 1)]
+        a_eigs = [hi] + [alpha + (hi - alpha) * rng.uniform() for _ in range(spec.n_A - 1)]
     else:
         lo, hi = alpha - 0.3 * length, beta + 0.3 * length
         a_eigs = []
@@ -237,7 +234,7 @@ def generate(spec: GenSpec) -> BlockProblem:
     g = rng.complex_normal_matrix(1, n_A * n_C + n_A * n_A + n_C * n_C)[0]
     B = g[: n_A * n_C].reshape(n_A, n_C)
     target = spec.b_ratio * math.sqrt(spec.d_target * length)
-    norm = float(np.linalg.svd(B, compute_uv=False)[0])
+    norm = operator_norm(B)
     B = B * (target / norm) if target > 0 else np.zeros_like(B)
 
     U_A = rephased_q(g[n_A * n_C : n_A * (n_C + n_A)].reshape(n_A, n_A))

@@ -1,11 +1,11 @@
 """Dense Hermitian linear algebra kernels, and the tolerance policy.
 
-Everything downstream validates its matrices and takes its 2-norms here,
-and the fixed point hands each Sylvester step to _SylvesterSteps, which
-alone picks the row or eig path and screens the overlap test.  Each
-spectral or certificate test asks the policy below, as
-linalg._<units>_tol() when it decides, for the tolerance of its
-quantity's units under H -> sH.
+Everything downstream validates its matrices and takes its 2-norms and
+its scale-exact roots (_sqrt_product) here, and the fixed point hands
+each Sylvester step to _SylvesterSteps, which alone picks the row or eig
+path and screens the overlap test.  Each spectral or certificate test
+asks the policy below, as linalg._<units>_tol() when it decides, for the
+tolerance of its quantity's units under H -> sH.
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _frobenius(M: np.ndarray) -> float:
     """||M||_F: inf when it overflows, nan on non-finite entries."""
     return math.sqrt(np.vdot(M, M).real)
+
+
+def _sqrt_product(x, y):
+    """sqrt(x y) of two lengths, elementwise, with x and y first taken in
+    units of 2^e, the binary exponent of max(|x|, |y|).  The rescaling is
+    exact, so the product does not overflow where the root fits, and the
+    root scales exactly with x and y under x, y -> 2^k x, 2^k y."""
+    unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1])
+    return np.sqrt((x / unit) * (y / unit)) * unit
 
 
 def require_hermitian(M, what: str = "matrix") -> np.ndarray:

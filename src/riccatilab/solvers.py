@@ -38,7 +38,7 @@ from .errors import (
     SpectraTooClose,
     WrongSubspaceDimension,
 )
-from .linalg import _frobenius, _read_only, as_matrix, operator_norm
+from .linalg import _frobenius, _read_only, _sqrt_product, as_matrix, operator_norm
 
 TOL_QUAD = 1e-12  # relative stop for contour node doubling
 TOL_FIX = 1e-12  # relative stop for fixed-point steps
@@ -140,15 +140,6 @@ class Contour:
     def __post_init__(self):
         if not 0.0 <= self.focus < self.size:
             raise ValueError("focus must lie in [0, size)")
-
-
-def _sqrt_product(x, y):
-    """sqrt(x y) of two lengths, elementwise, with x and y first taken in
-    units of 2^e, the binary exponent of max(|x|, |y|).  The rescaling is
-    exact, so the product does not overflow where the root fits, and the
-    root scales exactly with x and y under x, y -> 2^k x, 2^k y."""
-    unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1])
-    return np.sqrt((x / unit) * (y / unit)) * unit
 
 
 def _ellipse_size(x, center: float, focus: float) -> np.ndarray:

@@ -39,6 +39,22 @@ def test_block_problem_refusals_name_the_block(A, B, C, error, message):
     assert type(err.value) is error and str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "A,B,C",
+    [
+        (np.zeros((0, 0)), np.zeros((0, 2)), np.eye(2)),
+        (np.eye(2), np.zeros((2, 0)), np.zeros((0, 0))),
+        (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    ],
+    ids=["empty_A", "empty_C", "both_empty"],
+)
+def test_block_problem_refuses_an_empty_block(A, B, C):
+    # an empty spectrum has no norm and no gap, so it is refused before
+    # any spectrum is read, as a RiccatiLabError and not an IndexError
+    with pytest.raises(DimensionMismatch, match="must not be empty"):
+        rl.BlockProblem(A, B, C)
+
+
 def test_block_problem_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         rl.BlockProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.eye(2))

@@ -128,6 +128,19 @@ def test_existence_and_enclosure_share_one_hypothesis():
         assert _existence_hypothesis(p, gap, sol) == _enclosure_exists(p, gap) == (b < np.sqrt(2.0) - 1e-9)
 
 
+@pytest.mark.parametrize("kappa", [0.5, 0.9, 0.99, 0.999])
+def test_existence_holds_below_the_frontier_on_every_interior_instance(kappa, battery500):
+    # the theorem on random instances: with B scaled to ||B|| = kappa
+    # sqrt(d |gap|), kappa < 1, the gap solution exists, is the one in the
+    # uniqueness class, and the existence certificate passes
+    for spec, p, gap, _ in battery500.items:
+        scaled = rl.BlockProblem(p.A, p.B * (kappa * np.sqrt(p.d * gap.length) / p.norm_B), p.C)
+        sol = rl.solve_spectral(scaled, gap)
+        assert rl.uniqueness_class_check(scaled, sol, gap), spec
+        cert = rl.certify_existence(scaled, gap, sol)
+        assert cert.hypothesis_ok and cert.passed, spec
+
+
 def test_existence_holds_where_contraction_fails():
     # coupling in [d, sqrt(2) d): the gap solution exists but is no
     # longer a contraction; the two certificates must disagree exactly so

@@ -26,6 +26,7 @@ from riccatilab.linalg import (
     TOL_SPEC,
     _bauer_fike_floor,
     _require_apart,
+    _sqrt_product,
     _SylvesterSteps,
     as_matrix,
     operator_norm,
@@ -119,6 +120,25 @@ def test_operator_norm_is_the_2_norm_bit_for_bit(shape, kind):
 def test_operator_norm_rejects_nonfinite():
     with pytest.raises(ValueError):
         operator_norm(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("k", [-199, -21, -3, -2, -1, 1, 2, 3, 21, 60, 61, 199])
+def test_sqrt_product_scales_exactly_by_powers_of_two(k):
+    # sqrt(2^k x 2^k y) = 2^k sqrt(x y) bit for bit, odd k too: the
+    # product is formed in the unit of the larger factor, an exact rescaling
+    rng = np.random.default_rng(abs(k))
+    x = np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-60, 61, 2000))
+    y = np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-60, 61, 2000))
+    scaled = _sqrt_product(np.ldexp(x, k), np.ldexp(y, k))
+    assert np.array_equal(scaled, np.ldexp(_sqrt_product(x, y), k))
+    # one pair of scalars, as the theorems' hypothesis takes it
+    assert _sqrt_product(2.0**k * 0.3, 2.0**k * 0.7) == 2.0**k * _sqrt_product(0.3, 0.7)
+
+
+def test_sqrt_product_does_not_overflow_where_the_root_fits():
+    assert _sqrt_product(1e300, 1e300) == 1e300
+    assert _sqrt_product(2.0, 8.0) == 4.0
+    assert _sqrt_product(0.0, 0.0) == 0.0
 
 
 def test_as_matrix_requires_two_dims():

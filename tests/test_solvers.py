@@ -460,6 +460,24 @@ def test_accepted_contour_X_is_within_tolerance_of_one_more_doubling(monkeypatch
         assert operator_norm(alt.X - finer) <= 10 * TOL_QUAD * (1 + alt.x_norm)
 
 
+def test_gap_function_integrates_to_the_graph_projector(battery500):
+    # P = -(2 pi i)^{-1} oint (H - lambda)^{-1}, taken on the ellipse around
+    # sigma(Z), is the orthogonal projector onto the graph of X; its blocks
+    # need only M^{-1}: P11 = (2 pi i)^{-1} oint M^{-1} = (I + X*X)^{-1} and
+    # P21 = -(2 pi i)^{-1} oint (C - lambda)^{-1} B* M^{-1} = X P11
+    nodes = 512
+    for spec, p, _, sol in battery500.items:
+        lams, weights = ellipse_nodes(rl.build_contour(sol.z_eigs, p.eig_C.values), nodes)
+        Minv = np.linalg.inv(herglotz_batch(p, lams))
+        P11 = np.tensordot(weights, Minv, axes=1) / nodes
+        # (C - lambda)^{-1} B* = U diag(1 / (c - lambda)) U* B* in C's eigenbasis
+        a = weights[None, :] / (p.eig_C.values[:, None] - lams[None, :])
+        P21 = -p.eig_C.vectors @ np.einsum("ik,kij->ij", a, p.Bstar_in_eig_C @ Minv) / nodes
+        X = sol.X
+        assert operator_norm(P21 @ np.linalg.inv(P11) - X) <= 1e-12, spec
+        assert operator_norm(P11 - np.linalg.inv(np.eye(p.n_A) + X.conj().T @ X)) <= 1e-12, spec
+
+
 @pytest.mark.parametrize("n_A,n_C,nodes", [(16, 48, 64), (64, 96, 16)])
 def test_quadrature_batch_memory_is_bounded_by_the_node_stack(n_A, n_C, nodes):
     # at (64, 96, 16) n_A > nodes, so rows of C go in four blocks; one
