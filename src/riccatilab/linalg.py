@@ -15,6 +15,7 @@ from collections import deque
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonHermitianInput, SpectraOverlap
 
@@ -81,7 +82,11 @@ def _sqrt_product(x, y):
     """sqrt(x y) of two lengths, elementwise, with x and y first taken in
     units of 2^e, the binary exponent of max(|x|, |y|).  The rescaling is
     exact, so the product does not overflow where the root fits, and the
-    root scales exactly with x and y under x, y -> 2^k x, 2^k y."""
+    root scales exactly with x and y under x, y -> 2^k x, 2^k y.
+
+    The range: the smaller factor must stay at least about 2^-1021 of the
+    larger, or the scaled product is subnormal or 0 (_sqrt_product(1e-300,
+    1e300) reads 0.0), and the larger below 2^1023, where 2^e overflows."""
     unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1])
     return np.sqrt((x / unit) * (y / unit)) * unit
 
@@ -203,12 +208,17 @@ class _SylvesterSteps:
     between two limits).  From the limit on, with Z = P diag(z) P^{-1},
     (Y P)_ij (z_j - c_i) = (G P)_ij: one eig(Z) instead of the n_C
     factorizations, but Z must be diagonalizable, since a defective Z gives
-    a numerically singular P and a wrong Y without an error.
+    a numerically singular P and a wrong Y without an error.  That eig is
+    taken of Z 2^-e, e the binary exponent of ||A|| + ||C||, and z scaled
+    back by 2^e, both exactly: Z 2^-e is the same matrix under H -> 2^k H,
+    so Y keeps its bits there, which LAPACK's zgeev on Z itself does for
+    even k only.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, G: np.ndarray, d: float, norm_A: float, norm_C: float) -> None:
         n_C, n_A = G.shape
         self._c, self._G, self._norm_C = c, G, norm_C
+        self._e = math.frexp(norm_A + norm_C)[1]  # the eig path's frame
         self._rows = None
         if n_A * n_C < ROW_SOLVE_LIMIT:
             self._rows = c[:, None, None] * np.eye(n_A), G[:, :, None]
@@ -219,7 +229,8 @@ class _SylvesterSteps:
         """Y for the iterate Z = fl(A + E); the A reference's floor reads E."""
         c = self._c
         if self._rows is None:
-            z, P = np.linalg.eig(Z)
+            z, P = np.linalg.eig(Z * math.ldexp(1.0, -self._e))
+            z = z * math.ldexp(1.0, self._e)
             _require_apart(z, c)
             W = (self._G @ P) / (z[None, :] - c[:, None])
             return np.linalg.solve(P.T, W.T).T
@@ -231,4 +242,13 @@ class _SylvesterSteps:
             if ref is not None:
                 self._refs.append(ref)
         shifts, rhs = self._rows
-        return np.linalg.solve(Z.T - shifts, rhs)[:, :, 0]
+        # np.linalg.solve's own gufunc (zgesv on each system), without the
+        # per-call wrapper: the operands are complex128 stacks of square
+        # matrices built here, so its checks and casts would pass them as
+        # they are, and every bit is the same.  On an exactly singular
+        # system the wrapper raises LinAlgError; the bare gufunc returns
+        # that row as nan with a RuntimeWarning, and solve_fixedpoint's
+        # norm test turns the nan iterate into IterationDiverged.  The
+        # overlap test above refuses every Z within _spectral_tol() of
+        # sigma(C) before it gets that far.
+        return _umath_linalg.solve(Z.T - shifts, rhs, signature="DD->D")[:, :, 0]

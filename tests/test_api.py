@@ -38,6 +38,37 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     assert stray == []
 
 
+def test_the_one_private_numpy_module_is_the_row_solves_gufunc():
+    # numpy may move or drop a private module in any release; the row path
+    # of the fixed point calls numpy.linalg._umath_linalg's solve directly
+    # (linalg._SylvesterSteps), and nothing else reaches behind numpy's API
+    def private(dotted):
+        return any(part.startswith("_") and not part.startswith("__") for part in dotted.split("."))
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return ""
+        return ".".join([{"np": "numpy"}.get(node.id, node.id), *reversed(parts)])
+
+    found = []
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [dotted(node)]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.startswith("numpy.") and private(name)]
+    assert found == ["linalg.py: numpy.linalg._umath_linalg"]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # no linter ships with the project; this catches imports left behind
     # when the code that used them is deleted

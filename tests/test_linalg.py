@@ -8,6 +8,8 @@ route.
 """
 
 import ast
+import decimal
+import math
 import re
 from pathlib import Path
 
@@ -139,6 +141,17 @@ def test_sqrt_product_does_not_overflow_where_the_root_fits():
     assert _sqrt_product(1e300, 1e300) == 1e300
     assert _sqrt_product(2.0, 8.0) == 4.0
     assert _sqrt_product(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("larger", [1e300, 3.0, 1.0, 0.999])
+def test_sqrt_product_is_correctly_rounded_just_inside_its_range(larger):
+    # the smaller factor 2^-1020 of the larger, as far apart as the
+    # docstring's range lets them be; decimal gives the correctly rounded root
+    smaller = math.ldexp(larger, -1020)
+    wide = decimal.Context(prec=80)  # far past the 17 digits of a double
+    exact = float(wide.sqrt(wide.multiply(decimal.Decimal(larger), decimal.Decimal(smaller))))
+    for x, y in ((smaller, larger), (larger, smaller)):
+        assert abs(_sqrt_product(x, y) - exact) <= math.ulp(exact)
 
 
 def test_as_matrix_requires_two_dims():

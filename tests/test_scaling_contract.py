@@ -10,10 +10,11 @@ reference problems, a seeded slice of the three batteries, the example and
 the sqrt(2) witness.
 
 Every route's X holds the contract bit for bit wherever the route returns
-at both scales, except where the fixed point takes LAPACK's eig, which
-keeps its bits for even k only.  The other outcomes still move through
-absolute tolerances; each command and k at which they do is marked with
-its cause, ROADMAP item 1, whose scale-aware policy is to lift those marks.
+at both scales.  Where the fixed point takes LAPACK's eig, it takes it of
+Z 2^-e, e the binary exponent of ||A|| + ||C||, the same matrix at every
+k.  The other outcomes still move through absolute tolerances; each
+command and k at which they do is marked with its cause, ROADMAP item 1,
+whose scale-aware policy is to lift those marks.
 The contract stops where a squared quantity overflows or underflows, at
 subnormal data and where LAPACK rescales internally; |k| <= 100 stays
 clear of all three on these problems.
@@ -187,12 +188,6 @@ INSET = item_1(
     "factorization_grid's absolute inset (8e-8) is below half an ulp of the gap "
     "ends from 2^40 up, so a grid point lands on sigma(C)"
 )
-# not a tolerance: the one route outcome that moves
-EIG = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 24: LAPACK's eig (zgeev), which the fixed point takes "
-    "from n_A n_C >= 512 on, keeps its bits under 2^k H for even k only",
-)
 
 
 def outcome_marks(command, k):
@@ -202,8 +197,6 @@ def outcome_marks(command, k):
         return SQUARED
     if command == "factorize" and k >= 40:
         return INSET
-    if command == "fixedpoint" and k % 2:
-        return EIG
     return ()
 
 
@@ -211,10 +204,7 @@ def cases_of(outcomes):
     return sorted({name for name, _ in outcomes})
 
 
-@pytest.mark.parametrize(
-    "route, k",
-    [pytest.param(route, k, marks=EIG if route == "fixedpoint" and k % 2 else ()) for route in ROUTES for k in CONTRACT_K],
-)
+@pytest.mark.parametrize("route, k", [(route, k) for route in ROUTES for k in CONTRACT_K])
 def test_each_route_X_keeps_its_bits_under_power_of_two_scaling(outcomes, route, k):
     # wherever the route returns at both scales; bits, so -0.0 and 0.0 differ
     for case in cases_of(outcomes):

@@ -785,6 +785,38 @@ def test_row_and_eig_kernels_agree_on_fixedpoint_steps(battery500):
             assert operator_norm(rows - eig) <= 1e-13 * (1.0 + operator_norm(rows))
 
 
+def test_row_steps_are_np_linalg_solves_bit_for_bit(battery500):
+    # the row path calls np.linalg.solve's gufunc without its wrapper; the
+    # first 4 steps of every battery instance, n_A = 1 among them, are the
+    # wrapper's result byte for byte
+    assert any(p.n_A == 1 for _, p, _, _ in battery500.items)
+    for _, p, _, _ in battery500.items:
+        assert p.n_A * p.n_C < ROW_SOLVE_LIMIT
+        c, G = p.eig_C.values, p.Bstar_in_eig_C
+        shifts, rhs = c[:, None, None] * np.eye(p.n_A), G[:, :, None]
+        Y = _fixedpoint_steps(p, 4)
+        for Y_k, Y_next in zip(Y, Y[1:]):
+            Z = p.A + p.B_in_eig_C @ Y_k
+            assert Y_next.tobytes() == np.linalg.solve(Z.T - shifts, rhs)[:, :, 0].tobytes()
+
+
+def test_an_exactly_singular_row_reads_nan_and_the_fixed_point_gives_up(monkeypatch):
+    # Z - c_0 = diag(0, 2) is singular; a d far above the truth lets the A
+    # reference's floor settle the overlap test, so nothing refuses Z first
+    Z, c, G = np.diag([1.0, 3.0]).astype(complex), np.array([1.0]), np.ones((1, 2), dtype=complex)
+    steps = linalg._SylvesterSteps(Z, c, G, 10.0, 3.0, 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(Z.T - c[:, None, None] * np.eye(2), G[:, :, None])
+    with pytest.warns(RuntimeWarning):
+        Y = steps.solve(Z, np.zeros_like(Z))
+    assert Y.shape == (1, 2) and np.isnan(Y).all()
+    # solve_fixedpoint's norm test reads a nan iterate as divergence
+    monkeypatch.setattr(solvers, "_fixedpoint_step", lambda p, Y, steps: np.full_like(Y, np.nan))
+    p = rl.example_problem(1.0, 0.5)
+    with pytest.raises(IterationDiverged):
+        rl.solve_fixedpoint(p, rl.select_gap(p))
+
+
 def _pushed_next_to_sigma_C(p, Z):
     """An iterate Y whose Z' = A + (B U) Y is Z with its eigenvalue nearest
     sigma(C) moved to 1e-9 from it; B U must have full row rank."""
